@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
-from .matroids import ElementSet, Matroid, Weights, basis_weight, greedy_max_basis
+from .matroids import (
+    ElementSet, Matroid, Weights, basis_weight, greedy_max_basis, unblocked,
+)
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
-from .sampling import SamplingSession
+from .sampling import SamplingSession, _validate
 
 logger = logging.getLogger(__name__)
 
@@ -37,12 +39,11 @@ class AvgRound:
     samples_so_far: int
     kept: tuple[int, ...] = ()
 
-
-def _validate(eps: float, delta: float) -> None:
-    if eps <= 0:
-        raise DomainError("eps must be > 0")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
+    def to_record(self) -> dict:
+        """This round as one ``--trace`` JSONL line, less the trial index."""
+        return {"kind": "avg_round", "r": self.r, "size_before": self.size_before,
+                "size_after": self.size_after, "eps_r": self.eps_r,
+                "delta_r": self.delta_r, "samples": self.samples_so_far}
 
 
 def ln_choose(n: int, k: int) -> float:
@@ -122,15 +123,8 @@ def elimination(
     for e in sorted(set(m.ground) - inner):
         means[e] = session.pull_batch(e, count)
 
-    kept = set(inner)
-    for e in m.ground:
-        if e in inner:
-            continue
-        threshold = means[e] - lam - alpha - beta
-        blockers = frozenset(a for a in inner if means[a] >= threshold)
-        if not m.blocks(blockers, e):
-            kept.add(e)
-    return frozenset(kept)
+    thresholds = {e: means[e] - lam - alpha - beta for e in m.ground if e not in inner}
+    return inner | unblocked(m, inner, means, thresholds)
 
 
 def recur_break_bound(k: int, delta_r: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, InvariantError
-from .matroids import Matroid
+from .matroids import Matroid, unblocked
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
 from .sampling import SamplingSession
 
@@ -32,6 +32,12 @@ class ExactRound:
     n_bad: int
     changed: tuple[int, ...]
     samples_so_far: int
+
+    def to_record(self) -> dict:
+        """This round as one ``--trace`` JSONL line, less the trial index."""
+        return {"kind": self.kind, "r": self.r, "size": len(self.ground),
+                "n_opt": self.n_opt, "n_bad": self.n_bad,
+                "changed": len(self.changed), "samples": self.samples_so_far}
 
 
 def round_schedule(r: int, delta: float) -> tuple[float, float]:
@@ -90,15 +96,8 @@ def exact_exp_gap(
             rest = set(current) - inner
             means.update(session.uniform_sample(rest, eps_r, delta_r / n_opt))
 
-            kept = set(inner)
-            for e in current:
-                if e in inner:
-                    continue
-                threshold = means[e] + 1.5 * eps_r
-                blockers = frozenset(a for a in inner if means[a] >= threshold)
-                if not m_cur.blocks(blockers, e):
-                    kept.add(e)
-            survivors = frozenset(kept)
+            thresholds = {e: means[e] + 1.5 * eps_r for e in current if e not in inner}
+            survivors = inner | unblocked(m_cur, inner, means, thresholds)
             if m_cur.rank(survivors) != n_opt:
                 raise InvariantError("elimination dropped the rank of the survivors")
             transcript.append(
@@ -125,14 +124,8 @@ def exact_exp_gap(
             r_sele += 1
 
             means = session.uniform_sample(current, eps_r, delta_r / len(current))
-            picked: set[int] = set()
-            for e in current:
-                threshold = means[e] - 2.0 * eps_r
-                blockers = frozenset(
-                    a for a in current if a != e and means[a] >= threshold
-                )
-                if not m_cur.blocks(blockers, e):
-                    picked.add(e)
+            thresholds = {e: means[e] - 2.0 * eps_r for e in current}
+            picked = unblocked(m_cur, current, means, thresholds)
             if not m_cur.is_independent(picked):
                 raise InvariantError("selected arms are not jointly independent")
             answer |= picked

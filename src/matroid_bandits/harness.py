@@ -22,7 +22,9 @@ from .avg import avg_pac_recur_elim, naive_two
 from .errors import BudgetError, ConfigError, DomainError, PreconditionError
 from .exact import exact_exp_gap
 from .instances import Instance
-from .matroids import Matroid, basis_weight, greedy_max_basis, is_eps_optimal
+from .matroids import (
+    Matroid, avg_within_eps, elementwise_within_eps, greedy_max_basis, is_eps_optimal,
+)
 from .pac import ConstantsProfile, PROFILES, PacResult, naive_one, pac_sample_prune
 
 ALGORITHMS = ("naive1", "naive2", "pac", "exact", "avgpac")
@@ -51,22 +53,13 @@ def success_flags(matroid: Matroid, means, basis, eps: float) -> dict[str, bool]
     instances where enumeration cannot.
     """
     opt = greedy_max_basis(matroid, means)
-    k = matroid.full_rank
-    proper = matroid.is_basis(basis)
-    if not proper:
+    if not matroid.is_basis(basis):
         return {"exact": False, "eps_optimal": False, "elementwise": False, "avg": False}
-    mine = sorted((means[e] for e in basis), reverse=True)
-    best = sorted((means[e] for e in opt), reverse=True)
-    elementwise = all(x >= y - eps - 1e-12 for x, y in zip(mine, best))
-    avg_ok = (
-        k == 0
-        or basis_weight(basis, means) / k >= basis_weight(opt, means) / k - eps - 1e-12
-    )
     return {
         "exact": frozenset(basis) == opt,
         "eps_optimal": is_eps_optimal(matroid, basis, means, eps),
-        "elementwise": elementwise,
-        "avg": avg_ok,
+        "elementwise": elementwise_within_eps(basis, opt, means, eps),
+        "avg": avg_within_eps(basis, opt, means, eps),
     }
 
 
@@ -278,37 +271,9 @@ def write_report(result: dict, out_path, trace: bool = False) -> None:
         with open(trace_path, "w", encoding="utf-8") as handle:
             for rep in reports:
                 for record in rep.trace:
-                    handle.write(json.dumps(_trace_record(rep.index, record), sort_keys=True))
+                    line = {"trial": rep.index, **record.to_record()}
+                    handle.write(json.dumps(line, sort_keys=True))
                     handle.write("\n")
-
-
-def _trace_record(trial_index: int, record) -> dict:
-    from .avg import AvgRound
-    from .exact import ExactRound
-    from .pac import PruneLevel
-
-    base = {"trial": trial_index}
-    if isinstance(record, ExactRound):
-        base.update(
-            kind=record.kind, r=record.r, size=len(record.ground),
-            n_opt=record.n_opt, n_bad=record.n_bad,
-            changed=len(record.changed), samples=record.samples_so_far,
-        )
-    elif isinstance(record, PruneLevel):
-        size_s, size_f, size_keep = record.sizes
-        base.update(
-            kind="prune_level", depth=record.depth, base_case=record.base_case,
-            size=size_s, sampled=size_f, kept=size_keep,
-        )
-    elif isinstance(record, AvgRound):
-        base.update(
-            kind="avg_round", r=record.r, size_before=record.size_before,
-            size_after=record.size_after, eps_r=record.eps_r,
-            delta_r=record.delta_r, samples=record.samples_so_far,
-        )
-    else:
-        base.update(kind="unknown", repr=repr(record))
-    return base
 
 
 def profile_by_name(name: str) -> ConstantsProfile:

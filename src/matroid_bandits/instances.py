@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,6 @@ class Instance:
     notes: str = ""
     gap_floor: float | None = None
     allow_ties: bool = False
-    extra: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -81,9 +80,6 @@ class Instance:
     @property
     def true_means(self) -> tuple[float, ...]:
         return tuple(arm.mean for arm in self.arms)
-
-    def session(self, seed, max_pulls: int | None = None) -> SamplingSession:
-        return SamplingSession(self.arms, seed, max_pulls=max_pulls)
 
     def trial_session(self, master_seed: int, trial_index: int,
                       max_pulls: int | None = None) -> SamplingSession:

@@ -11,7 +11,7 @@ ids and never renumbers.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ValidationError
 
@@ -288,17 +288,31 @@ class TransversalMatroid(Matroid):
             return cached
         owner: dict[int, int] = {}
 
-        def augment(task: int, seen: set[int]) -> bool:
-            for w in self._task_adj[task]:
-                if w in seen:
+        def augment(root: int) -> bool:
+            # Depth-first search for an augmenting path, kept on an explicit
+            # stack: paths can be as long as the query set.
+            seen: set[int] = set()
+            tasks = [(root, iter(self._task_adj[root]))]
+            via: list[int] = []  # via[i] is the worker leading from tasks[i]
+            while tasks:
+                for w in tasks[-1][1]:
+                    if w not in seen:
+                        break
+                else:
+                    tasks.pop()
+                    if via:
+                        via.pop()
                     continue
                 seen.add(w)
-                if w not in owner or augment(owner[w], seen):
-                    owner[w] = task
+                via.append(w)
+                if w not in owner:
+                    for (task, _), worker in zip(tasks, via):
+                        owner[worker] = task
                     return True
+                tasks.append((owner[w], iter(self._task_adj[owner[w]])))
             return False
 
-        matched = sum(1 for t in sorted(subset) if augment(t, set()))
+        matched = sum(1 for t in sorted(subset) if augment(t))
         if len(self._rank_memo) >= self._MEMO_LIMIT:
             self._rank_memo.clear()
         self._rank_memo[subset] = matched
@@ -401,19 +415,44 @@ def basis_weight(basis: Iterable[int], weights: Weights) -> float:
     return math.fsum(_weight(weights, e) for e in basis)
 
 
+def unblocked(
+    m: Matroid, pool: Iterable[int], weights: Weights, thresholds: Mapping[int, float]
+) -> ElementSet:
+    """Keys e of ``thresholds`` not blocked by {a in pool : a != e, weights[a] >= thresholds[e]}.
+
+    The pruning step shared by every algorithm and optimality check. Each
+    pool weight is read once; each candidate costs one :meth:`Matroid.blocks`.
+    """
+    pool_weights = [(a, _weight(weights, a)) for a in pool]
+    return frozenset(
+        e
+        for e, t in thresholds.items()
+        if not m.blocks(frozenset(a for a, w in pool_weights if a != e and w >= t), e)
+    )
+
+
+def elementwise_within_eps(
+    basis: Iterable[int], opt: Iterable[int], weights: Weights, eps: float
+) -> bool:
+    """Sorted position-by-position comparison against the optimum ``opt``."""
+    mine = sorted((_weight(weights, a) for a in basis), reverse=True)
+    best = sorted((_weight(weights, a) for a in opt), reverse=True)
+    return all(x >= y - eps - 1e-12 for x, y in zip(mine, best))
+
+
+def avg_within_eps(
+    basis: Collection[int], opt: Iterable[int], weights: Weights, eps: float
+) -> bool:
+    """Mean weight within ``eps`` of the mean weight of the optimum ``opt``."""
+    k = len(basis)
+    return k == 0 or (
+        basis_weight(basis, weights) / k >= basis_weight(opt, weights) / k - eps - 1e-12
+    )
+
+
 def is_optimal_basis(m: Matroid, basis: Iterable[int], weights: Weights) -> bool:
     """True iff every excluded element is blocked by its heavier part of the basis."""
-    bset = m._as_subset(basis)
-    if not m.is_basis(bset):
-        raise PreconditionError("candidate set is not a basis")
-    for e in m.ground:
-        if e in bset:
-            continue
-        threshold = _weight(weights, e)
-        heavy = frozenset(a for a in bset if _weight(weights, a) >= threshold)
-        if not m.blocks(heavy, e):
-            return False
-    return True
+    return is_eps_optimal(m, basis, weights, 0.0)
 
 
 def is_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: float) -> bool:
@@ -428,14 +467,8 @@ def is_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: floa
     bset = m._as_subset(basis)
     if not m.is_basis(bset):
         raise PreconditionError("candidate set is not a basis")
-    for e in m.ground:
-        if e in bset:
-            continue
-        threshold = _weight(weights, e) - eps
-        heavy = frozenset(a for a in bset if _weight(weights, a) >= threshold)
-        if not m.blocks(heavy, e):
-            return False
-    return True
+    thresholds = {e: _weight(weights, e) - eps for e in m.ground if e not in bset}
+    return not unblocked(m, bset, weights, thresholds)
 
 
 def is_eps_optimal_modified_cost(

@@ -16,9 +16,12 @@ from .matroids import (
     Matroid,
     Weights,
     _weight,
+    avg_within_eps,
     basis_weight,
+    elementwise_within_eps,
     greedy_max_basis,
     is_eps_optimal,
+    unblocked,
 )
 
 ENUMERATION_GUARD = 20
@@ -185,10 +188,7 @@ def is_elementwise_eps_optimal(
     bset = m._as_subset(basis)
     if not m.is_basis(bset):
         raise PreconditionError("candidate set is not a basis")
-    opt = brute_force_opt(m, weights)
-    mine = sorted((_weight(weights, a) for a in bset), reverse=True)
-    best = sorted((_weight(weights, a) for a in opt), reverse=True)
-    return all(x >= y - eps - 1e-12 for x, y in zip(mine, best))
+    return elementwise_within_eps(bset, brute_force_opt(m, weights), weights, eps)
 
 
 def is_avg_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: float) -> bool:
@@ -198,11 +198,7 @@ def is_avg_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: 
     bset = m._as_subset(basis)
     if not m.is_basis(bset):
         raise PreconditionError("candidate set is not a basis")
-    k = m.full_rank
-    if k == 0:
-        return True
-    opt_weight = brute_force_opt_weight(m, weights)
-    return basis_weight(bset, weights) / k >= opt_weight / k - eps - 1e-12
+    return avg_within_eps(bset, brute_force_opt(m, weights), weights, eps)
 
 
 def is_eps_approx_subset(
@@ -230,18 +226,13 @@ def is_eps_approx_subset(
 def count_F_good(m: Matroid, sampled: Iterable[int], weights: Weights) -> int:
     """Number of elements not blocked by the strictly-heavier part of ``sampled``.
 
-    Relies on strict comparison plus distinct weights, so an element inside
-    the sample never blocks itself.
+    Weights must be distinct, so for ``a != e`` "at least as heavy" is
+    "strictly heavier".
     """
     _require_distinct(m, weights)
     f_set = m._as_subset(sampled)
-    good = 0
-    for e in m.ground:
-        we = _weight(weights, e)
-        heavy = frozenset(a for a in f_set if a != e and _weight(weights, a) > we)
-        if not m.blocks(heavy, e):
-            good += 1
-    return good
+    thresholds = {e: _weight(weights, e) for e in m.ground}
+    return len(unblocked(m, f_set, weights, thresholds))
 
 
 def verify_instance(instance) -> list[tuple[str, bool, str]]:

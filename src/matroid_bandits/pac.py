@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import BudgetError, DomainError, InvariantError
-from .matroids import ElementSet, Matroid, greedy_max_basis
-from .sampling import SamplingSession
+from .errors import BudgetError, InvariantError
+from .matroids import ElementSet, Matroid, greedy_max_basis, unblocked
+from .sampling import SamplingSession, _validate
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,18 @@ class PruneLevel:
             len(self.kept) if self.kept is not None else 0,
         )
 
+    def to_record(self) -> dict:
+        """This level as one ``--trace`` JSONL line, less the trial index."""
+        size, sampled, kept = self.sizes
+        return {"kind": "prune_level", "depth": self.depth, "base_case": self.base_case,
+                "size": size, "sampled": sampled, "kept": kept}
+
 
 @dataclass(frozen=True)
 class PacResult:
     basis: ElementSet
     samples: int
     transcript: tuple = field(default_factory=tuple)
-
-
-def _validate(eps: float, delta: float) -> None:
-    if eps <= 0:
-        raise DomainError("eps must be > 0")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
 
 
 def naive_one(session: SamplingSession, m: Matroid, eps: float, delta: float) -> PacResult:
@@ -138,15 +137,8 @@ def _sample_prune(
         ground, lam, delta * profile.sample_prob / (8.0 * k)
     )
 
-    kept = set(inner)
-    for e in ground:
-        if e in inner:
-            continue
-        threshold = means[e] - alpha - 2.0 * lam
-        blockers = frozenset(a for a in inner if means[a] >= threshold)
-        if not m.blocks(blockers, e):
-            kept.add(e)
-    survivors = frozenset(kept)
+    thresholds = {e: means[e] - alpha - 2.0 * lam for e in ground if e not in inner}
+    survivors = inner | unblocked(m, inner, means, thresholds)
     if m.rank(survivors) != k:
         raise InvariantError("pruning dropped the rank of the survivor set")
     transcript.append(

@@ -57,15 +57,20 @@ def scaled(lo: float, hi: float, mean: float) -> Arm:
     return Arm(SCALED, mean, (lo, hi))
 
 
+def _validate(eps: float, delta: float) -> None:
+    """Accuracy and confidence checks shared by every sampling algorithm."""
+    if eps <= 0:
+        raise DomainError("eps must be > 0")
+    if not 0.0 < delta < 1.0:
+        raise DomainError("delta must lie in (0, 1)")
+
+
 def sample_size(eps: float, delta: float) -> int:
     """Per-arm pull count guaranteeing |empirical - true| < eps w.p. 1 - delta.
 
     Fractional counts are ceiled, minimum one pull.
     """
-    if eps <= 0:
-        raise DomainError("eps must be > 0")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
+    _validate(eps, delta)
     return max(1, math.ceil(eps**-2 * math.log(2.0 / delta) / 2.0))
 
 

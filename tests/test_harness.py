@@ -15,6 +15,7 @@ from matroid_bandits.harness import (
     write_report,
 )
 from matroid_bandits.instances import (
+    big_uniform_instance,
     builtin,
     geometric_ladder_instance,
     instance_from_config,
@@ -189,17 +190,30 @@ def test_cli_run_and_gaps_and_verify(tmp_path, capsys):
 
 
 def test_cli_trace_writes_round_records(tmp_path):
-    out = tmp_path / "tr.json"
-    code = main([
-        "run", "--instance", "builtin:prop1", "--algo", "exact",
-        "--eps", "0.1", "--delta", "0.1", "--trials", "2",
-        "--seed", "5", "--out", str(out), "--trace",
-    ])
-    assert code == 0
-    lines = out.with_suffix(".trace.jsonl").read_text().strip().splitlines()
-    assert lines
-    records = [json.loads(line) for line in lines]
-    assert {"trial", "kind", "r", "size", "n_opt", "n_bad"} <= set(records[0])
+    # n/k must exceed 10 and the break bound for an avgpac elimination round to run
+    big = tmp_path / "big.json"
+    save_instance(big_uniform_instance(2000, 3, seed=23).with_point_mass_arms(), big)
+    cases = {
+        "exact": ("builtin:prop1",
+                  {"trial", "kind", "r", "size", "n_opt", "n_bad", "changed", "samples"}),
+        "pac": ("builtin:prop1",
+                {"trial", "kind", "depth", "base_case", "size", "sampled", "kept"}),
+        "avgpac": (str(big), {"trial", "kind", "r", "size_before", "size_after",
+                              "eps_r", "delta_r", "samples"}),
+    }
+    for algo, (instance, keys) in cases.items():
+        out = tmp_path / f"{algo}.json"
+        code = main([
+            "run", "--instance", instance, "--algo", algo,
+            "--eps", "0.1", "--delta", "0.1", "--trials", "2",
+            "--seed", "5", "--out", str(out), "--trace",
+        ])
+        assert code == 0
+        lines = out.with_suffix(".trace.jsonl").read_text().strip().splitlines()
+        assert lines
+        records = [json.loads(line) for line in lines]
+        assert {r["trial"] for r in records} == {0, 1}
+        assert all(set(r) == keys for r in records), algo
 
 
 def test_cli_error_codes(tmp_path):

@@ -16,6 +16,7 @@ from matroid_bandits.matroids import (
     is_eps_optimal,
     is_eps_optimal_modified_cost,
     is_optimal_basis,
+    unblocked,
 )
 from matroid_bandits.oracle import iter_bases, iter_independent_sets
 
@@ -64,6 +65,14 @@ def test_transversal_rank_matches_matching_enumeration():
                 int(e) for e in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
             )
             assert m.rank(subset) == brute_matching(m.workers, subset)
+
+
+def test_transversal_rank_on_a_long_augmenting_chain():
+    # worker j covers tasks {j, j + 1}, so the augmenting search for task t
+    # passes through every earlier task
+    n = 1500
+    m = TransversalMatroid(n, [[j, j + 1] for j in range(n - 1)] + [[n - 1]])
+    assert m.rank(m.ground_set) == n
 
 
 def test_blocks_examples():
@@ -276,6 +285,26 @@ def test_greedy_dominates_every_independent_set(weights):
     best = basis_weight(greedy_max_basis(m, weights), weights)
     for ind in iter_independent_sets(m):
         assert basis_weight(ind, weights) <= best + 1e-12
+
+
+def test_unblocked_matches_per_element_blocks():
+    rng = np.random.default_rng(37)
+    for family in FAMILY_NAMES:
+        for _ in range(8):
+            n = int(rng.integers(2, 10))
+            m = random_matroid(rng, family, n, allow_loops=True)
+            # a coarse grid makes weights and thresholds tie, probing the >= boundary
+            w = (rng.integers(0, 4, size=n) / 4).tolist()
+            pool = frozenset(
+                int(e) for e in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            )
+            for candidates in (m.ground_set - pool, m.ground_set):
+                thresholds = {e: w[e] + float(rng.choice([-0.25, 0.0, 0.25])) for e in candidates}
+                direct = frozenset(
+                    e for e, t in thresholds.items()
+                    if not m.blocks(frozenset(a for a in pool if a != e and w[a] >= t), e)
+                )
+                assert unblocked(m, pool, w, thresholds) == direct
 
 
 def test_is_optimal_basis_examples():
