@@ -8,15 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .errors import CapacityError, ConfigError, ValidationError
 from .harness import ALGORITHMS, RunConfig, profile_by_name, run_trials, write_report
 from .instances import resolve_instance
 from .oracle import brute_force_opt, gap, verify_instance
-
-DEFAULT_JOBS_ENV = "MATROID_BANDITS_JOBS"
+from .pac import PROFILES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,12 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--delta", type=float, required=True)
     run_p.add_argument("--trials", type=int, required=True)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--constants", default="paper", choices=("paper", "desk"))
+    run_p.add_argument("--constants", default="paper", choices=sorted(PROFILES))
     run_p.add_argument("--out", required=True, help="JSON report path")
     run_p.add_argument("--trace", action="store_true",
                        help="also write line-delimited round records")
-    run_p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get(DEFAULT_JOBS_ENV, "1")))
+    run_p.add_argument("--jobs", type=int, default=1)
 
     verify_p = sub.add_parser("verify", help="run the oracle suite on one instance")
     verify_p.add_argument("--instance", required=True)

@@ -50,9 +50,9 @@ def round_schedule(r: int, delta: float) -> tuple[float, float]:
 
 
 def _assert_no_loops(m: Matroid) -> None:
-    for e in m.ground:
-        if m.rank({e}) == 0:
-            raise InvariantError(f"loop {e} appeared in the working matroid")
+    loops = m.loops()
+    if loops:
+        raise InvariantError(f"loop {min(loops)} appeared in the working matroid")
 
 
 def exact_exp_gap(

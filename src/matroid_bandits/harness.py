@@ -2,7 +2,8 @@
 
 Success flags are judged from the true means and the returned basis only.
 Trials are embarrassingly parallel with per-trial derived seeds, so results
-are independent of the worker count.
+are independent of the worker count. A trial fails only by exhausting a
+budget (``BudgetError``); every other error is a bug and aborts the batch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .avg import avg_pac_recur_elim, naive_two
-from .errors import BudgetError, ConfigError, DomainError, PreconditionError
+from .errors import BudgetError, ConfigError
 from .exact import exact_exp_gap
 from .instances import Instance
 from .matroids import (
@@ -28,6 +29,7 @@ from .matroids import (
 from .pac import ConstantsProfile, PROFILES, PacResult, naive_one, pac_sample_prune
 
 ALGORITHMS = ("naive1", "naive2", "pac", "exact", "avgpac")
+FLAGS = ("exact", "eps_optimal", "elementwise", "avg")
 
 
 def run_algorithm(session, matroid: Matroid, algo: str, eps: float, delta: float,
@@ -45,16 +47,17 @@ def run_algorithm(session, matroid: Matroid, algo: str, eps: float, delta: float
     raise ConfigError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
 
 
-def success_flags(matroid: Matroid, means, basis, eps: float) -> dict[str, bool]:
+def success_flags(matroid: Matroid, means, basis, eps: float, opt=None) -> dict[str, bool]:
     """Judge a returned basis against the true means.
 
-    Uses the greedy optimum as ground truth; greedy agrees with exhaustive
+    ``opt`` defaults to the greedy optimum; greedy agrees with exhaustive
     search (cross-checked by the oracle test suite) and scales to large
     instances where enumeration cannot.
     """
-    opt = greedy_max_basis(matroid, means)
     if not matroid.is_basis(basis):
-        return {"exact": False, "eps_optimal": False, "elementwise": False, "avg": False}
+        return dict.fromkeys(FLAGS, False)
+    if opt is None:
+        opt = greedy_max_basis(matroid, means)
     return {
         "exact": frozenset(basis) == opt,
         "eps_optimal": is_eps_optimal(matroid, basis, means, eps),
@@ -116,11 +119,8 @@ class TrialReport:
         }
 
 
-_FAILURE_KINDS = (BudgetError, PreconditionError, DomainError, AssertionError)
-
-
 def _run_single_trial(args) -> TrialReport:
-    config, index = args
+    config, index, opt = args
     session = config.instance.trial_session(
         config.seed, index, max_pulls=config.profile.pull_budget
     )
@@ -136,11 +136,11 @@ def _run_single_trial(args) -> TrialReport:
         basis = tuple(sorted(result.basis))
         trace = result.transcript if config.trace else ()
         flags = success_flags(
-            config.instance.matroid, config.instance.true_means, result.basis, config.eps
+            config.instance.matroid, config.instance.true_means, result.basis, config.eps, opt
         )
-    except _FAILURE_KINDS as exc:
+    except BudgetError as exc:
         error = f"{type(exc).__name__}: {exc}"
-        flags = {"exact": False, "eps_optimal": False, "elementwise": False, "avg": False}
+        flags = dict.fromkeys(FLAGS, False)
     elapsed = time.perf_counter() - started
     return TrialReport(
         index=index,
@@ -179,7 +179,8 @@ def _quantiles(values) -> dict:
 
 def run_trials(config: RunConfig) -> dict:
     """Execute the trial batch and aggregate. Budget errors count as failures."""
-    args = [(config, i) for i in range(config.trials)]
+    opt = greedy_max_basis(config.instance.matroid, config.instance.true_means)
+    args = [(config, i, opt) for i in range(config.trials)]
     if config.jobs > 1 and config.trials > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(_run_single_trial, args))
@@ -191,8 +192,7 @@ def run_trials(config: RunConfig) -> dict:
 
 def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
     trials = len(reports)
-    flag_names = ("exact", "eps_optimal", "elementwise", "avg")
-    counts = {name: sum(1 for r in reports if r.flags[name]) for name in flag_names}
+    counts = {name: sum(1 for r in reports if r.flags[name]) for name in FLAGS}
     samples = [r.total_samples for r in reports]
     per_arm_mean: list[float] = []
     if reports:
@@ -214,7 +214,7 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
                 "rate": counts[name] / trials if trials else None,
                 "lcb95": binomial_lcb(counts[name], trials),
             }
-            for name in flag_names
+            for name in FLAGS
         },
         "samples": _quantiles(samples),
         "per_arm_mean_pulls": per_arm_mean,
@@ -238,31 +238,15 @@ def write_report(result: dict, out_path, trace: bool = False) -> None:
         handle.write("\n")
 
     csv_path = out_path.with_suffix(".csv")
-    fields = [
+    row = {key: summary[key] for key in (
         "instance", "algo", "eps", "delta", "trials", "seed", "constants", "failures",
-        "exact_rate", "exact_lcb95", "eps_optimal_rate", "eps_optimal_lcb95",
-        "elementwise_rate", "elementwise_lcb95", "avg_rate", "avg_lcb95",
-        "samples_min", "samples_median", "samples_p90", "samples_max",
-    ]
-    row = {
-        "instance": summary["instance"],
-        "algo": summary["algo"],
-        "eps": summary["eps"],
-        "delta": summary["delta"],
-        "trials": summary["trials"],
-        "seed": summary["seed"],
-        "constants": summary["constants"],
-        "failures": summary["failures"],
-        "samples_min": summary["samples"]["min"],
-        "samples_median": summary["samples"]["median"],
-        "samples_p90": summary["samples"]["p90"],
-        "samples_max": summary["samples"]["max"],
-    }
-    for name in ("exact", "eps_optimal", "elementwise", "avg"):
+    )}
+    for name in FLAGS:
         row[f"{name}_rate"] = summary["success"][name]["rate"]
         row[f"{name}_lcb95"] = summary["success"][name]["lcb95"]
+    row.update({f"samples_{q}": value for q, value in summary["samples"].items()})
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
+        writer = csv.DictWriter(handle, fieldnames=list(row))
         writer.writeheader()
         writer.writerow(row)
 

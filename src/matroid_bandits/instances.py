@@ -2,14 +2,14 @@
 
 The on-disk form is JSON with a versioned schema. Generators cover the
 worked four-arm example, uniform-gap hard instances, geometric gap ladders,
-and random instances for every matroid family.
+random graphic instances and large random uniform instances.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,15 +88,8 @@ class Instance:
         )
 
     def with_point_mass_arms(self) -> "Instance":
-        return Instance(
-            name=f"{self.name}-pointmass",
-            matroid=self.matroid,
-            arms=tuple(point(arm.mean) for arm in self.arms),
-            matroid_config=self.matroid_config,
-            notes=self.notes,
-            gap_floor=self.gap_floor,
-            allow_ties=self.allow_ties,
-        )
+        return replace(self, name=f"{self.name}-pointmass",
+                       arms=tuple(point(arm.mean) for arm in self.arms))
 
     def to_config(self) -> dict:
         cfg = {
@@ -134,7 +127,7 @@ def make_instance(
             raise ValidationError(f"instance means must lie in (0, 1); got {mu}")
     if not allow_ties and len(set(means)) != len(means):
         raise ValidationError("instance means must be pairwise distinct")
-    _, loops = matroid.isolated_and_loops()
+    loops = matroid.loops()
     if loops:
         raise ValidationError(f"instance matroid has loops: {sorted(loops)}")
     inst = Instance(name, matroid, arms, dict(matroid_config), notes, gap_floor, allow_ties)
@@ -268,47 +261,6 @@ def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) ->
         matroid_config={"family": "graphic", "num_vertices": num_vertices,
                         "edges": [list(e) for e in edges]},
         arms=[bernoulli(mu) for mu in random_means(rng, num_edges)],
-    )
-
-
-def random_transversal_instance(n: int, num_workers: int, p_edge: float = 0.5,
-                                seed: int = 0) -> Instance:
-    rng = np.random.default_rng(seed)
-    workers = [[] for _ in range(num_workers)]
-    for t in range(n):
-        covered = False
-        for wi in range(num_workers):
-            if rng.random() < p_edge:
-                workers[wi].append(t)
-                covered = True
-        if not covered:  # loops are disallowed in instances
-            workers[int(rng.integers(0, num_workers))].append(t)
-    return make_instance(
-        name=f"transversal-n{n}-w{num_workers}",
-        matroid_config={"family": "transversal", "n": n, "workers": workers},
-        arms=[bernoulli(mu) for mu in random_means(rng, n)],
-    )
-
-
-def random_laminar_instance(n: int, seed: int = 0) -> Instance:
-    """Random laminar family: contiguous blocks nested under a root set.
-
-    All capacities are at least one, so the matroid has no loops.
-    """
-    rng = np.random.default_rng(seed)
-    sets = [{"members": list(range(n)), "capacity": int(rng.integers(max(1, n // 2), n + 1))}]
-    cuts = sorted({0, n, *(int(x) for x in rng.integers(1, n, size=max(1, n // 3)))})
-    for lo, hi in zip(cuts, cuts[1:]):
-        members = list(range(lo, hi))
-        if len(members) >= 2:
-            sets.append({"members": members, "capacity": int(rng.integers(1, len(members) + 1))})
-            if len(members) >= 4 and rng.random() < 0.5:
-                half = members[: len(members) // 2]
-                sets.append({"members": half, "capacity": int(rng.integers(1, len(half) + 1))})
-    return make_instance(
-        name=f"laminar-n{n}",
-        matroid_config={"family": "laminar", "n": n, "sets": sets},
-        arms=[bernoulli(mu) for mu in random_means(rng, n)],
     )
 
 

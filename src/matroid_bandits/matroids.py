@@ -95,14 +95,17 @@ class Matroid:
             return self
         return _ContractionView(self, committed_set)
 
+    def loops(self) -> ElementSet:
+        """Elements of rank zero, which lie in no basis."""
+        return frozenset(e for e in self._ground if self.rank({e}) == 0)
+
     def isolated_and_loops(self) -> tuple[ElementSet, ElementSet]:
         """(elements in every basis, elements in no basis)."""
         total = self.full_rank
         isolated = frozenset(
             e for e in self._ground if self.rank(self._ground_set - {e}) < total
         )
-        loops = frozenset(e for e in self._ground if self.rank({e}) == 0)
-        return isolated, loops
+        return isolated, self.loops()
 
 
 class UniformMatroid(Matroid):
@@ -450,6 +453,16 @@ def avg_within_eps(
     )
 
 
+def _checked_basis(m: Matroid, basis: Iterable[int], eps: float) -> ElementSet:
+    """``basis`` as a set, once ``eps >= 0`` and ``basis`` is a basis of ``m``."""
+    if eps < 0:
+        raise DomainError("eps must be >= 0")
+    bset = m._as_subset(basis)
+    if not m.is_basis(bset):
+        raise PreconditionError("candidate set is not a basis")
+    return bset
+
+
 def is_optimal_basis(m: Matroid, basis: Iterable[int], weights: Weights) -> bool:
     """True iff every excluded element is blocked by its heavier part of the basis."""
     return is_eps_optimal(m, basis, weights, 0.0)
@@ -462,11 +475,7 @@ def is_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: floa
     must be blocked by basis elements of weight >= (its own weight - eps).
     Comparisons are exact float comparisons. Monotone in ``eps``.
     """
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
-    bset = m._as_subset(basis)
-    if not m.is_basis(bset):
-        raise PreconditionError("candidate set is not a basis")
+    bset = _checked_basis(m, basis, eps)
     thresholds = {e: _weight(weights, e) - eps for e in m.ground if e not in bset}
     return not unblocked(m, bset, weights, thresholds)
 
@@ -479,11 +488,7 @@ def is_eps_optimal_modified_cost(
     Kept as an independent second route; tests cross-check it against
     :func:`is_eps_optimal` on small instances.
     """
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
-    bset = m._as_subset(basis)
-    if not m.is_basis(bset):
-        raise PreconditionError("candidate set is not a basis")
+    bset = _checked_basis(m, basis, eps)
     lifted = {
         e: _weight(weights, e) + (eps if e in bset else 0.0) for e in m.ground
     }

@@ -15,6 +15,7 @@ from .matroids import (
     ElementSet,
     Matroid,
     Weights,
+    _checked_basis,
     _weight,
     avg_within_eps,
     basis_weight,
@@ -183,21 +184,13 @@ def is_elementwise_eps_optimal(
     m: Matroid, basis: Iterable[int], weights: Weights, eps: float
 ) -> bool:
     """Sorted position-by-position comparison against the true optimum."""
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
-    bset = m._as_subset(basis)
-    if not m.is_basis(bset):
-        raise PreconditionError("candidate set is not a basis")
+    bset = _checked_basis(m, basis, eps)
     return elementwise_within_eps(bset, brute_force_opt(m, weights), weights, eps)
 
 
 def is_avg_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: float) -> bool:
     """Mean weight within ``eps`` of the optimal mean weight."""
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
-    bset = m._as_subset(basis)
-    if not m.is_basis(bset):
-        raise PreconditionError("candidate set is not a basis")
+    bset = _checked_basis(m, basis, eps)
     return avg_within_eps(bset, brute_force_opt(m, weights), weights, eps)
 
 
@@ -248,7 +241,7 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
     def add(name: str, ok: bool, detail: str = "") -> None:
         results.append((name, ok, detail))
 
-    _, loops = m.isolated_and_loops()
+    loops = m.loops()
     add("no_loops", not loops, f"loops={sorted(loops)}" if loops else "")
     distinct = len(set(means)) == len(means)
     add("distinct_means", distinct or instance.allow_ties, "")

@@ -97,10 +97,6 @@ class SamplingSession:
         self._max_pulls = max_pulls
 
     @property
-    def num_arms(self) -> int:
-        return len(self._arms)
-
-    @property
     def total_samples(self) -> int:
         return self._total
 

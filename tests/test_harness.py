@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matroid_bandits.cli import main
-from matroid_bandits.errors import ConfigError, ValidationError
+from matroid_bandits.errors import ConfigError, InvariantError, ValidationError
 from matroid_bandits.harness import (
     RunConfig,
     binomial_lcb,
@@ -15,6 +15,7 @@ from matroid_bandits.harness import (
     write_report,
 )
 from matroid_bandits.instances import (
+    Instance,
     big_uniform_instance,
     builtin,
     geometric_ladder_instance,
@@ -25,7 +26,7 @@ from matroid_bandits.instances import (
     save_instance,
     uniform_gap_instance,
 )
-from matroid_bandits.matroids import UniformMatroid
+from matroid_bandits.matroids import GraphicMatroid, UniformMatroid
 from matroid_bandits.oracle import gap_profile
 from matroid_bandits.pac import DESK, PAPER
 from matroid_bandits.sampling import bernoulli
@@ -157,6 +158,32 @@ def test_budget_failures_count_as_non_successes():
     assert result["summary"]["failures"] == 4
     assert result["summary"]["success"]["exact"]["count"] == 0
     assert all(r.error is not None for r in result["reports"])
+
+
+def test_broken_invariant_aborts_the_batch():
+    # make_instance rejects loops, so the looped instance is built directly
+    edges = [(0, 0), (0, 1)]
+    loopy = Instance(
+        "loopy", GraphicMatroid(2, edges), (bernoulli(0.4), bernoulli(0.6)),
+        {"family": "graphic", "num_vertices": 2, "edges": [list(e) for e in edges]},
+    )
+    config = RunConfig(loopy, "exact", 0.1, 0.1, 2, 0, PAPER)
+    with pytest.raises(InvariantError, match="loop 0"):
+        run_trials(config)
+
+
+def test_csv_header_row(tmp_path):
+    out = tmp_path / "report.json"
+    write_report(run_trials(RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 2, 0, PAPER)), out)
+    header, row, *rest = out.with_suffix(".csv").read_text().splitlines()
+    assert header == (
+        "instance,algo,eps,delta,trials,seed,constants,failures,"
+        "exact_rate,exact_lcb95,eps_optimal_rate,eps_optimal_lcb95,"
+        "elementwise_rate,elementwise_lcb95,avg_rate,avg_lcb95,"
+        "samples_min,samples_median,samples_p90,samples_max"
+    )
+    assert row.startswith("prop1,naive1,0.1,0.1,2,0,paper,0,")
+    assert not rest
 
 
 def test_binomial_lcb_behaviour():

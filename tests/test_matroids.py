@@ -249,6 +249,23 @@ def test_isolated_and_loops():
     assert loops == p.ground_set - frozenset.union(*bases)
 
 
+def test_loops_match_isolated_and_loops_and_rank_zero():
+    rng = np.random.default_rng(41)
+    seen_loops = 0
+    for family in FAMILY_NAMES:
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            m = random_matroid(rng, family, n, allow_loops=True)
+            keep = frozenset(int(e) for e in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                       replace=False))
+            for view in (m, m.restrict(keep)):
+                loops = view.loops()
+                assert loops == view.isolated_and_loops()[1]
+                assert loops == {e for e in view.ground if view.rank({e}) == 0}
+                seen_loops += len(loops)
+    assert seen_loops  # the samplers do produce loops, so both cases are covered
+
+
 def test_empty_matroid_degenerate():
     m = UniformMatroid(0, 0)
     assert m.full_rank == 0
