@@ -9,10 +9,8 @@ round by round at geometrically tightening parameters and finishes with
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
 from .matroids import (
@@ -20,14 +18,6 @@ from .matroids import (
 )
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
 from .sampling import SamplingSession, _validate
-
-logger = logging.getLogger(__name__)
-
-# One failure share per claim in the elimination analysis: the subset-size
-# bound, the pruning-power bound, the recursive PAC call, the solution-side
-# estimates, the value-loss event, and the leftover-count event.
-ELIMINATION_DELTA_SHARES = (Fraction(1, 6),) * 6
-
 
 @dataclass(frozen=True)
 class AvgRound:
@@ -76,12 +66,8 @@ def naive_two(session: SamplingSession, m: Matroid, eps: float, delta: float) ->
 
 
 def elimination_sample_prob(n: int, k: int, delta: float) -> float:
-    """Per-element sampling probability; clamped defensively to (0, 1]."""
-    p = 100.0 * (k + math.log(1.0 / delta) + math.log(6.0)) / n
-    if p > 1.0:
-        logger.warning("sampling probability %.3f clamped to 1.0 (n=%d too small)", p, n)
-        return 1.0
-    return p
+    """Per-element sampling probability; at most 1 under ``elimination_precondition``."""
+    return 100.0 * (k + math.log(1.0 / delta) + math.log(6.0)) / n
 
 
 def elimination_pull_count(beta: float, k: int, delta: float) -> int:
@@ -117,6 +103,9 @@ def elimination(
     lam = alpha = beta = eps / 5.0
     p = elimination_sample_prob(n, k, delta)
     sampled = session.random_subset(m.ground, p)
+    # delta is split into sixths, one per claim of the elimination analysis:
+    # the subset-size bound, the pruning-power bound, the recursive PAC call,
+    # the solution-side estimates, the value-loss event, the leftover count.
     inner = pac_sample_prune(session, m.restrict(sampled), lam, delta / 6.0, profile).basis
     means = session.uniform_sample(inner, alpha, delta / (6.0 * k))
     count = elimination_pull_count(beta, k, delta)

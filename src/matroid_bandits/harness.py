@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
-from .avg import avg_pac_recur_elim, naive_two
+from .avg import avg_pac_recur_elim, ln_choose, naive_two
 from .errors import BudgetError, ConfigError
 from .exact import exact_exp_gap
 from .instances import Instance
@@ -157,12 +156,32 @@ def _run_single_trial(args) -> TrialReport:
 
 
 def binomial_lcb(successes: int, trials: int, confidence: float = 0.95) -> float:
-    """Exact one-sided (Clopper-Pearson) lower confidence bound on a rate."""
-    if trials == 0:
+    """Exact one-sided (Clopper-Pearson) lower confidence bound on a rate.
+
+    The p at which P(Binomial(trials, p) >= successes) = 1 - confidence,
+    found by bisection to float resolution. Each tail probability sums the
+    shorter binomial tail in log space.
+    """
+    if trials == 0 or successes == 0:
         return 0.0
-    if successes == 0:
-        return 0.0
-    return float(stats.beta.ppf(1.0 - confidence, successes, trials - successes + 1))
+    alpha = 1.0 - confidence
+    upper = successes > trials - successes  # the upper tail has fewer terms
+    terms = range(successes, trials + 1) if upper else range(successes)
+    log_coef = [ln_choose(trials, i) for i in terms]
+
+    def at_least_successes(p: float) -> float:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        tail = math.fsum(math.exp(c + i * log_p + (trials - i) * log_q)
+                         for c, i in zip(log_coef, terms))
+        return tail if upper else 1.0 - tail
+
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if at_least_successes(mid) < alpha:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 def _quantiles(values) -> dict:

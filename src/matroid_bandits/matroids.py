@@ -22,10 +22,11 @@ Weights = Mapping[int, float] | Sequence[float]
 
 
 class Matroid:
-    """Base class: concrete families implement ``rank`` over their ground set.
+    """Base class: a concrete family implements only ``rank`` over its ground set.
 
-    Instances are immutable after construction and safe to share across
-    concurrent workers.
+    Independence, bases, blocking, loops and the views all derive from
+    ``rank``. Instances are immutable after construction and safe to share
+    across concurrent workers.
     """
 
     _ground: tuple[int, ...]
@@ -121,9 +122,6 @@ class UniformMatroid(Matroid):
         subset = self._as_subset(elements)
         return min(len(subset), self.k)
 
-    def is_independent(self, elements: Iterable[int]) -> bool:
-        return len(self._as_subset(elements)) <= self.k
-
 
 class PartitionMatroid(Matroid):
     """Disjoint groups covering the ground set, each with a capacity."""
@@ -152,16 +150,6 @@ class PartitionMatroid(Matroid):
         for e in subset:
             counts[self._group_of[e]] += 1
         return sum(min(c, cap) for c, cap in zip(counts, self._caps))
-
-    def is_independent(self, elements: Iterable[int]) -> bool:
-        subset = self._as_subset(elements)
-        counts = [0] * len(self._caps)
-        for e in subset:
-            gi = self._group_of[e]
-            counts[gi] += 1
-            if counts[gi] > self._caps[gi]:
-                return False
-        return True
 
 
 class LaminarMatroid(Matroid):
@@ -196,16 +184,6 @@ class LaminarMatroid(Matroid):
             e: tuple(si for si, mset in enumerate(family) if e in mset)
             for e in self._ground
         }
-
-    def is_independent(self, elements: Iterable[int]) -> bool:
-        subset = self._as_subset(elements)
-        counts = [0] * len(self._family)
-        for e in subset:
-            for si in self._covers[e]:
-                counts[si] += 1
-                if counts[si] > self._caps[si]:
-                    return False
-        return True
 
     def rank(self, elements: Iterable[int]) -> int:
         # Greedy insertion computes the max independent subset of a matroid.
@@ -263,12 +241,9 @@ class TransversalMatroid(Matroid):
     """Tasks matchable to distinct workers in a bipartite graph.
 
     Elements are tasks; ``workers[j]`` lists the tasks worker ``j`` can do.
-    A task set is independent iff a matching saturates it. Rank queries use
-    augmenting paths, memoized on the query set (results are pure, so the
-    cache is safe under concurrent readers).
+    A task set is independent iff a matching saturates it. ``rank`` counts
+    the tasks that augmenting paths match, and is all the family implements.
     """
-
-    _MEMO_LIMIT = 200_000
 
     def __init__(self, n: int, workers: Sequence[Iterable[int]]):
         if n < 0:
@@ -282,13 +257,9 @@ class TransversalMatroid(Matroid):
                 adj[t].append(wi)
         self.workers = tuple(tuple(sorted(set(ts))) for ts in workers)
         self._task_adj = tuple(tuple(sorted(set(ws))) for ws in adj)
-        self._rank_memo: dict[ElementSet, int] = {}
 
     def rank(self, elements: Iterable[int]) -> int:
         subset = self._as_subset(elements)
-        cached = self._rank_memo.get(subset)
-        if cached is not None:
-            return cached
         owner: dict[int, int] = {}
 
         def augment(root: int) -> bool:
@@ -315,11 +286,7 @@ class TransversalMatroid(Matroid):
                 tasks.append((owner[w], iter(self._task_adj[owner[w]])))
             return False
 
-        matched = sum(1 for t in sorted(subset) if augment(t))
-        if len(self._rank_memo) >= self._MEMO_LIMIT:
-            self._rank_memo.clear()
-        self._rank_memo[subset] = matched
-        return matched
+        return sum(1 for t in sorted(subset) if augment(t))
 
 
 class _RestrictionView(Matroid):
@@ -331,9 +298,6 @@ class _RestrictionView(Matroid):
 
     def rank(self, elements: Iterable[int]) -> int:
         return self._parent.rank(self._as_subset(elements))
-
-    def is_independent(self, elements: Iterable[int]) -> bool:
-        return self._parent.is_independent(self._as_subset(elements))
 
     def restrict(self, keep: Iterable[int]) -> Matroid:
         keep_set = self._as_subset(keep)
@@ -371,10 +335,6 @@ class _ContractionView(Matroid):
     def rank(self, elements: Iterable[int]) -> int:
         subset = self._as_subset(elements)
         return self._parent.rank(subset | self._committed) - len(self._committed)
-
-    def is_independent(self, elements: Iterable[int]) -> bool:
-        subset = self._as_subset(elements)
-        return self._parent.is_independent(subset | self._committed)
 
     def contract(self, committed: Iterable[int]) -> Matroid:
         extra = self._as_subset(committed)

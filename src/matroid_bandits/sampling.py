@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
+# Imported by name so that numpy, which loads numpy.random lazily, loads it
+# here once: trial workers forked after this import do not load it again.
+from numpy.random import SeedSequence, default_rng
 
 from .errors import BudgetError, DomainError, ValidationError
 
@@ -85,11 +87,11 @@ class SamplingSession:
     def __init__(
         self,
         arms: Sequence[Arm],
-        seed: int | np.random.SeedSequence,
+        seed: int | SeedSequence,
         max_pulls: int | None = None,
     ):
         self._arms = tuple(arms)
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
         # plain Python ints: pull counts can exceed int64 in deep rounds
         self._pulls = [0] * len(self._arms)
         self._sums = [0.0] * len(self._arms)
@@ -111,13 +113,15 @@ class SamplingSession:
             raise DomainError(f"unknown arm {e}")
         return self._arms[e]
 
-    def _check_budget(self) -> None:
-        if self._max_pulls is not None and self.total_samples > self._max_pulls:
+    def _check_budget(self, count: int) -> None:
+        """Refuse ``count`` more pulls that would overshoot the budget, before any draw."""
+        if self._max_pulls is not None and self._total + count > self._max_pulls:
             raise BudgetError(f"pull budget {self._max_pulls} exhausted")
 
     def pull(self, e: int) -> float:
         """Draw one reward in [0, 1] and record it."""
         arm = self._check_arm(e)
+        self._check_budget(1)
         if arm.kind == POINT:
             value = arm.mean
         elif arm.kind == BERNOULLI:
@@ -129,7 +133,6 @@ class SamplingSession:
         self._pulls[e] += 1
         self._sums[e] += value
         self._total += 1
-        self._check_budget()
         return value
 
     def pull_batch(self, e: int, count: int) -> float:
@@ -143,6 +146,7 @@ class SamplingSession:
         arm = self._check_arm(e)
         if arm.kind != POINT and count > 2**62:
             raise BudgetError(f"batch of {count} stochastic pulls is not drawable")
+        self._check_budget(count)
         if arm.kind == POINT:
             total = arm.mean * count
             mean = arm.mean
@@ -159,7 +163,6 @@ class SamplingSession:
         self._pulls[e] += count
         self._sums[e] += total
         self._total += count
-        self._check_budget()
         return mean
 
     def uniform_sample(
@@ -182,6 +185,6 @@ class SamplingSession:
         return frozenset(e for e, u in zip(ordered, draws) if u < p)
 
 
-def trial_seed(master_seed: int, trial_index: int) -> np.random.SeedSequence:
+def trial_seed(master_seed: int, trial_index: int) -> SeedSequence:
     """Deterministic per-trial stream, independent of worker scheduling."""
-    return np.random.SeedSequence((int(master_seed), int(trial_index)))
+    return SeedSequence((int(master_seed), int(trial_index)))

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +196,26 @@ def test_binomial_lcb_behaviour():
     assert 0.95 < binomial_lcb(200, 200) < 1.0
     assert binomial_lcb(95, 100) < binomial_lcb(99, 100)
     assert binomial_lcb(95, 100) == pytest.approx(0.8968, abs=2e-3)
+
+
+@pytest.mark.parametrize("successes, trials, expected", [
+    (95, 100, 0.8977466223567255),
+    (37, 50, 0.6187364440267683),
+    (1, 1000, 5.129197890901781e-05),
+    (200, 200, 0.9851329607687279),
+])
+def test_binomial_lcb_exact_values(successes, trials, expected):
+    assert binomial_lcb(successes, trials) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_cli_import_loads_numpy_random_but_not_scipy():
+    # numpy.random must be loaded before trial workers fork, or each loads it anew
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, matroid_bandits.cli; "
+             "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_cli_run_and_gaps_and_verify(tmp_path, capsys):

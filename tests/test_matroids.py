@@ -180,6 +180,43 @@ def test_axioms_hold_per_family():
                         ), f"exchange fails for {family}"
 
 
+def _independent_by_definition(family, m, s):
+    """Each family's independence as it is defined, not through ``rank``."""
+    if family == "uniform":
+        return len(s) <= m.k
+    if family == "partition":
+        return all(len(s & group) <= cap for group, cap in zip(m._groups, m._caps))
+    return all(len(s & members) <= cap for members, cap in zip(m._family, m._caps))
+
+
+def test_is_independent_matches_family_definitions():
+    rng = np.random.default_rng(43)
+
+    def random_subset(pool):
+        p = rng.random()
+        return frozenset(e for e in pool if rng.random() < p)
+
+    outcomes = set()
+    for family in ("uniform", "partition", "laminar"):
+        for _ in range(12):
+            n = int(rng.integers(2, 10))
+            m = random_matroid(rng, family, n)
+            view = m.restrict(random_subset(m.ground))
+            committed = random_subset(greedy_max_basis(m, random_distinct_weights(rng, n)))
+            cview = m.contract(committed)
+            for _ in range(20):
+                s = random_subset(m.ground)
+                outcomes.add(m.is_independent(s))
+                assert m.is_independent(s) == _independent_by_definition(family, m, s)
+                r = random_subset(view.ground)
+                assert view.is_independent(r) == _independent_by_definition(family, m, r)
+                c = random_subset(cview.ground)
+                assert cview.is_independent(c) == _independent_by_definition(
+                    family, m, c | committed
+                )
+    assert outcomes == {True, False}
+
+
 def test_rank_monotone_and_submodular():
     rng = np.random.default_rng(13)
     for family in FAMILY_NAMES:
@@ -379,7 +416,7 @@ def test_optimality_characterizations_agree():
                 assert via_blocking == via_unblocked_members == (basis == greedy)
 
 
-def test_transversal_memo_is_safe_under_threads():
+def test_transversal_rank_is_safe_under_threads():
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(31)

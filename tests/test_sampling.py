@@ -163,6 +163,15 @@ def test_budget_enforced():
         session.pull_batch(0, 101)
 
 
+def test_budget_is_checked_before_drawing():
+    session = SamplingSession([bernoulli(0.5)], seed=0, max_pulls=100)
+    session.pull_batch(0, 60)
+    with pytest.raises(BudgetError):
+        session.pull_batch(0, 60)
+    assert session.total_samples == 60
+    assert session.pull_counts() == [60]
+
+
 def test_concentration_rate_within_declared_delta():
     eps, delta = 0.2, 0.1
     misses = 0
