@@ -155,6 +155,21 @@ def _run_single_trial(args) -> TrialReport:
     )
 
 
+# The (config, opt) of the batch this worker process serves; set once per
+# worker by ``_serve_batch``, so each task carries only a trial index.
+_batch: tuple = ()
+
+
+def _serve_batch(config: RunConfig, opt) -> None:
+    global _batch
+    _batch = (config, opt)
+
+
+def _run_batch_trial(index: int) -> TrialReport:
+    config, opt = _batch
+    return _run_single_trial((config, index, opt))
+
+
 def binomial_lcb(successes: int, trials: int, confidence: float = 0.95) -> float:
     """Exact one-sided (Clopper-Pearson) lower confidence bound on a rate.
 
@@ -197,14 +212,18 @@ def _quantiles(values) -> dict:
 
 
 def run_trials(config: RunConfig) -> dict:
-    """Execute the trial batch and aggregate. Budget errors count as failures."""
+    """Execute the trial batch and aggregate. Budget errors count as failures.
+
+    With ``jobs > 1`` each worker receives the config and optimum once, when
+    it starts, and each task is a trial index.
+    """
     opt = greedy_max_basis(config.instance.matroid, config.instance.true_means)
-    args = [(config, i, opt) for i in range(config.trials)]
     if config.jobs > 1 and config.trials > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(_run_single_trial, args))
+        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_serve_batch,
+                                 initargs=(config, opt)) as pool:
+            reports = list(pool.map(_run_batch_trial, range(config.trials)))
     else:
-        reports = [_run_single_trial(a) for a in args]
+        reports = [_run_single_trial((config, i, opt)) for i in range(config.trials)]
     reports.sort(key=lambda rep: rep.index)
     return summarize(config, reports)
 

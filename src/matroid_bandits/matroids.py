@@ -1,8 +1,9 @@
 """Matroid oracles over integer ground sets.
 
 Five concrete families (uniform, partition, laminar, graphic, transversal),
-lazy restriction/contraction views, the blocking predicate, greedy maximum
-weight basis, and optimality / eps-optimality checkers.
+lazy restriction/contraction views, incremental independent sets, the
+blocking predicate, greedy maximum weight basis, and optimality /
+eps-optimality checkers.
 
 Element ids are stable across views: a view exposes a subset of its parent's
 ids and never renumbers.
@@ -21,12 +22,43 @@ ElementSet = frozenset[int]
 Weights = Mapping[int, float] | Sequence[float]
 
 
+class IndependentSet:
+    """An independent set grown one element at a time; see :meth:`Matroid.growing`.
+
+    ``add(e)`` keeps ``e`` iff that raises the rank and says whether it did;
+    ``spans(e)`` says whether ``e`` lies in the closure of the kept elements.
+    Elements must lie in the matroid's ground set; callers check that once.
+    This generic version asks ``rank`` once per query. A family may subclass
+    it with a test that needs no ``rank`` call (a count or a union-find),
+    updating its state in ``_keep``.
+    """
+
+    def __init__(self, m: "Matroid"):
+        self._m = m
+        self._kept: set[int] = set()
+
+    def spans(self, e: int) -> bool:
+        kept = self._kept
+        return e in kept or self._m.rank(kept | {e}) == len(kept)
+
+    def add(self, e: int) -> bool:
+        if self.spans(e):
+            return False
+        self._keep(e)
+        self._kept.add(e)
+        return True
+
+    def _keep(self, e: int) -> None:
+        pass
+
+
 class Matroid:
     """Base class: a concrete family implements only ``rank`` over its ground set.
 
     Independence, bases, blocking, loops and the views all derive from
-    ``rank``. Instances are immutable after construction and safe to share
-    across concurrent workers.
+    ``rank``. A family may also return a faster :class:`IndependentSet` from
+    ``growing``, which greedy, pruning and contraction use. Instances are
+    immutable after construction and safe to share across concurrent workers.
     """
 
     _ground: tuple[int, ...]
@@ -67,6 +99,10 @@ class Matroid:
     def rank(self, elements: Iterable[int]) -> int:
         raise NotImplementedError
 
+    def growing(self) -> IndependentSet:
+        """An empty independent set of this matroid, to grow by ``add``."""
+        return IndependentSet(self)
+
     def is_independent(self, elements: Iterable[int]) -> bool:
         subset = self._as_subset(elements)
         return self.rank(subset) == len(subset)
@@ -97,8 +133,9 @@ class Matroid:
         return _ContractionView(self, committed_set)
 
     def loops(self) -> ElementSet:
-        """Elements of rank zero, which lie in no basis."""
-        return frozenset(e for e in self._ground if self.rank({e}) == 0)
+        """Elements of rank zero, which lie in no basis: those the empty set spans."""
+        empty = self.growing()
+        return frozenset(e for e in self._ground if empty.spans(e))
 
     def isolated_and_loops(self) -> tuple[ElementSet, ElementSet]:
         """(elements in every basis, elements in no basis)."""
@@ -121,6 +158,16 @@ class UniformMatroid(Matroid):
     def rank(self, elements: Iterable[int]) -> int:
         subset = self._as_subset(elements)
         return min(len(subset), self.k)
+
+    def growing(self) -> IndependentSet:
+        return _UniformSet(self)
+
+
+class _UniformSet(IndependentSet):
+    """Spans everything once ``k`` elements are kept."""
+
+    def spans(self, e: int) -> bool:
+        return len(self._kept) >= self._m.k or e in self._kept
 
 
 class PartitionMatroid(Matroid):
@@ -150,6 +197,24 @@ class PartitionMatroid(Matroid):
         for e in subset:
             counts[self._group_of[e]] += 1
         return sum(min(c, cap) for c, cap in zip(counts, self._caps))
+
+    def growing(self) -> IndependentSet:
+        return _PartitionSet(self)
+
+
+class _PartitionSet(IndependentSet):
+    """A count per group; ``e`` is spanned once its group is full."""
+
+    def __init__(self, m: PartitionMatroid):
+        super().__init__(m)
+        self._counts = [0] * len(m._caps)
+
+    def spans(self, e: int) -> bool:
+        group = self._m._group_of[e]
+        return self._counts[group] >= self._m._caps[group] or e in self._kept
+
+    def _keep(self, e: int) -> None:
+        self._counts[self._m._group_of[e]] += 1
 
 
 class LaminarMatroid(Matroid):
@@ -197,6 +262,25 @@ class LaminarMatroid(Matroid):
                 taken += 1
         return taken
 
+    def growing(self) -> IndependentSet:
+        return _LaminarSet(self)
+
+
+class _LaminarSet(IndependentSet):
+    """A count per family set; ``e`` is spanned once a set covering it is saturated."""
+
+    def __init__(self, m: LaminarMatroid):
+        super().__init__(m)
+        self._counts = [0] * len(m._caps)
+
+    def spans(self, e: int) -> bool:
+        counts, caps = self._counts, self._m._caps
+        return any(counts[si] >= caps[si] for si in self._m._covers[e]) or e in self._kept
+
+    def _keep(self, e: int) -> None:
+        for si in self._m._covers[e]:
+            self._counts[si] += 1
+
 
 class GraphicMatroid(Matroid):
     """Edges of a multigraph; independent sets are forests.
@@ -236,13 +320,44 @@ class GraphicMatroid(Matroid):
                 taken += 1
         return taken
 
+    def growing(self) -> IndependentSet:
+        return _Forest(self)
+
+
+class _Forest(IndependentSet):
+    """Union-find over the vertices; an edge is spanned once its ends are joined."""
+
+    def __init__(self, m: GraphicMatroid):
+        super().__init__(m)
+        self._parent = list(range(m.num_vertices))
+
+    def _find(self, x: int) -> int:
+        parent = self._parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def spans(self, e: int) -> bool:
+        u, v = self._m.edges[e]
+        return self._find(u) == self._find(v)
+
+    def _keep(self, e: int) -> None:
+        u, v = self._m.edges[e]
+        self._parent[self._find(u)] = self._find(v)
+
 
 class TransversalMatroid(Matroid):
     """Tasks matchable to distinct workers in a bipartite graph.
 
     Elements are tasks; ``workers[j]`` lists the tasks worker ``j`` can do.
     A task set is independent iff a matching saturates it. ``rank`` counts
-    the tasks that augmenting paths match, and is all the family implements.
+    the tasks that augmenting paths match, and is all the family implements:
+    its :class:`IndependentSet` is the generic one, one ``rank`` per query.
+    An incremental matching would be the most code of any family, and
+    nothing larger than the five-task ``transversal5`` builtin runs one.
     """
 
     def __init__(self, n: int, workers: Sequence[Iterable[int]]):
@@ -299,6 +414,9 @@ class _RestrictionView(Matroid):
     def rank(self, elements: Iterable[int]) -> int:
         return self._parent.rank(self._as_subset(elements))
 
+    def growing(self) -> IndependentSet:
+        return self._parent.growing()
+
     def restrict(self, keep: Iterable[int]) -> Matroid:
         keep_set = self._as_subset(keep)
         if keep_set == self._ground_set:
@@ -325,16 +443,21 @@ class _ContractionView(Matroid):
             raise PreconditionError("can only contract an independent set")
         self._parent = parent
         self._committed = committed
-        ground = [
-            e
-            for e in parent.ground
-            if e not in committed and not parent.blocks(committed, e)
-        ]
-        self._init_ground(ground)
+        grown = self.growing()
+        self._init_ground(
+            e for e in parent.ground if e not in committed and not grown.spans(e)
+        )
 
     def rank(self, elements: Iterable[int]) -> int:
         subset = self._as_subset(elements)
         return self._parent.rank(subset | self._committed) - len(self._committed)
+
+    def growing(self) -> IndependentSet:
+        """The parent's independent set, seeded with the committed elements."""
+        grown = self._parent.growing()
+        for e in self._committed:
+            grown.add(e)
+        return grown
 
     def contract(self, committed: Iterable[int]) -> Matroid:
         extra = self._as_subset(committed)
@@ -367,11 +490,8 @@ def greedy_max_basis(m: Matroid, weights: Weights) -> ElementSet:
     unique optimum.
     """
     order = sorted(m.ground, key=lambda e: (-_weight(weights, e), e))
-    chosen: set[int] = set()
-    for e in order:
-        if m.is_independent(chosen | {e}):
-            chosen.add(e)
-    return frozenset(chosen)
+    grown = m.growing()
+    return frozenset(e for e in order if grown.add(e))
 
 
 def basis_weight(basis: Iterable[int], weights: Weights) -> float:
@@ -383,15 +503,30 @@ def unblocked(
 ) -> ElementSet:
     """Keys e of ``thresholds`` not blocked by {a in pool : a != e, weights[a] >= thresholds[e]}.
 
-    The pruning step shared by every algorithm and optimality check. Each
-    pool weight is read once; each candidate costs one :meth:`Matroid.blocks`.
+    The pruning step shared by every algorithm and optimality check, done as
+    offline MSF verification: candidates outside the pool are visited by
+    descending threshold while one :class:`IndependentSet` takes in the pool
+    by descending weight, so each pool element and each such candidate
+    costs one ``add`` or ``spans``. A candidate inside the pool must leave
+    itself out of its blocking set, so it costs one :meth:`Matroid.blocks`.
     """
-    pool_weights = [(a, _weight(weights, a)) for a in pool]
-    return frozenset(
-        e
-        for e, t in thresholds.items()
-        if not m.blocks(frozenset(a for a, w in pool_weights if a != e and w >= t), e)
-    )
+    pool_set = m._as_subset(pool)
+    candidates = m._as_subset(thresholds)
+    pool_weights = [(_weight(weights, a), a) for a in pool_set]
+    pending = sorted(pool_weights)  # the heaviest last
+    grown = m.growing()
+    kept = set()
+    for e in sorted(candidates - pool_set, key=thresholds.__getitem__, reverse=True):
+        t = thresholds[e]
+        while pending and pending[-1][0] >= t:
+            grown.add(pending.pop()[1])
+        if not grown.spans(e):
+            kept.add(e)
+    for e in candidates & pool_set:
+        t = thresholds[e]
+        if not m.blocks(frozenset(a for w, a in pool_weights if a != e and w >= t), e):
+            kept.add(e)
+    return frozenset(kept)
 
 
 def elementwise_within_eps(

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 # Imported by name so that numpy, which loads numpy.random lazily, loads it
 # here once: trial workers forked after this import do not load it again.
 from numpy.random import SeedSequence, default_rng
@@ -92,6 +94,8 @@ class SamplingSession:
     ):
         self._arms = tuple(arms)
         self._rng = default_rng(seed)
+        # success probability of each stochastic arm's binomial draw
+        self._q = np.array([_success_prob(arm) for arm in self._arms], dtype=np.float64)
         # plain Python ints: pull counts can exceed int64 in deep rounds
         self._pulls = [0] * len(self._arms)
         self._sums = [0.0] * len(self._arms)
@@ -118,6 +122,12 @@ class SamplingSession:
         if self._max_pulls is not None and self._total + count > self._max_pulls:
             raise BudgetError(f"pull budget {self._max_pulls} exhausted")
 
+    def _check_batch(self, arm: Arm, count: int) -> None:
+        """Refuse an undrawable batch, or one over the budget, before any draw."""
+        if arm.kind != POINT and count > 2**62:
+            raise BudgetError(f"batch of {count} stochastic pulls is not drawable")
+        self._check_budget(count)
+
     def pull(self, e: int) -> float:
         """Draw one reward in [0, 1] and record it."""
         arm = self._check_arm(e)
@@ -130,9 +140,7 @@ class SamplingSession:
             lo, hi = arm.support
             q = (arm.mean - lo) / (hi - lo)
             value = hi if self._rng.random() < q else lo
-        self._pulls[e] += 1
-        self._sums[e] += value
-        self._total += 1
+        self._record(e, 1, value)
         return value
 
     def pull_batch(self, e: int, count: int) -> float:
@@ -144,26 +152,16 @@ class SamplingSession:
         if count < 1:
             raise DomainError("batch size must be >= 1")
         arm = self._check_arm(e)
-        if arm.kind != POINT and count > 2**62:
-            raise BudgetError(f"batch of {count} stochastic pulls is not drawable")
-        self._check_budget(count)
-        if arm.kind == POINT:
-            total = arm.mean * count
-            mean = arm.mean
-        elif arm.kind == BERNOULLI:
-            hits = int(self._rng.binomial(count, arm.mean))
-            total = float(hits)
-            mean = hits / count
-        else:
-            lo, hi = arm.support
-            q = (arm.mean - lo) / (hi - lo)
-            hits = int(self._rng.binomial(count, q))
-            total = lo * (count - hits) + hi * hits
-            mean = total / count
+        self._check_batch(arm, count)
+        hits = 0 if arm.kind == POINT else int(self._rng.binomial(count, self._q[e]))
+        total, mean = _batch_value(arm, count, hits)
+        self._record(e, count, total)
+        return mean
+
+    def _record(self, e: int, count: int, total: float) -> None:
         self._pulls[e] += count
         self._sums[e] += total
         self._total += count
-        return mean
 
     def uniform_sample(
         self, elements: Iterable[int], eps: float, delta: float
@@ -171,10 +169,36 @@ class SamplingSession:
         """Pull every element exactly ``sample_size(eps, delta)`` fresh times.
 
         Returns the fresh-batch empirical means only; earlier pulls of the
-        same arms never leak into the estimate.
+        same arms never leak into the estimate. The stochastic arms take one
+        vector binomial draw in id order, which yields the values one
+        ``pull_batch`` per arm would. As with ``pull_batch`` per arm, a batch
+        refused by the budget or the drawability bound raises ``BudgetError``
+        after the arms before it are drawn and recorded.
         """
         count = sample_size(eps, delta)
-        return {e: self.pull_batch(e, count) for e in sorted(set(elements))}
+        ordered = sorted(set(elements))
+        for e in ordered[:1] + ordered[-1:]:  # the ends bound every id
+            self._check_arm(e)
+        arms = self._arms
+        fit = len(ordered)  # the arms drawn before a refused batch
+        if self._max_pulls is not None:
+            fit = min(fit, max(0, self._max_pulls - self._total) // count)
+        if count > 2**62:
+            fit = next((i for i, e in enumerate(ordered[:fit]) if arms[e].kind != POINT), fit)
+        drawn = ordered[:fit]
+        stochastic = [e for e in drawn if arms[e].kind != POINT]
+        hits = iter(self._rng.binomial(count, self._q[stochastic]).tolist() if stochastic else ())
+        means = {}
+        pulls, sums = self._pulls, self._sums
+        for e in drawn:
+            arm = arms[e]
+            total, means[e] = _batch_value(arm, count, 0 if arm.kind == POINT else next(hits))
+            pulls[e] += count
+            sums[e] += total
+        self._total += fit * count
+        if fit < len(ordered):
+            self._check_batch(arms[ordered[fit]], count)
+        return means
 
     def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int]:
         """Keep each element independently with probability ``p``."""
@@ -182,7 +206,28 @@ class SamplingSession:
             raise DomainError("p must lie in [0, 1]")
         ordered = sorted(set(elements))
         draws = self._rng.random(len(ordered))
-        return frozenset(e for e, u in zip(ordered, draws) if u < p)
+        return frozenset(e for e, u in zip(ordered, draws.tolist()) if u < p)
+
+
+def _success_prob(arm: Arm) -> float:
+    """The binomial draw's success probability; 0 for a point mass, which takes none."""
+    if arm.kind == POINT:
+        return 0.0
+    if arm.kind == BERNOULLI:
+        return arm.mean
+    lo, hi = arm.support
+    return (arm.mean - lo) / (hi - lo)
+
+
+def _batch_value(arm: Arm, count: int, hits: int) -> tuple[float, float]:
+    """(reward total, mean) of a batch of ``count`` pulls with ``hits`` successes."""
+    if arm.kind == POINT:
+        return arm.mean * count, arm.mean
+    if arm.kind == BERNOULLI:
+        return float(hits), hits / count
+    lo, hi = arm.support
+    total = lo * (count - hits) + hi * hits
+    return total, total / count
 
 
 def trial_seed(master_seed: int, trial_index: int) -> SeedSequence:

@@ -153,6 +153,23 @@ def test_reports_are_deterministic_and_jobs_invariant(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
+    # recursive pac runs on 300 arms, traced: workers get the batch once and
+    # each trial by index, and must still produce the serial reports and traces
+    big = big_uniform_instance(300, 5, seed=4)
+
+    def produce_traced(path, jobs):
+        config = RunConfig(big, "pac", 0.1, 0.1, 6, 7, DESK, jobs=jobs, trace=True)
+        write_report(run_trials(config), path, trace=True)
+        data = json.loads(path.read_text())
+        return json.dumps(_scrub(data), sort_keys=True), path.with_suffix(".trace.jsonl")
+
+    serial, serial_trace = produce_traced(tmp_path / "d.json", jobs=1)
+    parallel, parallel_trace = produce_traced(tmp_path / "e.json", jobs=2)
+    assert serial == parallel
+    records = [json.loads(line) for line in serial_trace.read_text().splitlines()]
+    assert any(r["kind"] == "prune_level" and not r["base_case"] for r in records)
+    assert serial_trace.read_bytes() == parallel_trace.read_bytes()
+
 
 def test_budget_failures_count_as_non_successes():
     inst = builtin("prop1")

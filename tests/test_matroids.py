@@ -361,6 +361,86 @@ def test_unblocked_matches_per_element_blocks():
                 assert unblocked(m, pool, w, thresholds) == direct
 
 
+def _reference_greedy(m, w):
+    order = sorted(m.ground, key=lambda e: (-w[e], e))
+    chosen = set()
+    for e in order:
+        if m.is_independent(chosen | {e}):
+            chosen.add(e)
+    return frozenset(chosen)
+
+
+def _kernel_views(rng, m):
+    """(view, parent, committed): the matroid, a random restriction, and
+    contractions of both by a random independent set ``committed`` (left
+    uncontracted when it comes out empty)."""
+    n = m.size
+    keep = frozenset(int(e) for e in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                               replace=False))
+    restricted = m.restrict(keep)
+    views = [(m, m, set()), (restricted, restricted, set())]
+    for parent in (m, restricted):
+        committed = set()
+        for e in rng.permutation(sorted(parent.ground)).tolist():
+            if rng.random() < 0.5 and parent.is_independent(committed | {e}):
+                committed.add(e)
+        views.append((parent.contract(committed), parent, committed))
+    return views
+
+
+def test_growing_set_matches_rank_greedy_loops_and_contraction():
+    rng = np.random.default_rng(53)
+    for family in FAMILY_NAMES:
+        for _ in range(8):
+            n = int(rng.integers(2, 10))
+            m = random_matroid(rng, family, n, allow_loops=True)
+            w = (rng.integers(0, 4, size=n) / 4).tolist()  # a coarse grid: many ties
+            for view, parent, committed in _kernel_views(rng, m):
+                if committed:
+                    assert view.ground_set == {
+                        e for e in parent.ground
+                        if e not in committed and not parent.blocks(committed, e)
+                    }
+                ground = sorted(view.ground)
+                grown, added = view.growing(), set()
+                for e in rng.choice(ground, size=2 * len(ground)).tolist() if ground else []:
+                    spanned = view.rank(added | {e}) == view.rank(added)
+                    assert grown.spans(e) == spanned
+                    assert grown.add(e) == (not spanned)
+                    added.add(e)
+                assert greedy_max_basis(view, w) == _reference_greedy(view, w)
+                assert view.loops() == {e for e in view.ground if view.rank({e}) == 0}
+
+
+@pytest.mark.parametrize("family", ["uniform", "partition", "laminar", "graphic"])
+def test_fast_families_prune_and_greedy_without_rank(family, monkeypatch):
+    rng = np.random.default_rng(59)
+    cases = []
+    for _ in range(6):
+        n = int(rng.integers(2, 12))
+        m = random_matroid(rng, family, n, allow_loops=True)
+        keep = frozenset(int(e) for e in rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                                   replace=False))
+        for view in (m, m.restrict(keep)):
+            w = (rng.integers(0, 4, size=n) / 4).tolist()
+            pool = frozenset(e for e in view.ground if rng.random() < 0.5)
+            thresholds = {e: w[e] + float(rng.choice([-0.25, 0.0, 0.25]))
+                          for e in view.ground_set - pool}
+            direct = frozenset(
+                e for e, t in thresholds.items()
+                if not view.blocks(frozenset(a for a in pool if w[a] >= t), e)
+            )
+            cases.append((view, pool, w, thresholds, direct, _reference_greedy(view, w)))
+
+    def no_rank(self, elements):
+        raise AssertionError("the fast path called rank")
+
+    monkeypatch.setattr(type(cases[0][0]), "rank", no_rank)
+    for view, pool, w, thresholds, direct, greedy in cases:
+        assert unblocked(view, pool, w, thresholds) == direct
+        assert greedy_max_basis(view, w) == greedy
+
+
 def test_is_optimal_basis_examples():
     m = UniformMatroid(4, 2)
     assert is_optimal_basis(m, {0, 1}, PROP1_MEANS)

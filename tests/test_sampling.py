@@ -172,6 +172,53 @@ def test_budget_is_checked_before_drawing():
     assert session.pull_counts() == [60]
 
 
+def test_uniform_sample_under_budget_records_the_batches_that_fit():
+    count = sample_size(0.2, 0.1)
+    session = SamplingSession([bernoulli(0.5)] * 5, seed=3, max_pulls=3 * count + count // 2)
+    with pytest.raises(BudgetError, match="exhausted"):
+        session.uniform_sample([4, 2, 0, 3, 1], 0.2, 0.1)
+    assert session.pull_counts() == [count, count, count, 0, 0]
+    assert session.total_samples == 3 * count
+    per_arm = SamplingSession([bernoulli(0.5)] * 5, seed=3)
+    for e in range(3):
+        per_arm.pull_batch(e, count)
+    assert session.reward_sums() == per_arm.reward_sums()
+
+
+def test_uniform_sample_stops_at_an_undrawable_batch():
+    count = sample_size(1e-10, 0.1)
+    assert count > 2**62
+    session = SamplingSession([point(0.2), point(0.4), bernoulli(0.5), point(0.6)], seed=0)
+    with pytest.raises(BudgetError, match="not drawable"):
+        session.uniform_sample(range(4), 1e-10, 0.1)
+    assert session.pull_counts() == [count, count, 0, 0]
+
+
+def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
+    arms = [bernoulli(0.3), point(0.4), scaled(0.2, 0.9, 0.5), bernoulli(0.0),
+            bernoulli(1.0), scaled(0.1, 0.3, 0.3), bernoulli(0.77)]
+    for eps in (0.3, 0.01, 1e-6):
+        count = sample_size(eps, 0.1)
+        vector = SamplingSession(arms, seed=11)
+        scalar = SamplingSession(arms, seed=11)
+        means = vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], eps, 0.1)
+        assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
+        assert list(means) == sorted(means)
+        assert vector.pull_counts() == scalar.pull_counts()
+        assert vector.reward_sums() == scalar.reward_sums()
+        assert vector.total_samples == scalar.total_samples
+        # the generator is left where the per-arm draws leave it
+        assert vector.random_subset(range(50), 0.5) == scalar.random_subset(range(50), 0.5)
+
+
+def test_uniform_sample_rejects_unknown_arms_before_drawing():
+    session = SamplingSession([bernoulli(0.5)] * 3, seed=0)
+    for bad in ([0, 1, 3], [-1, 0]):
+        with pytest.raises(DomainError):
+            session.uniform_sample(bad, 0.2, 0.1)
+    assert session.total_samples == 0
+
+
 def test_concentration_rate_within_declared_delta():
     eps, delta = 0.2, 0.1
     misses = 0
