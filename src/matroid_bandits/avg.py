@@ -17,7 +17,7 @@ from .matroids import (
     ElementSet, Matroid, Weights, basis_weight, greedy_max_basis, unblocked,
 )
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
-from .sampling import SamplingSession, _validate
+from .sampling import SamplingSession, _validate, sample_size
 
 @dataclass(frozen=True)
 class AvgRound:
@@ -60,7 +60,7 @@ def naive_two(session: SamplingSession, m: Matroid, eps: float, delta: float) ->
     if k == 0:
         return PacResult(frozenset(), 0)
     count = naive_two_pull_count(m.size, k, eps, delta)
-    means = {e: session.pull_batch(e, count) for e in m.ground}
+    means = session.uniform_sample(m.ground, count)
     basis = greedy_max_basis(m, means)
     return PacResult(basis, session.total_samples - start)
 
@@ -107,10 +107,9 @@ def elimination(
     # the subset-size bound, the pruning-power bound, the recursive PAC call,
     # the solution-side estimates, the value-loss event, the leftover count.
     inner = pac_sample_prune(session, m.restrict(sampled), lam, delta / 6.0, profile).basis
-    means = session.uniform_sample(inner, alpha, delta / (6.0 * k))
+    means = session.uniform_sample(inner, sample_size(alpha, delta / (6.0 * k)))
     count = elimination_pull_count(beta, k, delta)
-    for e in sorted(set(m.ground) - inner):
-        means[e] = session.pull_batch(e, count)
+    means.update(session.uniform_sample(m.ground_set - inner, count))
 
     thresholds = {e: means[e] - lam - alpha - beta for e in m.ground if e not in inner}
     return inner | unblocked(m, inner, means, thresholds)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import BudgetError, DomainError, InvariantError
 from .matroids import Matroid, unblocked
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
-from .sampling import SamplingSession
+from .sampling import SamplingSession, sample_size
 
 ELIMINATION = "elimination"
 SELECTION = "selection"
@@ -92,9 +92,9 @@ def exact_exp_gap(
             r_elim += 1
 
             inner = pac_sample_prune(session, m_cur, eps_r, delta_r, profile).basis
-            means = session.uniform_sample(inner, eps_r / 2.0, delta_r / n_opt)
+            means = session.uniform_sample(inner, sample_size(eps_r / 2.0, delta_r / n_opt))
             rest = set(current) - inner
-            means.update(session.uniform_sample(rest, eps_r, delta_r / n_opt))
+            means.update(session.uniform_sample(rest, sample_size(eps_r, delta_r / n_opt)))
 
             thresholds = {e: means[e] + 1.5 * eps_r for e in current if e not in inner}
             survivors = inner | unblocked(m_cur, inner, means, thresholds)
@@ -123,7 +123,7 @@ def exact_exp_gap(
             eps_r, delta_r = round_schedule(r, delta)
             r_sele += 1
 
-            means = session.uniform_sample(current, eps_r, delta_r / len(current))
+            means = session.uniform_sample(current, sample_size(eps_r, delta_r / len(current)))
             thresholds = {e: means[e] - 2.0 * eps_r for e in current}
             picked = unblocked(m_cur, current, means, thresholds)
             if not m_cur.is_independent(picked):

@@ -139,8 +139,6 @@ def make_instance(
 def _check_gap_floor(inst: Instance) -> None:
     from .oracle import gap_profile  # deferred: oracle imports matroids too
 
-    if inst.size > 20:
-        raise ValidationError("gap floor validation needs at most 20 elements")
     profile = gap_profile(inst.matroid, inst.true_means)
     floor = profile.min_gap()
     if floor < inst.gap_floor - 1e-9:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import BudgetError, InvariantError
 from .matroids import ElementSet, Matroid, greedy_max_basis, unblocked
-from .sampling import SamplingSession, _validate
+from .sampling import SamplingSession, _validate, sample_size
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def naive_one(session: SamplingSession, m: Matroid, eps: float, delta: float) ->
     start = session.total_samples
     if m.size == 0:
         return PacResult(frozenset(), 0)
-    means = session.uniform_sample(m.ground, eps / 2.0, delta / m.size)
+    means = session.uniform_sample(m.ground, sample_size(eps / 2.0, delta / m.size))
     basis = greedy_max_basis(m, means)
     return PacResult(basis, session.total_samples - start)
 
@@ -134,7 +134,7 @@ def _sample_prune(
         session, m.restrict(sampled), alpha, delta / 8.0, profile, depth + 1, transcript
     )
     means = session.uniform_sample(
-        ground, lam, delta * profile.sample_prob / (8.0 * k)
+        ground, sample_size(lam, delta * profile.sample_prob / (8.0 * k))
     )
 
     thresholds = {e: means[e] - alpha - 2.0 * lam for e in ground if e not in inner}

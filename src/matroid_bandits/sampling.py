@@ -1,8 +1,10 @@
 """Stochastic arm environment with exact per-arm sample accounting.
 
 A :class:`SamplingSession` owns the RNG and the pull ledger for one trial.
-Algorithms see arms only through ``pull`` / ``pull_batch`` /
-``uniform_sample``; true means stay on the instance side.
+Algorithms draw only through ``uniform_sample`` (a set of arms, a fixed
+count each) and ``random_subset``; true means stay on the instance side.
+``pull_batch`` is the per-arm reference that tests pin ``uniform_sample``
+against.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ class SamplingSession:
         self._q = np.array([_success_prob(arm) for arm in self._arms], dtype=np.float64)
         # plain Python ints: pull counts can exceed int64 in deep rounds
         self._pulls = [0] * len(self._arms)
-        self._sums = [0.0] * len(self._arms)
         self._total = 0
         self._max_pulls = max_pulls
 
@@ -108,9 +109,6 @@ class SamplingSession:
 
     def pull_counts(self) -> list[int]:
         return list(self._pulls)
-
-    def reward_sums(self) -> list[float]:
-        return list(self._sums)
 
     def _check_arm(self, e: int) -> Arm:
         if not 0 <= e < len(self._arms):
@@ -128,54 +126,36 @@ class SamplingSession:
             raise BudgetError(f"batch of {count} stochastic pulls is not drawable")
         self._check_budget(count)
 
-    def pull(self, e: int) -> float:
-        """Draw one reward in [0, 1] and record it."""
-        arm = self._check_arm(e)
-        self._check_budget(1)
-        if arm.kind == POINT:
-            value = arm.mean
-        elif arm.kind == BERNOULLI:
-            value = 1.0 if self._rng.random() < arm.mean else 0.0
-        else:
-            lo, hi = arm.support
-            q = (arm.mean - lo) / (hi - lo)
-            value = hi if self._rng.random() < q else lo
-        self._record(e, 1, value)
-        return value
-
     def pull_batch(self, e: int, count: int) -> float:
         """Pull ``count`` fresh samples of one arm; return the batch mean.
 
-        Bernoulli-type batches draw a single binomial variate, which is the
-        same distribution as ``count`` individual pulls.
+        The per-arm reference for ``uniform_sample``: no algorithm calls it,
+        and tests require the vector draw to give what one ``pull_batch``
+        per arm in id order gives. A Bernoulli-type batch draws a single
+        binomial variate, which is the same distribution as ``count``
+        individual pulls.
         """
         if count < 1:
             raise DomainError("batch size must be >= 1")
         arm = self._check_arm(e)
         self._check_batch(arm, count)
         hits = 0 if arm.kind == POINT else int(self._rng.binomial(count, self._q[e]))
-        total, mean = _batch_value(arm, count, hits)
-        self._record(e, count, total)
-        return mean
-
-    def _record(self, e: int, count: int, total: float) -> None:
         self._pulls[e] += count
-        self._sums[e] += total
         self._total += count
+        return _batch_value(arm, count, hits)
 
-    def uniform_sample(
-        self, elements: Iterable[int], eps: float, delta: float
-    ) -> dict[int, float]:
-        """Pull every element exactly ``sample_size(eps, delta)`` fresh times.
+    def uniform_sample(self, elements: Iterable[int], count: int) -> dict[int, float]:
+        """Pull every element exactly ``count`` fresh times; return the batch means.
 
-        Returns the fresh-batch empirical means only; earlier pulls of the
-        same arms never leak into the estimate. The stochastic arms take one
-        vector binomial draw in id order, which yields the values one
-        ``pull_batch`` per arm would. As with ``pull_batch`` per arm, a batch
-        refused by the budget or the drawability bound raises ``BudgetError``
-        after the arms before it are drawn and recorded.
+        Earlier pulls of the same arms never leak into the estimate. The
+        stochastic arms take one vector binomial draw in id order, which
+        yields the values one ``pull_batch`` per arm would. As with
+        ``pull_batch`` per arm, a batch refused by the budget or the
+        drawability bound raises ``BudgetError`` after the arms before it
+        are drawn and recorded.
         """
-        count = sample_size(eps, delta)
+        if count < 1:
+            raise DomainError("batch size must be >= 1")
         ordered = sorted(set(elements))
         for e in ordered[:1] + ordered[-1:]:  # the ends bound every id
             self._check_arm(e)
@@ -189,12 +169,11 @@ class SamplingSession:
         stochastic = [e for e in drawn if arms[e].kind != POINT]
         hits = iter(self._rng.binomial(count, self._q[stochastic]).tolist() if stochastic else ())
         means = {}
-        pulls, sums = self._pulls, self._sums
+        pulls = self._pulls
         for e in drawn:
             arm = arms[e]
-            total, means[e] = _batch_value(arm, count, 0 if arm.kind == POINT else next(hits))
+            means[e] = _batch_value(arm, count, 0 if arm.kind == POINT else next(hits))
             pulls[e] += count
-            sums[e] += total
         self._total += fit * count
         if fit < len(ordered):
             self._check_batch(arms[ordered[fit]], count)
@@ -219,15 +198,14 @@ def _success_prob(arm: Arm) -> float:
     return (arm.mean - lo) / (hi - lo)
 
 
-def _batch_value(arm: Arm, count: int, hits: int) -> tuple[float, float]:
-    """(reward total, mean) of a batch of ``count`` pulls with ``hits`` successes."""
+def _batch_value(arm: Arm, count: int, hits: int) -> float:
+    """Mean of a batch of ``count`` pulls with ``hits`` successes."""
     if arm.kind == POINT:
-        return arm.mean * count, arm.mean
+        return arm.mean
     if arm.kind == BERNOULLI:
-        return float(hits), hits / count
+        return hits / count
     lo, hi = arm.support
-    total = lo * (count - hits) + hi * hits
-    return total, total / count
+    return (lo * (count - hits) + hi * hits) / count
 
 
 def trial_seed(master_seed: int, trial_index: int) -> SeedSequence:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from matroid_bandits.cli import main
-from matroid_bandits.errors import ConfigError, InvariantError, ValidationError
+from matroid_bandits.errors import CapacityError, ConfigError, InvariantError, ValidationError
 from matroid_bandits.harness import (
     RunConfig,
     binomial_lcb,
@@ -75,6 +75,16 @@ def test_instance_validation_errors():
         )
     with pytest.raises(ValidationError):
         instance_from_config({"schema_version": 99, "matroid": {}, "arms": []})
+
+
+def test_gap_floor_above_the_enumeration_guard_is_a_capacity_error(tmp_path, capsys):
+    cfg = dict(big_uniform_instance(21, 3, seed=4).to_config(), gap_floor=0.001)
+    with pytest.raises(CapacityError):
+        instance_from_config(cfg)
+    path = tmp_path / "gap21.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--instance", str(path)]) == 1
+    assert "limited to 20 elements" in capsys.readouterr().err
 
 
 def test_uniform_gap_generator_hits_target_band():

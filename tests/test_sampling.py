@@ -34,14 +34,17 @@ def test_arm_validation():
 
 def test_point_mass_pull_is_exact():
     session = SamplingSession([point(0.5)], seed=0)
-    assert all(session.pull(0) == 0.5 for _ in range(10))
+    assert all(session.uniform_sample({0}, 1) == {0: 0.5} for _ in range(10))
+    assert session.uniform_sample({0}, 1000) == {0: 0.5}
     assert session.pull_batch(0, 1000) == 0.5
+    assert session.pull_counts() == [2010]
 
 
 def test_bernoulli_extremes():
     session = SamplingSession([bernoulli(1.0), bernoulli(0.0)], seed=0)
-    assert all(session.pull(0) == 1.0 for _ in range(10))
-    assert all(session.pull(1) == 0.0 for _ in range(10))
+    for count in (1, 10, 10**6):
+        assert session.uniform_sample({0, 1}, count) == {0: 1.0, 1: 0.0}
+        assert (session.pull_batch(0, count), session.pull_batch(1, count)) == (1.0, 0.0)
 
 
 def test_bernoulli_mean_within_four_sigma():
@@ -51,16 +54,17 @@ def test_bernoulli_mean_within_four_sigma():
 
 
 def test_single_pulls_match_distribution():
-    session = SamplingSession([bernoulli(0.4)], seed=7)
-    values = [session.pull(0) for _ in range(20_000)]
+    session = SamplingSession([bernoulli(0.4)] * 10_000, seed=7)
+    values = list(session.uniform_sample(range(10_000), 1).values())
+    values += [session.uniform_sample({0}, 1)[0] for _ in range(10_000)]
     assert set(values) <= {0.0, 1.0}
     assert abs(np.mean(values) - 0.4) < 5 * math.sqrt(0.24 / 20_000)
 
 
 def test_scaled_arm_support_and_mean():
-    session = SamplingSession([scaled(0.2, 0.6, 0.5)], seed=11)
-    values = [session.pull(0) for _ in range(2000)]
-    assert set(values) <= {0.2, 0.6}
+    session = SamplingSession([scaled(0.2, 0.6, 0.5)] * 2000, seed=11)
+    values = list(session.uniform_sample(range(2000), 1).values())
+    assert set(values) == {0.2, 0.6}
     q = (0.5 - 0.2) / 0.4
     sigma = 0.4 * math.sqrt(q * (1 - q))
     mean = session.pull_batch(0, 100_000)
@@ -70,7 +74,9 @@ def test_scaled_arm_support_and_mean():
 def test_unknown_arm_rejected():
     session = SamplingSession([point(0.5)], seed=0)
     with pytest.raises(DomainError):
-        session.pull(3)
+        session.pull_batch(3, 1)
+    with pytest.raises(DomainError):
+        session.uniform_sample({3}, 1)
 
 
 def test_sample_size_examples():
@@ -97,31 +103,34 @@ def test_sample_size_monotone(eps, delta):
 
 def test_uniform_sample_counts_and_total():
     session = SamplingSession([point(0.2), point(0.4), point(0.6), point(0.8)], seed=0)
-    means = session.uniform_sample({0, 1, 2}, 0.1, 0.05)
+    means = session.uniform_sample({0, 1, 2}, 185)
     assert means == {0: 0.2, 1: 0.4, 2: 0.6}
     assert session.pull_counts() == [185, 185, 185, 0]
     assert session.total_samples == 555
-    session.uniform_sample({3}, 0.1, 0.05)
+    session.uniform_sample({3}, 185)
     assert session.total_samples == 555 + 185  # ledger additivity
 
 
 def test_uniform_sample_fresh_batches():
     session = SamplingSession([bernoulli(0.5)], seed=5)
-    session.uniform_sample({0}, 0.2, 0.3)
-    q = session.pull_counts()[0]
-    sums_before = session.reward_sums()[0]
-    second = session.uniform_sample({0}, 0.2, 0.3)[0]
-    assert session.pull_counts()[0] == 2 * q
-    # the returned mean is computed from this batch's pulls only
-    assert second == pytest.approx((session.reward_sums()[0] - sums_before) / q)
+    reference = SamplingSession([bernoulli(0.5)], seed=5)
+    first = session.uniform_sample({0}, 1000)[0]
+    second = session.uniform_sample({0}, 1)[0]
+    assert session.pull_counts() == [1001]
+    assert 0.4 < first < 0.6
+    # the returned mean is computed from this batch's single pull only
+    assert second in (0.0, 1.0)
+    assert (first, second) == (reference.pull_batch(0, 1000), reference.pull_batch(0, 1))
 
 
 def test_uniform_sample_validates_parameters():
     session = SamplingSession([point(0.5)], seed=0)
-    with pytest.raises(DomainError):
-        session.uniform_sample({0}, -1.0, 0.5)
-    with pytest.raises(DomainError):
-        session.uniform_sample({0}, 0.5, 2.0)
+    for count in (0, -5):
+        with pytest.raises(DomainError):
+            session.uniform_sample({0}, count)
+        with pytest.raises(DomainError):
+            session.pull_batch(0, count)
+    assert session.total_samples == 0
 
 
 def test_fresh_session_has_zero_samples():
@@ -131,8 +140,8 @@ def test_fresh_session_has_zero_samples():
 def test_determinism_same_seed():
     def transcript(seed):
         s = SamplingSession([bernoulli(0.3), bernoulli(0.7)], seed=seed)
-        out = [s.pull(0) for _ in range(50)]
-        out += list(s.uniform_sample({0, 1}, 0.3, 0.3).values())
+        out = [s.uniform_sample({0}, 1)[0] for _ in range(50)]
+        out += list(s.uniform_sample({0, 1}, 12).values())
         out.append(tuple(sorted(s.random_subset({0, 1}, 0.5))))
         return out
 
@@ -144,9 +153,9 @@ def test_trial_seed_derivation_is_stable():
     a = SamplingSession([bernoulli(0.5)], trial_seed(99, 3))
     b = SamplingSession([bernoulli(0.5)], trial_seed(99, 3))
     c = SamplingSession([bernoulli(0.5)], trial_seed(99, 4))
-    seq_a = [a.pull(0) for _ in range(20)]
-    seq_b = [b.pull(0) for _ in range(20)]
-    seq_c = [c.pull(0) for _ in range(20)]
+    seq_a = [a.uniform_sample({0}, 1)[0] for _ in range(20)]
+    seq_b = [b.uniform_sample({0}, 1)[0] for _ in range(20)]
+    seq_c = [c.uniform_sample({0}, 1)[0] for _ in range(20)]
     assert seq_a == seq_b
     assert seq_a != seq_c
 
@@ -161,6 +170,9 @@ def test_budget_enforced():
     session = SamplingSession([bernoulli(0.5)], seed=0, max_pulls=100)
     with pytest.raises(BudgetError):
         session.pull_batch(0, 101)
+    with pytest.raises(BudgetError):
+        session.uniform_sample({0}, 101)
+    assert session.total_samples == 0
 
 
 def test_budget_is_checked_before_drawing():
@@ -176,13 +188,14 @@ def test_uniform_sample_under_budget_records_the_batches_that_fit():
     count = sample_size(0.2, 0.1)
     session = SamplingSession([bernoulli(0.5)] * 5, seed=3, max_pulls=3 * count + count // 2)
     with pytest.raises(BudgetError, match="exhausted"):
-        session.uniform_sample([4, 2, 0, 3, 1], 0.2, 0.1)
+        session.uniform_sample([4, 2, 0, 3, 1], count)
     assert session.pull_counts() == [count, count, count, 0, 0]
     assert session.total_samples == 3 * count
     per_arm = SamplingSession([bernoulli(0.5)] * 5, seed=3)
     for e in range(3):
         per_arm.pull_batch(e, count)
-    assert session.reward_sums() == per_arm.reward_sums()
+    # the three recorded batches were drawn, and nothing more
+    assert session.random_subset(range(50), 0.5) == per_arm.random_subset(range(50), 0.5)
 
 
 def test_uniform_sample_stops_at_an_undrawable_batch():
@@ -190,22 +203,27 @@ def test_uniform_sample_stops_at_an_undrawable_batch():
     assert count > 2**62
     session = SamplingSession([point(0.2), point(0.4), bernoulli(0.5), point(0.6)], seed=0)
     with pytest.raises(BudgetError, match="not drawable"):
-        session.uniform_sample(range(4), 1e-10, 0.1)
+        session.uniform_sample(range(4), count)
     assert session.pull_counts() == [count, count, 0, 0]
 
 
 def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
-    arms = [bernoulli(0.3), point(0.4), scaled(0.2, 0.9, 0.5), bernoulli(0.0),
+    arms = [point(0.4), bernoulli(0.3), scaled(0.2, 0.9, 0.5), bernoulli(0.0),
             bernoulli(1.0), scaled(0.1, 0.3, 0.3), bernoulli(0.77)]
-    for eps in (0.3, 0.01, 1e-6):
-        count = sample_size(eps, 0.1)
+    for count in (1, 19, 185, 1_500_000_000_000, 2**62, 2**62 + 1):
         vector = SamplingSession(arms, seed=11)
         scalar = SamplingSession(arms, seed=11)
-        means = vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], eps, 0.1)
-        assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
-        assert list(means) == sorted(means)
+        if count > 2**62:  # point arm 0 is drawn, stochastic arm 1 refused
+            with pytest.raises(BudgetError, match="not drawable"):
+                vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
+            assert scalar.pull_batch(0, count) == 0.4
+            with pytest.raises(BudgetError, match="not drawable"):
+                scalar.pull_batch(1, count)
+        else:
+            means = vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
+            assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
+            assert list(means) == sorted(means)
         assert vector.pull_counts() == scalar.pull_counts()
-        assert vector.reward_sums() == scalar.reward_sums()
         assert vector.total_samples == scalar.total_samples
         # the generator is left where the per-arm draws leave it
         assert vector.random_subset(range(50), 0.5) == scalar.random_subset(range(50), 0.5)
@@ -215,7 +233,7 @@ def test_uniform_sample_rejects_unknown_arms_before_drawing():
     session = SamplingSession([bernoulli(0.5)] * 3, seed=0)
     for bad in ([0, 1, 3], [-1, 0]):
         with pytest.raises(DomainError):
-            session.uniform_sample(bad, 0.2, 0.1)
+            session.uniform_sample(bad, 94)
     assert session.total_samples == 0
 
 
@@ -225,7 +243,7 @@ def test_concentration_rate_within_declared_delta():
     reps = 1000
     session = SamplingSession([bernoulli(0.5)], seed=77)
     for _ in range(reps):
-        mean = session.uniform_sample({0}, eps, delta)[0]
+        mean = session.uniform_sample({0}, sample_size(eps, delta))[0]
         if abs(mean - 0.5) >= eps:
             misses += 1
     slack = 3 * math.sqrt(delta * (1 - delta) / reps)
