@@ -17,7 +17,7 @@ from .matroids import (
     ElementSet, Matroid, Weights, basis_weight, greedy_max_basis, unblocked,
 )
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
-from .sampling import SamplingSession, _validate, sample_size
+from .sampling import SamplingSession, _validate, ceil_pulls, sample_size
 
 @dataclass(frozen=True)
 class AvgRound:
@@ -48,8 +48,9 @@ def naive_two_pull_count(n: int, k: int, eps: float, delta: float) -> int:
     _validate(eps, delta)
     if k < 1:
         raise DomainError("rank must be >= 1")
-    raw = 2.0 * eps**-2 * (math.log(2.0) + ln_choose(n, k) + math.log(1.0 / delta)) / k
-    return max(1, math.ceil(raw))
+    return ceil_pulls(
+        lambda: 2.0 * eps**-2 * (math.log(2.0) + ln_choose(n, k) + math.log(1.0 / delta)) / k
+    )
 
 
 def naive_two(session: SamplingSession, m: Matroid, eps: float, delta: float) -> PacResult:
@@ -71,8 +72,7 @@ def elimination_sample_prob(n: int, k: int, delta: float) -> float:
 
 
 def elimination_pull_count(beta: float, k: int, delta: float) -> int:
-    raw = beta**-2 * max(math.log(6.0 / delta) / k, math.log(200.0) / 2.0)
-    return max(1, math.ceil(raw))
+    return ceil_pulls(lambda: beta**-2 * max(math.log(6.0 / delta) / k, math.log(200.0) / 2.0))
 
 
 def elimination_precondition(n: int, k: int, delta: float) -> bool:

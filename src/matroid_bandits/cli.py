@@ -63,7 +63,7 @@ def _cmd_run(args) -> int:
         trace=args.trace,
     )
     result = run_trials(config)
-    write_report(result, args.out, trace=args.trace)
+    write_report(result, args.out)
     summary = result["summary"]
     print(json.dumps(summary["success"], indent=2, sort_keys=True))
     print(f"samples: {summary['samples']}")

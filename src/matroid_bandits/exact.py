@@ -71,8 +71,7 @@ def exact_exp_gap(
         raise DomainError("delta must lie in (0, 1)")
     answer: set[int] = set()
     m_cur: Matroid = m
-    r_elim = 1
-    r_sele = 1
+    rounds = dict.fromkeys((ELIMINATION, SELECTION), 0)
     transcript: list[ExactRound] = []
     start = session.total_samples
 
@@ -81,60 +80,50 @@ def exact_exp_gap(
         current = m_cur.ground
         n_opt = m_cur.full_rank
         n_bad = len(current) - n_opt
+        if n_opt == 0:
+            break
+        if n_bad == 0:
+            answer |= set(current)
+            transcript.append(
+                ExactRound(
+                    FINAL_SELECT, rounds[SELECTION] + 1, current, n_opt, n_bad,
+                    current, session.total_samples - start,
+                )
+            )
+            break
 
-        if n_opt <= n_bad:
-            if n_opt == 0:
-                break
-            if r_elim > profile.round_guard:
-                raise BudgetError(f"elimination round guard {profile.round_guard} exceeded")
-            r = r_elim
-            eps_r, delta_r = round_schedule(r, delta)
-            r_elim += 1
+        kind = ELIMINATION if n_opt <= n_bad else SELECTION
+        rounds[kind] += 1
+        r = rounds[kind]
+        if r > profile.round_guard:
+            raise BudgetError(f"{kind} round guard {profile.round_guard} exceeded")
+        eps_r, delta_r = round_schedule(r, delta)
 
+        if kind == ELIMINATION:
             inner = pac_sample_prune(session, m_cur, eps_r, delta_r, profile).basis
             means = session.uniform_sample(inner, sample_size(eps_r / 2.0, delta_r / n_opt))
             rest = set(current) - inner
             means.update(session.uniform_sample(rest, sample_size(eps_r, delta_r / n_opt)))
 
             thresholds = {e: means[e] + 1.5 * eps_r for e in current if e not in inner}
-            survivors = inner | unblocked(m_cur, inner, means, thresholds)
-            if m_cur.rank(survivors) != n_opt:
+            changed = inner | unblocked(m_cur, inner, means, thresholds)
+            if m_cur.rank(changed) != n_opt:
                 raise InvariantError("elimination dropped the rank of the survivors")
-            transcript.append(
-                ExactRound(
-                    ELIMINATION, r, current, n_opt, n_bad,
-                    tuple(sorted(survivors)), session.total_samples - start,
-                )
-            )
-            m_cur = m_cur.restrict(survivors)
+            m_next = m_cur.restrict(changed)
         else:
-            if n_bad == 0:
-                answer |= set(current)
-                transcript.append(
-                    ExactRound(
-                        FINAL_SELECT, r_sele, current, n_opt, n_bad,
-                        current, session.total_samples - start,
-                    )
-                )
-                break
-            if r_sele > profile.round_guard:
-                raise BudgetError(f"selection round guard {profile.round_guard} exceeded")
-            r = r_sele
-            eps_r, delta_r = round_schedule(r, delta)
-            r_sele += 1
-
             means = session.uniform_sample(current, sample_size(eps_r, delta_r / len(current)))
             thresholds = {e: means[e] - 2.0 * eps_r for e in current}
-            picked = unblocked(m_cur, current, means, thresholds)
-            if not m_cur.is_independent(picked):
+            changed = unblocked(m_cur, current, means, thresholds)
+            if not m_cur.is_independent(changed):
                 raise InvariantError("selected arms are not jointly independent")
-            answer |= picked
-            transcript.append(
-                ExactRound(
-                    SELECTION, r, current, n_opt, n_bad,
-                    tuple(sorted(picked)), session.total_samples - start,
-                )
+            answer |= changed
+            m_next = m_cur.contract(changed)
+        transcript.append(
+            ExactRound(
+                kind, r, current, n_opt, n_bad,
+                tuple(sorted(changed)), session.total_samples - start,
             )
-            m_cur = m_cur.contract(picked)
+        )
+        m_cur = m_next
 
     return PacResult(frozenset(answer), session.total_samples - start, tuple(transcript))

@@ -84,7 +84,7 @@ class RunConfig:
             raise ConfigError("trials must be >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ConfigError("eps must be > 0 (the exact solver still judges "
                               "eps-optimality flags at this eps)")
         if not 0.0 < self.delta < 1.0:
@@ -258,11 +258,11 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
         "per_arm_mean_pulls": per_arm_mean,
         "wall_time_total": math.fsum(r.wall_time for r in reports),
     }
-    return {"summary": summary, "reports": reports}
+    return {"summary": summary, "reports": reports, "trace": config.trace}
 
 
-def write_report(result: dict, out_path, trace: bool = False) -> None:
-    """JSON report plus a CSV summary row; traces go to a sidecar .jsonl."""
+def write_report(result: dict, out_path) -> None:
+    """JSON report plus a CSV summary row; a traced run's records go to a sidecar .jsonl."""
     out_path = Path(out_path)
     summary = result["summary"]
     reports: list[TrialReport] = result["reports"]
@@ -288,7 +288,7 @@ def write_report(result: dict, out_path, trace: bool = False) -> None:
         writer.writeheader()
         writer.writerow(row)
 
-    if trace:
+    if result["trace"]:
         trace_path = out_path.with_suffix(".trace.jsonl")
         with open(trace_path, "w", encoding="utf-8") as handle:
             for rep in reports:

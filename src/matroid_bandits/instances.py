@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,21 +29,33 @@ from .sampling import Arm, SamplingSession, bernoulli, point, trial_seed
 SCHEMA_VERSION = 1
 
 
+@contextmanager
+def _reading(what: str):
+    """Raise a missing or malformed field of ``what`` as a ``ValidationError``."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {type(exc).__name__} {exc}") from None
+
+
 def matroid_from_config(cfg: dict) -> Matroid:
-    family = cfg.get("family")
-    if family == "uniform":
-        return UniformMatroid(int(cfg["n"]), int(cfg["k"]))
-    if family == "partition":
-        groups = [(g["members"], int(g["capacity"])) for g in cfg["groups"]]
-        return PartitionMatroid(groups)
-    if family == "laminar":
-        sets = [(s["members"], int(s["capacity"])) for s in cfg["sets"]]
-        return LaminarMatroid(int(cfg["n"]), sets)
-    if family == "graphic":
-        edges = [tuple(e) for e in cfg["edges"]]
-        return GraphicMatroid(int(cfg["num_vertices"]), edges)
-    if family == "transversal":
-        return TransversalMatroid(int(cfg["n"]), cfg["workers"])
+    with _reading("matroid"):
+        family = cfg.get("family")
+        if family == "uniform":
+            return UniformMatroid(int(cfg["n"]), int(cfg["k"]))
+        if family == "partition":
+            groups = [(g["members"], int(g["capacity"])) for g in cfg["groups"]]
+            return PartitionMatroid(groups)
+        if family == "laminar":
+            sets = [(s["members"], int(s["capacity"])) for s in cfg["sets"]]
+            return LaminarMatroid(int(cfg["n"]), sets)
+        if family == "graphic":
+            edges = [tuple(e) for e in cfg["edges"]]
+            return GraphicMatroid(int(cfg["num_vertices"]), edges)
+        if family == "transversal":
+            return TransversalMatroid(int(cfg["n"]), cfg["workers"])
     raise ValidationError(f"unknown matroid family {family!r}")
 
 
@@ -148,15 +161,21 @@ def _check_gap_floor(inst: Instance) -> None:
 
 
 def instance_from_config(cfg: dict) -> Instance:
-    version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version {version!r}")
+    with _reading("instance"):
+        version = cfg.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValidationError(f"unsupported schema_version {version!r}")
+        matroid_config = cfg["matroid"]
+    with _reading("gap_floor"):
+        gap_floor = None if cfg.get("gap_floor") is None else float(cfg["gap_floor"])
+    with _reading("arms"):
+        arms = [_arm_from_entry(a) for a in cfg["arms"]]
     return make_instance(
         name=cfg.get("name", "unnamed"),
-        matroid_config=cfg["matroid"],
-        arms=[_arm_from_entry(a) for a in cfg["arms"]],
+        matroid_config=matroid_config,
+        arms=arms,
         notes=cfg.get("notes", ""),
-        gap_floor=cfg.get("gap_floor"),
+        gap_floor=gap_floor,
         allow_ties=bool(cfg.get("allow_ties", False)),
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,19 +65,24 @@ def scaled(lo: float, hi: float, mean: float) -> Arm:
 
 def _validate(eps: float, delta: float) -> None:
     """Accuracy and confidence checks shared by every sampling algorithm."""
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be > 0")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
 
 
-def sample_size(eps: float, delta: float) -> int:
-    """Per-arm pull count guaranteeing |empirical - true| < eps w.p. 1 - delta.
+def ceil_pulls(formula: Callable[[], float]) -> int:
+    """``formula()`` pulls per arm, ceiled, minimum one; a float overflow is not drawable."""
+    try:
+        return max(1, math.ceil(formula()))
+    except OverflowError:
+        raise BudgetError("pull count overflows a float; the batch is not drawable") from None
 
-    Fractional counts are ceiled, minimum one pull.
-    """
+
+def sample_size(eps: float, delta: float) -> int:
+    """Per-arm pull count guaranteeing |empirical - true| < eps w.p. 1 - delta."""
     _validate(eps, delta)
-    return max(1, math.ceil(eps**-2 * math.log(2.0 / delta) / 2.0))
+    return ceil_pulls(lambda: eps**-2 * math.log(2.0 / delta) / 2.0)
 
 
 class SamplingSession:
@@ -115,16 +120,12 @@ class SamplingSession:
             raise DomainError(f"unknown arm {e}")
         return self._arms[e]
 
-    def _check_budget(self, count: int) -> None:
-        """Refuse ``count`` more pulls that would overshoot the budget, before any draw."""
-        if self._max_pulls is not None and self._total + count > self._max_pulls:
-            raise BudgetError(f"pull budget {self._max_pulls} exhausted")
-
-    def _check_batch(self, arm: Arm, count: int) -> None:
-        """Refuse an undrawable batch, or one over the budget, before any draw."""
-        if arm.kind != POINT and count > 2**62:
+    def _check_batch(self, count: int, arms: int, stochastic: bool) -> None:
+        """Refuse ``count`` pulls of ``arms`` arms, undrawable or over budget, before any draw."""
+        if stochastic and count > 2**62:
             raise BudgetError(f"batch of {count} stochastic pulls is not drawable")
-        self._check_budget(count)
+        if self._max_pulls is not None and self._total + arms * count > self._max_pulls:
+            raise BudgetError(f"pull budget {self._max_pulls} exhausted")
 
     def pull_batch(self, e: int, count: int) -> float:
         """Pull ``count`` fresh samples of one arm; return the batch mean.
@@ -138,7 +139,7 @@ class SamplingSession:
         if count < 1:
             raise DomainError("batch size must be >= 1")
         arm = self._check_arm(e)
-        self._check_batch(arm, count)
+        self._check_batch(count, 1, arm.kind != POINT)
         hits = 0 if arm.kind == POINT else int(self._rng.binomial(count, self._q[e]))
         self._pulls[e] += count
         self._total += count
@@ -149,10 +150,9 @@ class SamplingSession:
 
         Earlier pulls of the same arms never leak into the estimate. The
         stochastic arms take one vector binomial draw in id order, which
-        yields the values one ``pull_batch`` per arm would. As with
-        ``pull_batch`` per arm, a batch refused by the budget or the
-        drawability bound raises ``BudgetError`` after the arms before it
-        are drawn and recorded.
+        yields the values one ``pull_batch`` per arm would. A batch over the
+        budget or past the drawability bound is refused whole with
+        ``BudgetError``: nothing is drawn and nothing is recorded.
         """
         if count < 1:
             raise DomainError("batch size must be >= 1")
@@ -160,23 +160,16 @@ class SamplingSession:
         for e in ordered[:1] + ordered[-1:]:  # the ends bound every id
             self._check_arm(e)
         arms = self._arms
-        fit = len(ordered)  # the arms drawn before a refused batch
-        if self._max_pulls is not None:
-            fit = min(fit, max(0, self._max_pulls - self._total) // count)
-        if count > 2**62:
-            fit = next((i for i, e in enumerate(ordered[:fit]) if arms[e].kind != POINT), fit)
-        drawn = ordered[:fit]
-        stochastic = [e for e in drawn if arms[e].kind != POINT]
+        stochastic = [e for e in ordered if arms[e].kind != POINT]
+        self._check_batch(count, len(ordered), bool(stochastic))
         hits = iter(self._rng.binomial(count, self._q[stochastic]).tolist() if stochastic else ())
         means = {}
         pulls = self._pulls
-        for e in drawn:
+        for e in ordered:
             arm = arms[e]
             means[e] = _batch_value(arm, count, 0 if arm.kind == POINT else next(hits))
             pulls[e] += count
-        self._total += fit * count
-        if fit < len(ordered):
-            self._check_batch(arms[ordered[fit]], count)
+        self._total += len(ordered) * count
         return means
 
     def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int]:

@@ -162,16 +162,18 @@ def test_selection_rounds_commit_by_gap_stratum():
 
 
 def test_round_guard_triggers_budget_error():
-    inst = make_instance(
-        "needle",
-        {"family": "uniform", "n": 2, "k": 1},
-        [point(0.5), point(0.5 + 1e-7)],
-        allow_ties=False,
-    )
+    # two arms 1e-7 apart keep eliminating; three nearly tied arms of which two
+    # are optimal keep selecting
+    cases = [
+        ({"family": "uniform", "n": 2, "k": 1}, [0.5, 0.5 + 1e-7], "elimination"),
+        ({"family": "uniform", "n": 3, "k": 2}, [0.5, 0.5 + 1e-7, 0.5 + 2e-7], "selection"),
+    ]
     profile = dataclasses.replace(DESK, round_guard=5)
-    session = inst.trial_session(0, 0)
-    with pytest.raises(BudgetError):
-        exact_exp_gap(session, inst.matroid, 0.1, profile)
+    for matroid_config, means, kind in cases:
+        inst = make_instance("needle", matroid_config, [point(mu) for mu in means])
+        session = inst.trial_session(0, 0)
+        with pytest.raises(BudgetError, match=f"^{kind} round guard 5 exceeded$"):
+            exact_exp_gap(session, inst.matroid, 0.1, profile)
 
 
 def test_loops_rejected_by_runtime_assertion():

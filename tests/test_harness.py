@@ -11,6 +11,7 @@ import pytest
 from matroid_bandits.cli import main
 from matroid_bandits.errors import CapacityError, ConfigError, InvariantError, ValidationError
 from matroid_bandits.harness import (
+    ALGORITHMS,
     RunConfig,
     binomial_lcb,
     profile_by_name,
@@ -77,6 +78,30 @@ def test_instance_validation_errors():
         instance_from_config({"schema_version": 99, "matroid": {}, "arms": []})
 
 
+_TWO_ARMS = {"schema_version": 1, "matroid": {"family": "uniform", "n": 2, "k": 1},
+             "arms": [["bernoulli", 0.4], ["bernoulli", 0.6]]}
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(_TWO_ARMS, matroid={"family": "uniform", "n": 2}),
+    {key: value for key, value in _TWO_ARMS.items() if key != "arms"},
+    dict(_TWO_ARMS, arms=[["bernoulli"], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["bernoulli", "abc"], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, matroid={"family": "graphic", "num_vertices": 2, "edges": [[0], [0, 1]]}),
+    [_TWO_ARMS],
+    dict(_TWO_ARMS, gap_floor="abc"),
+], ids=["uniform-without-k", "no-arms", "arm-without-mean", "arm-mean-not-a-number",
+        "one-ended-edge", "top-level-list", "gap-floor-not-a-number"])
+def test_malformed_instance_files_are_validation_errors(cfg, tmp_path, capsys):
+    with pytest.raises(ValidationError):
+        instance_from_config(cfg)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg))
+    # main returns rather than raising, so `python -m` would print no traceback
+    assert main(["verify", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gap_floor_above_the_enumeration_guard_is_a_capacity_error(tmp_path, capsys):
     cfg = dict(big_uniform_instance(21, 3, seed=4).to_config(), gap_floor=0.001)
     with pytest.raises(CapacityError):
@@ -114,6 +139,23 @@ def test_run_config_validation():
         RunConfig(inst, "pac", 0.1, 1.1, 1, 0, PAPER)
     with pytest.raises(ConfigError):
         profile_by_name("unknown")
+
+
+def test_extreme_eps_and_delta_are_typed_errors(tmp_path, capsys):
+    def run(algo, eps, delta):
+        return main(["run", "--instance", "builtin:prop1", "--algo", algo, "--eps", eps,
+                     "--delta", delta, "--trials", "2", "--out", str(tmp_path / "r.json")])
+
+    assert run("naive1", "nan", "0.1") == 1
+    assert capsys.readouterr().err.startswith("error: eps must be > 0")
+    # pull counts too large for a float fail each trial with BudgetError
+    for algo, eps, delta in [("naive1", "1e-200", "0.1"), ("naive2", "1e-200", "0.1"),
+                             ("pac", "1e-200", "0.1"), ("avgpac", "1e-200", "0.1"),
+                             *((algo, "0.1", "1e-320") for algo in ALGORITHMS)]:
+        assert run(algo, eps, delta) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["summary"]["failures"] == 2, (algo, eps, delta)
+        assert all("not drawable" in trial["error"] for trial in report["trials"])
 
 
 def test_zero_trials_is_a_valid_batch():
@@ -162,6 +204,7 @@ def test_reports_are_deterministic_and_jobs_invariant(tmp_path):
     # CSV summaries carry no timing and are byte-identical
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+    assert not (tmp_path / "a.trace.jsonl").exists()  # only a traced run writes one
 
     # recursive pac runs on 300 arms, traced: workers get the batch once and
     # each trial by index, and must still produce the serial reports and traces
@@ -169,7 +212,7 @@ def test_reports_are_deterministic_and_jobs_invariant(tmp_path):
 
     def produce_traced(path, jobs):
         config = RunConfig(big, "pac", 0.1, 0.1, 6, 7, DESK, jobs=jobs, trace=True)
-        write_report(run_trials(config), path, trace=True)
+        write_report(run_trials(config), path)
         data = json.loads(path.read_text())
         return json.dumps(_scrub(data), sort_keys=True), path.with_suffix(".trace.jsonl")
 

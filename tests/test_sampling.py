@@ -184,27 +184,41 @@ def test_budget_is_checked_before_drawing():
     assert session.pull_counts() == [60]
 
 
-def test_uniform_sample_under_budget_records_the_batches_that_fit():
+def _next_draws(session):
+    """The generator's next draws, read through the session's own subset draw."""
+    return session.random_subset(range(50), 0.5)
+
+
+def test_uniform_sample_over_budget_draws_nothing():
     count = sample_size(0.2, 0.1)
-    session = SamplingSession([bernoulli(0.5)] * 5, seed=3, max_pulls=3 * count + count // 2)
+    session = SamplingSession([bernoulli(0.5)] * 5, seed=3, max_pulls=5 * count - 1)
+    session.uniform_sample([1], count)
     with pytest.raises(BudgetError, match="exhausted"):
-        session.uniform_sample([4, 2, 0, 3, 1], count)
-    assert session.pull_counts() == [count, count, count, 0, 0]
-    assert session.total_samples == 3 * count
-    per_arm = SamplingSession([bernoulli(0.5)] * 5, seed=3)
-    for e in range(3):
-        per_arm.pull_batch(e, count)
-    # the three recorded batches were drawn, and nothing more
-    assert session.random_subset(range(50), 0.5) == per_arm.random_subset(range(50), 0.5)
+        session.uniform_sample([4, 2, 0, 3], count)  # one pull over the budget
+    assert session.pull_counts() == [0, count, 0, 0, 0]
+    assert session.total_samples == count
+    # the refused batch took no draw from the generator
+    reference = SamplingSession([bernoulli(0.5)] * 5, seed=3)
+    reference.uniform_sample([1], count)
+    assert _next_draws(session) == _next_draws(reference)
+    # a batch that exactly fits what is left is drawn
+    assert len(session.uniform_sample([4, 2, 0], count)) == 3
+    assert session.pull_counts() == [count, count, count, 0, count]
+    assert session.total_samples == 4 * count
 
 
-def test_uniform_sample_stops_at_an_undrawable_batch():
+def test_uniform_sample_refuses_an_undrawable_batch_whole():
     count = sample_size(1e-10, 0.1)
     assert count > 2**62
     session = SamplingSession([point(0.2), point(0.4), bernoulli(0.5), point(0.6)], seed=0)
     with pytest.raises(BudgetError, match="not drawable"):
         session.uniform_sample(range(4), count)
-    assert session.pull_counts() == [count, count, 0, 0]
+    assert session.pull_counts() == [0, 0, 0, 0]
+    assert session.total_samples == 0
+    assert _next_draws(session) == _next_draws(SamplingSession([point(0.2)], seed=0))
+    # point arms alone take no draw, so any count is drawable
+    assert session.uniform_sample([0, 1, 3], count) == {0: 0.2, 1: 0.4, 3: 0.6}
+    assert session.pull_counts() == [count, count, 0, count]
 
 
 def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
@@ -213,12 +227,13 @@ def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
     for count in (1, 19, 185, 1_500_000_000_000, 2**62, 2**62 + 1):
         vector = SamplingSession(arms, seed=11)
         scalar = SamplingSession(arms, seed=11)
-        if count > 2**62:  # point arm 0 is drawn, stochastic arm 1 refused
+        if count > 2**62:  # the batch holds stochastic arms, so none of it is drawn
             with pytest.raises(BudgetError, match="not drawable"):
                 vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
-            assert scalar.pull_batch(0, count) == 0.4
             with pytest.raises(BudgetError, match="not drawable"):
                 scalar.pull_batch(1, count)
+            assert vector.pull_counts() == [0] * len(arms)
+            assert vector.total_samples == 0
         else:
             means = vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
             assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
@@ -226,7 +241,7 @@ def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
         assert vector.pull_counts() == scalar.pull_counts()
         assert vector.total_samples == scalar.total_samples
         # the generator is left where the per-arm draws leave it
-        assert vector.random_subset(range(50), 0.5) == scalar.random_subset(range(50), 0.5)
+        assert _next_draws(vector) == _next_draws(scalar)
 
 
 def test_uniform_sample_rejects_unknown_arms_before_drawing():
