@@ -10,7 +10,7 @@ import json
 import math
 import sys
 
-from .errors import CapacityError, ConfigError, ValidationError
+from .errors import CapacityError, ConfigError, PreconditionError, ValidationError
 from .harness import ALGORITHMS, RunConfig, profile_by_name, run_trials, write_report
 from .instances import resolve_instance
 from .oracle import brute_force_opt, gap, verify_instance
@@ -108,7 +108,8 @@ def main(argv=None) -> int:
         if args.command == "gaps":
             return _cmd_gaps(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValidationError, CapacityError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValidationError, CapacityError, PreconditionError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

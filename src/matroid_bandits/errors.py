@@ -14,7 +14,19 @@ class CapacityError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A sampling/recursion/round budget was exhausted."""
+    """A sampling/recursion/round budget was exhausted.
+
+    ``guard`` names the guard that raised it: ``budget`` (the pull budget),
+    ``drawability`` (a pull count too large to draw), ``depth`` (the pac
+    recursion depth), ``elimination_round`` or ``selection_round``.
+    """
+
+    def __init__(self, message: str, guard: str):
+        super().__init__(message)
+        self.guard = guard
+
+    def __reduce__(self):  # the default would re-create it from the message alone
+        return type(self), (str(self), self.guard)
 
 
 class ValidationError(ValueError):

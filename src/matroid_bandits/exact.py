@@ -96,7 +96,8 @@ def exact_exp_gap(
         rounds[kind] += 1
         r = rounds[kind]
         if r > profile.round_guard:
-            raise BudgetError(f"{kind} round guard {profile.round_guard} exceeded")
+            raise BudgetError(f"{kind} round guard {profile.round_guard} exceeded",
+                              f"{kind}_round")
         eps_r, delta_r = round_schedule(r, delta)
 
         if kind == ELIMINATION:

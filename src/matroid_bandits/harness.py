@@ -4,6 +4,8 @@ Success flags are judged from the true means and the returned basis only.
 Trials are embarrassingly parallel with per-trial derived seeds, so results
 are independent of the worker count. A trial fails only by exhausting a
 budget (``BudgetError``); every other error is a bug and aborts the batch.
+Parallel batches share one worker pool per process, started by the first
+and kept for the next.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,6 +108,7 @@ class TrialReport:
     error: str | None
     wall_time: float
     trace: tuple = field(default_factory=tuple)
+    guard: str | None = None  # the BudgetError guard that failed the trial
 
     def to_json(self) -> dict:
         return {
@@ -118,13 +124,12 @@ class TrialReport:
         }
 
 
-def _run_single_trial(args) -> TrialReport:
-    config, index, opt = args
+def _run_single_trial(config: RunConfig, index: int, opt) -> TrialReport:
     session = config.instance.trial_session(
         config.seed, index, max_pulls=config.profile.pull_budget
     )
     started = time.perf_counter()
-    error = None
+    error = guard = None
     trace: tuple = ()
     basis: tuple[int, ...] = ()
     try:
@@ -139,6 +144,7 @@ def _run_single_trial(args) -> TrialReport:
         )
     except BudgetError as exc:
         error = f"{type(exc).__name__}: {exc}"
+        guard = exc.guard
         flags = dict.fromkeys(FLAGS, False)
     elapsed = time.perf_counter() - started
     return TrialReport(
@@ -152,22 +158,55 @@ def _run_single_trial(args) -> TrialReport:
         error=error,
         wall_time=elapsed,
         trace=trace,
+        guard=guard,
     )
 
 
-# The (config, opt) of the batch this worker process serves; set once per
-# worker by ``_serve_batch``, so each task carries only a trial index.
-_batch: tuple = ()
+def _run_chunk(config: RunConfig, opt, indices: range) -> list[TrialReport]:
+    """The trials of one batch that one worker, or the serial path, runs."""
+    return [_run_single_trial(config, index, opt) for index in indices]
 
 
-def _serve_batch(config: RunConfig, opt) -> None:
-    global _batch
-    _batch = (config, opt)
+# The process's trial workers: (jobs, pool), started by the first parallel
+# batch and reused by the next ones that ask for the same ``jobs``.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
 
 
-def _run_batch_trial(index: int) -> TrialReport:
-    config, opt = _batch
-    return _run_single_trial((config, index, opt))
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != jobs:
+            # shut down first, so that no executor thread is alive when the
+            # next pool forks its workers
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (jobs, ProcessPoolExecutor(max_workers=jobs))
+        return _pool[1]
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Forget a broken pool, so that the next parallel batch starts a fresh one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[1] is pool:
+            _pool = None
+    pool.shutdown()
+
+
+def _run_parallel(config: RunConfig, opt) -> list[TrialReport]:
+    """One task per worker: the batch and its interleaved share of the indices."""
+    jobs = config.jobs
+    pool = _worker_pool(jobs)
+    try:
+        futures = [pool.submit(_run_chunk, config, opt, range(w, config.trials, jobs))
+                   for w in range(min(jobs, config.trials))]
+        wait(futures)  # the pool is idle again before any error propagates
+        return [rep for future in futures for rep in future.result()]
+    except BrokenProcessPool:
+        _drop_pool(pool)
+        raise
 
 
 def binomial_lcb(successes: int, trials: int, confidence: float = 0.95) -> float:
@@ -214,16 +253,16 @@ def _quantiles(values) -> dict:
 def run_trials(config: RunConfig) -> dict:
     """Execute the trial batch and aggregate. Budget errors count as failures.
 
-    With ``jobs > 1`` each worker receives the config and optimum once, when
-    it starts, and each task is a trial index.
+    With ``jobs > 1`` each worker of the process's pool receives one task:
+    the config, the optimum and every ``jobs``-th trial index. A worker that
+    died makes the batch raise ``BrokenProcessPool``; the next parallel
+    batch starts a fresh pool.
     """
     opt = greedy_max_basis(config.instance.matroid, config.instance.true_means)
     if config.jobs > 1 and config.trials > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs, initializer=_serve_batch,
-                                 initargs=(config, opt)) as pool:
-            reports = list(pool.map(_run_batch_trial, range(config.trials)))
+        reports = _run_parallel(config, opt)
     else:
-        reports = [_run_single_trial((config, i, opt)) for i in range(config.trials)]
+        reports = _run_chunk(config, opt, range(config.trials))
     reports.sort(key=lambda rep: rep.index)
     return summarize(config, reports)
 
@@ -232,6 +271,7 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
     trials = len(reports)
     counts = {name: sum(1 for r in reports if r.flags[name]) for name in FLAGS}
     samples = [r.total_samples for r in reports]
+    failed = [r for r in reports if r.error is not None]
     per_arm_mean: list[float] = []
     if reports:
         stacked = np.array([r.per_arm for r in reports], dtype=np.float64)
@@ -245,7 +285,8 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
         "trials": trials,
         "seed": config.seed,
         "constants": config.profile.name,
-        "failures": sum(1 for r in reports if r.error is not None),
+        "failures": len(failed),
+        "failures_by_guard": dict(sorted(Counter(r.guard for r in failed).items())),
         "success": {
             name: {
                 "count": counts[name],

@@ -24,7 +24,7 @@ from .matroids import (
     TransversalMatroid,
     UniformMatroid,
 )
-from .sampling import Arm, SamplingSession, bernoulli, point, trial_seed
+from .sampling import Arm, ArmTable, SamplingSession, bernoulli, point, trial_seed
 
 SCHEMA_VERSION = 1
 
@@ -68,10 +68,11 @@ def _arm_from_entry(entry) -> Arm:
     return Arm(kind, mean)
 
 
-def _arm_to_entry(arm: Arm):
-    if arm.kind == "scaled":
-        return [arm.kind, arm.mean, list(arm.support)]
-    return [arm.kind, arm.mean]
+def _arm_entries(arms: ArmTable) -> list:
+    return [
+        [kind, mean] if support is None else [kind, mean, list(support)]
+        for kind, mean, support in zip(arms.kinds, arms.means, arms.supports)
+    ]
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class Instance:
 
     name: str
     matroid: Matroid
-    arms: tuple[Arm, ...]
+    arms: ArmTable
     matroid_config: dict
     notes: str = ""
     gap_floor: float | None = None
@@ -92,7 +93,7 @@ class Instance:
 
     @property
     def true_means(self) -> tuple[float, ...]:
-        return tuple(arm.mean for arm in self.arms)
+        return self.arms.means
 
     def trial_session(self, master_seed: int, trial_index: int,
                       max_pulls: int | None = None) -> SamplingSession:
@@ -102,14 +103,14 @@ class Instance:
 
     def with_point_mass_arms(self) -> "Instance":
         return replace(self, name=f"{self.name}-pointmass",
-                       arms=tuple(point(arm.mean) for arm in self.arms))
+                       arms=ArmTable.from_arms(point(mu) for mu in self.arms.means))
 
     def to_config(self) -> dict:
         cfg = {
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "matroid": self.matroid_config,
-            "arms": [_arm_to_entry(a) for a in self.arms],
+            "arms": _arm_entries(self.arms),
         }
         if self.notes:
             cfg["notes"] = self.notes
@@ -129,12 +130,12 @@ def make_instance(
     allow_ties: bool = False,
 ) -> Instance:
     matroid = matroid_from_config(matroid_config)
-    arms = tuple(arms)
+    arms = ArmTable.from_arms(arms)
     if len(arms) != matroid.size:
         raise ValidationError(
             f"{len(arms)} arms for a matroid over {matroid.size} elements"
         )
-    means = [a.mean for a in arms]
+    means = arms.means
     for mu in means:
         if not 0.0 < mu < 1.0:
             raise ValidationError(f"instance means must lie in (0, 1); got {mu}")

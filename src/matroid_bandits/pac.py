@@ -120,7 +120,7 @@ def _sample_prune(
     transcript: list[PruneLevel],
 ) -> ElementSet:
     if depth > profile.max_depth:
-        raise BudgetError(f"recursion depth guard {profile.max_depth} exceeded")
+        raise BudgetError(f"recursion depth guard {profile.max_depth} exceeded", "depth")
     ground = m.ground
     k = m.full_rank
     if k == 0 or len(ground) <= profile.base_case_bound(delta, k):

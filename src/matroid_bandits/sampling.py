@@ -1,16 +1,17 @@
 """Stochastic arm environment with exact per-arm sample accounting.
 
-A :class:`SamplingSession` owns the RNG and the pull ledger for one trial.
-Algorithms draw only through ``uniform_sample`` (a set of arms, a fixed
-count each) and ``random_subset``; true means stay on the instance side.
-``pull_batch`` is the per-arm reference that tests pin ``uniform_sample``
-against.
+An :class:`ArmTable` holds an instance's arms as columns. A
+:class:`SamplingSession` reads one and owns the RNG and the pull ledger for
+one trial. Algorithms draw only through ``uniform_sample`` (a set of arms, a
+fixed count each) and ``random_subset``; true means stay on the instance
+side. ``pull_batch`` is the per-arm reference that tests pin
+``uniform_sample`` against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,11 @@ POINT = "point"
 
 @dataclass(frozen=True)
 class Arm:
-    """One reward source: Bernoulli, two-point scaled Bernoulli, or point mass."""
+    """One reward source: Bernoulli, two-point scaled Bernoulli, or point mass.
+
+    The validated record that instance files and constructors use; instances
+    and sessions hold their arms as an :class:`ArmTable`.
+    """
 
     kind: str
     mean: float
@@ -63,6 +68,50 @@ def scaled(lo: float, hi: float, mean: float) -> Arm:
     return Arm(SCALED, mean, (lo, hi))
 
 
+@dataclass(frozen=True)
+class ArmTable:
+    """Arms as columns: a kind, a mean and a support (or None) per arm id.
+
+    ``q`` is each arm's binomial success probability, computed once per
+    table; a point mass takes no draw and has q = 0. Columns pickle as a few
+    flat objects, where one ``Arm`` per arm would pickle as a record each.
+    """
+
+    kinds: tuple[str, ...]
+    means: tuple[float, ...]
+    supports: tuple[tuple[float, float] | None, ...]
+    q: np.ndarray = field(compare=False, repr=False)
+
+    @classmethod
+    def from_arms(cls, arms: Iterable[Arm]) -> "ArmTable":
+        arms = tuple(arms)
+        kinds = tuple([arm.kind for arm in arms])
+        means = tuple([arm.mean for arm in arms])
+        supports = tuple([arm.support for arm in arms])
+        q = np.array(means, dtype=np.float64)  # a Bernoulli arm's q is its mean
+        if kinds.count(BERNOULLI) < len(kinds):
+            for e, kind in enumerate(kinds):
+                if kind == SCALED:
+                    lo, hi = supports[e]
+                    q[e] = (means[e] - lo) / (hi - lo)
+                elif kind == POINT:
+                    q[e] = 0.0
+        return cls(kinds, means, supports, q)
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+    def batch_mean(self, e: int, count: int, hits: int) -> float:
+        """Mean of ``count`` pulls of arm ``e`` with ``hits`` successes."""
+        kind = self.kinds[e]
+        if kind == POINT:
+            return self.means[e]
+        if kind == BERNOULLI:
+            return hits / count
+        lo, hi = self.supports[e]
+        return (lo * (count - hits) + hi * hits) / count
+
+
 def _validate(eps: float, delta: float) -> None:
     """Accuracy and confidence checks shared by every sampling algorithm."""
     if not eps > 0:
@@ -76,7 +125,8 @@ def ceil_pulls(formula: Callable[[], float]) -> int:
     try:
         return max(1, math.ceil(formula()))
     except OverflowError:
-        raise BudgetError("pull count overflows a float; the batch is not drawable") from None
+        raise BudgetError("pull count overflows a float; the batch is not drawable",
+                          "drawability") from None
 
 
 def sample_size(eps: float, delta: float) -> int:
@@ -95,14 +145,12 @@ class SamplingSession:
 
     def __init__(
         self,
-        arms: Sequence[Arm],
+        arms: ArmTable | Sequence[Arm],
         seed: int | SeedSequence,
         max_pulls: int | None = None,
     ):
-        self._arms = tuple(arms)
+        self._arms = arms if isinstance(arms, ArmTable) else ArmTable.from_arms(arms)
         self._rng = default_rng(seed)
-        # success probability of each stochastic arm's binomial draw
-        self._q = np.array([_success_prob(arm) for arm in self._arms], dtype=np.float64)
         # plain Python ints: pull counts can exceed int64 in deep rounds
         self._pulls = [0] * len(self._arms)
         self._total = 0
@@ -115,17 +163,16 @@ class SamplingSession:
     def pull_counts(self) -> list[int]:
         return list(self._pulls)
 
-    def _check_arm(self, e: int) -> Arm:
+    def _check_arm(self, e: int) -> None:
         if not 0 <= e < len(self._arms):
             raise DomainError(f"unknown arm {e}")
-        return self._arms[e]
 
     def _check_batch(self, count: int, arms: int, stochastic: bool) -> None:
         """Refuse ``count`` pulls of ``arms`` arms, undrawable or over budget, before any draw."""
         if stochastic and count > 2**62:
-            raise BudgetError(f"batch of {count} stochastic pulls is not drawable")
+            raise BudgetError(f"batch of {count} stochastic pulls is not drawable", "drawability")
         if self._max_pulls is not None and self._total + arms * count > self._max_pulls:
-            raise BudgetError(f"pull budget {self._max_pulls} exhausted")
+            raise BudgetError(f"pull budget {self._max_pulls} exhausted", "budget")
 
     def pull_batch(self, e: int, count: int) -> float:
         """Pull ``count`` fresh samples of one arm; return the batch mean.
@@ -138,12 +185,14 @@ class SamplingSession:
         """
         if count < 1:
             raise DomainError("batch size must be >= 1")
-        arm = self._check_arm(e)
-        self._check_batch(count, 1, arm.kind != POINT)
-        hits = 0 if arm.kind == POINT else int(self._rng.binomial(count, self._q[e]))
+        self._check_arm(e)
+        arms = self._arms
+        stochastic = arms.kinds[e] != POINT
+        self._check_batch(count, 1, stochastic)
+        hits = int(self._rng.binomial(count, arms.q[e])) if stochastic else 0
         self._pulls[e] += count
         self._total += count
-        return _batch_value(arm, count, hits)
+        return arms.batch_mean(e, count, hits)
 
     def uniform_sample(self, elements: Iterable[int], count: int) -> dict[int, float]:
         """Pull every element exactly ``count`` fresh times; return the batch means.
@@ -160,14 +209,14 @@ class SamplingSession:
         for e in ordered[:1] + ordered[-1:]:  # the ends bound every id
             self._check_arm(e)
         arms = self._arms
-        stochastic = [e for e in ordered if arms[e].kind != POINT]
+        kinds = arms.kinds
+        stochastic = [e for e in ordered if kinds[e] != POINT]
         self._check_batch(count, len(ordered), bool(stochastic))
-        hits = iter(self._rng.binomial(count, self._q[stochastic]).tolist() if stochastic else ())
+        hits = iter(self._rng.binomial(count, arms.q[stochastic]).tolist() if stochastic else ())
         means = {}
         pulls = self._pulls
         for e in ordered:
-            arm = arms[e]
-            means[e] = _batch_value(arm, count, 0 if arm.kind == POINT else next(hits))
+            means[e] = arms.batch_mean(e, count, 0 if kinds[e] == POINT else next(hits))
             pulls[e] += count
         self._total += len(ordered) * count
         return means
@@ -179,26 +228,6 @@ class SamplingSession:
         ordered = sorted(set(elements))
         draws = self._rng.random(len(ordered))
         return frozenset(e for e, u in zip(ordered, draws.tolist()) if u < p)
-
-
-def _success_prob(arm: Arm) -> float:
-    """The binomial draw's success probability; 0 for a point mass, which takes none."""
-    if arm.kind == POINT:
-        return 0.0
-    if arm.kind == BERNOULLI:
-        return arm.mean
-    lo, hi = arm.support
-    return (arm.mean - lo) / (hi - lo)
-
-
-def _batch_value(arm: Arm, count: int, hits: int) -> float:
-    """Mean of a batch of ``count`` pulls with ``hits`` successes."""
-    if arm.kind == POINT:
-        return arm.mean
-    if arm.kind == BERNOULLI:
-        return hits / count
-    lo, hi = arm.support
-    return (lo * (count - hits) + hi * hits) / count
 
 
 def trial_seed(master_seed: int, trial_index: int) -> SeedSequence:

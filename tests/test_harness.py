@@ -1,15 +1,22 @@
 import dataclasses
 import json
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from matroid_bandits import harness
 from matroid_bandits.cli import main
-from matroid_bandits.errors import CapacityError, ConfigError, InvariantError, ValidationError
+from matroid_bandits.errors import (
+    BudgetError, CapacityError, ConfigError, InvariantError, ValidationError,
+)
 from matroid_bandits.harness import (
     ALGORITHMS,
     RunConfig,
@@ -33,8 +40,8 @@ from matroid_bandits.instances import (
 )
 from matroid_bandits.matroids import GraphicMatroid, UniformMatroid
 from matroid_bandits.oracle import gap_profile
-from matroid_bandits.pac import DESK, PAPER
-from matroid_bandits.sampling import bernoulli
+from matroid_bandits.pac import DESK, PAPER, ConstantsProfile
+from matroid_bandits.sampling import ArmTable, bernoulli, point, scaled
 
 
 def test_builtin_prop1_values():
@@ -46,14 +53,21 @@ def test_builtin_prop1_values():
 
 
 def test_instance_file_round_trip(tmp_path):
-    inst = builtin("graphic_k4")
-    path = tmp_path / "inst.json"
-    save_instance(inst, path)
-    loaded = load_instance(path)
-    assert loaded.to_config() == inst.to_config()
-    assert loaded.true_means == inst.true_means
-    assert loaded.matroid.full_rank == inst.matroid.full_rank
-    assert resolve_instance(str(path)).name == inst.name
+    mixed = make_instance("mixed", {"family": "uniform", "n": 3, "k": 1},
+                          [bernoulli(0.3), point(0.2), scaled(0.1, 0.9, 0.25)])
+    assert mixed.to_config()["arms"] == [
+        ["bernoulli", 0.3], ["point", 0.2], ["scaled", 0.25, [0.1, 0.9]],
+    ]
+    for inst in (builtin("graphic_k4"), mixed):
+        path, again = tmp_path / "inst.json", tmp_path / "again.json"
+        save_instance(inst, path)
+        loaded = load_instance(path)
+        assert loaded.to_config() == inst.to_config()
+        assert loaded.true_means == inst.true_means
+        assert loaded.matroid.full_rank == inst.matroid.full_rank
+        assert resolve_instance(str(path)).name == inst.name
+        save_instance(loaded, again)  # a loaded instance saves the same bytes
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_instance_validation_errors():
@@ -172,6 +186,7 @@ def test_point_mass_runs_succeed_everywhere():
     result = run_trials(config)
     assert result["summary"]["success"]["exact"]["rate"] == 1.0
     assert result["summary"]["failures"] == 0
+    assert result["summary"]["failures_by_guard"] == {}
 
 
 def test_success_flags_reject_non_basis():
@@ -206,8 +221,8 @@ def test_reports_are_deterministic_and_jobs_invariant(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
     assert not (tmp_path / "a.trace.jsonl").exists()  # only a traced run writes one
 
-    # recursive pac runs on 300 arms, traced: workers get the batch once and
-    # each trial by index, and must still produce the serial reports and traces
+    # recursive pac runs on 300 arms, traced: each worker gets the batch and
+    # its share of the indices, and must still produce the serial reports and traces
     big = big_uniform_instance(300, 5, seed=4)
 
     def produce_traced(path, jobs):
@@ -238,7 +253,7 @@ def test_broken_invariant_aborts_the_batch():
     # make_instance rejects loops, so the looped instance is built directly
     edges = [(0, 0), (0, 1)]
     loopy = Instance(
-        "loopy", GraphicMatroid(2, edges), (bernoulli(0.4), bernoulli(0.6)),
+        "loopy", GraphicMatroid(2, edges), ArmTable.from_arms([bernoulli(0.4), bernoulli(0.6)]),
         {"family": "graphic", "num_vertices": 2, "edges": [list(e) for e in edges]},
     )
     config = RunConfig(loopy, "exact", 0.1, 0.1, 2, 0, PAPER)
@@ -362,3 +377,114 @@ def test_cli_run_on_instance_file(tmp_path):
     ])
     assert code == 0
     assert json.loads(out.read_text())["summary"]["instance"] == inst.name
+
+
+def test_tied_means_are_a_typed_error_for_gaps_and_a_noted_skip_for_verify(tmp_path, capsys):
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(dict(_TWO_ARMS, allow_ties=True,
+                                    arms=[["bernoulli", 0.5], ["bernoulli", 0.5]])))
+    assert main(["gaps", "--instance", str(path)]) == 1
+    assert capsys.readouterr().err == "error: weights must be pairwise distinct\n"
+    assert main(["verify", "--instance", str(path)]) == 0
+    assert "PASS greedy_equals_brute_force (skipped (means tie))" in capsys.readouterr().out
+
+
+_NEEDLE_PAIR = ({"family": "uniform", "n": 2, "k": 1}, [0.5, 0.5 + 1e-7])
+_NEEDLE_TRIPLE = ({"family": "uniform", "n": 3, "k": 2}, [0.5, 0.5 + 1e-7, 0.5 + 2e-7])
+
+
+@pytest.mark.parametrize("guard, instance, algo, eps, profile", [
+    ("budget", builtin("prop1"), "exact", 0.1, dataclasses.replace(PAPER, pull_budget=10)),
+    ("drawability", builtin("prop1"), "naive1", 1e-200, PAPER),  # the count overflows a float
+    ("drawability", builtin("prop1"), "naive1", 1e-10, PAPER),  # more than 2**62 pulls
+    ("depth", builtin("prop1").with_point_mass_arms(), "pac", 0.1,
+     ConstantsProfile("tiny", sample_prob=0.5, base_mult=0.0, base_log_coef=1.0, max_depth=3)),
+    ("elimination_round", make_instance("needle", _NEEDLE_PAIR[0], map(point, _NEEDLE_PAIR[1])),
+     "exact", 0.1, dataclasses.replace(DESK, round_guard=5)),
+    ("selection_round", make_instance("needle", _NEEDLE_TRIPLE[0], map(point, _NEEDLE_TRIPLE[1])),
+     "exact", 0.1, dataclasses.replace(DESK, round_guard=5)),
+], ids=["budget", "drawability-overflow", "drawability-2**62", "depth", "elimination-round",
+        "selection-round"])
+def test_failures_are_counted_by_guard(guard, instance, algo, eps, profile):
+    result = run_trials(RunConfig(instance, algo, eps, 0.1, 3, 0, profile))
+    assert result["summary"]["failures"] == 3
+    assert result["summary"]["failures_by_guard"] == {guard: 3}
+    assert all(rep.guard == guard for rep in result["reports"])
+    # the guard survives pickling, as a BudgetError crossing a process would
+    exc = pickle.loads(pickle.dumps(BudgetError("message", guard)))
+    assert (str(exc), exc.guard) == ("message", guard)
+
+
+def _body(result) -> str:
+    """A batch's report without its timings."""
+    payload = {"summary": result["summary"], "trials": [r.to_json() for r in result["reports"]]}
+    return json.dumps(_scrub(payload), sort_keys=True)
+
+
+def _serial_and_parallel(config, jobs):
+    serial = _body(run_trials(dataclasses.replace(config, jobs=1)))
+    return serial, _body(run_trials(dataclasses.replace(config, jobs=jobs)))
+
+
+def test_pool_serves_back_to_back_batches_like_the_serial_path():
+    # a worker that kept a stale batch would answer the next one from it
+    batches = [
+        RunConfig(builtin("prop1"), "pac", 0.1, 0.1, 6, 3, DESK),
+        RunConfig(builtin("ladder10"), "exact", 0.1, 0.1, 5, 4, DESK),
+        RunConfig(big_uniform_instance(300, 5), "avgpac", 0.1, 0.1, 4, 5, DESK),
+    ]
+    serial = [_body(run_trials(config)) for config in batches]
+    parallel = [_body(run_trials(dataclasses.replace(config, jobs=2))) for config in batches]
+    assert parallel == serial
+
+
+def test_pool_is_reused_and_replaced_when_jobs_changes():
+    config = RunConfig(builtin("partition6"), "pac", 0.1, 0.1, 5, 8, DESK)
+    for jobs in (2, 3, 2):
+        serial, parallel = _serial_and_parallel(config, jobs)
+        assert parallel == serial
+        jobs_now, pool = harness._pool
+        assert jobs_now == jobs
+        serial, parallel = _serial_and_parallel(config, jobs)
+        assert parallel == serial
+        assert harness._pool[1] is pool  # the same jobs keeps the pool
+    run_trials(dataclasses.replace(config, jobs=3))
+    with pytest.raises(RuntimeError, match="shutdown"):  # the replaced pool was shut down
+        pool.submit(os.getpid)
+
+
+@pytest.mark.parametrize("trials, jobs", [(2, 3), (1, 2)])
+def test_parallel_batches_smaller_than_the_pool(trials, jobs):
+    config = RunConfig(builtin("graphic_k4"), "exact", 0.1, 0.1, trials, 2, DESK)
+    serial, parallel = _serial_and_parallel(config, jobs)
+    assert parallel == serial
+    assert len(json.loads(parallel)["trials"]) == trials
+
+
+def _wait_until_dead(pid: int, timeout: float = 10.0) -> None:
+    """Return once ``pid`` has exited (a zombie counts); fail after ``timeout`` seconds."""
+    stat = Path(f"/proc/{pid}/stat")
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            if stat.read_text().rsplit(")", 1)[1].split()[0] == "Z":
+                return
+        except FileNotFoundError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"worker {pid} still alive after {timeout} s")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+def test_killed_worker_breaks_one_batch_and_the_next_starts_a_fresh_pool():
+    config = RunConfig(builtin("ladder10"), "pac", 0.1, 0.1, 6, 1, DESK)
+    serial, parallel = _serial_and_parallel(config, 2)
+    assert parallel == serial
+    pid = harness._pool[1].submit(os.getpid).result(timeout=30)
+    os.kill(pid, signal.SIGKILL)
+    _wait_until_dead(pid)
+    with pytest.raises(BrokenProcessPool):
+        run_trials(dataclasses.replace(config, jobs=2))
+    assert harness._pool is None
+    serial, parallel = _serial_and_parallel(config, 2)
+    assert parallel == serial

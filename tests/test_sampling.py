@@ -1,4 +1,6 @@
+import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_bandits.errors import BudgetError, DomainError, ValidationError
+from matroid_bandits.instances import big_uniform_instance, builtin
 from matroid_bandits.sampling import (
     Arm,
+    ArmTable,
     SamplingSession,
     bernoulli,
     point,
@@ -30,6 +34,43 @@ def test_arm_validation():
         scaled(0.2, 0.4, 0.5)  # mean outside support
     with pytest.raises(ValidationError):
         Arm("point", 0.5, (0.1, 0.9))
+
+
+def test_arm_table_columns():
+    table = ArmTable.from_arms([bernoulli(0.3), point(0.2), scaled(0.2, 0.9, 0.5)])
+    assert table.kinds == ("bernoulli", "point", "scaled")
+    assert table.means == (0.3, 0.2, 0.5)
+    assert table.supports == (None, None, (0.2, 0.9))
+    assert table.q.tolist() == [0.3, 0.0, (0.5 - 0.2) / (0.9 - 0.2)]
+    assert len(table) == 3
+
+
+def test_pickled_instance_holds_columns_and_draws_alike():
+    inst = big_uniform_instance(5000, 20, seed=0)
+    classes = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            classes.add(name)
+            return super().find_class(module, name)
+
+    copy = Recorder(io.BytesIO(pickle.dumps(inst))).load()
+    assert "ArmTable" in classes and "Arm" not in classes
+    assert copy.true_means == inst.true_means
+    assert copy.arms == inst.arms
+
+    def draw(instance):
+        return instance.trial_session(4, 2).uniform_sample(range(0, 5000, 7), 50)
+
+    assert draw(copy) == draw(inst)
+
+
+def test_point_mass_instance_draws_nothing():
+    inst = builtin("ladder10").with_point_mass_arms()
+    assert set(inst.arms.kinds) == {"point"} and not inst.arms.q.any()
+    session = inst.trial_session(0, 0)
+    assert session.uniform_sample(range(10), 10**6) == dict(enumerate(inst.true_means))
+    assert _next_draws(session) == _next_draws(inst.trial_session(0, 0))
 
 
 def test_point_mass_pull_is_exact():

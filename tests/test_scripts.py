@@ -29,3 +29,9 @@ def test_run_success_rates_writes_every_builtin_and_algorithm(tmp_path):
     rows = json.loads(out.read_text())
     assert len(rows) == 30  # 6 builtins x 5 algorithms
     assert {"instance", "algo", "exact", "eps_optimal", "samples_median"} <= set(rows[0])
+    # the 30 batches at --jobs 2 share one worker pool and give the same rows
+    parallel = tmp_path / "rates_jobs2.json"
+    done = _run_script("run_success_rates.py", "--trials", "2", "--jobs", "2",
+                       "--out", str(parallel), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(parallel.read_text()) == rows
