@@ -153,7 +153,7 @@ def _run_single_trial(config: RunConfig, index: int, opt) -> TrialReport:
         algo=config.algo,
         basis=basis,
         total_samples=session.total_samples,
-        per_arm=tuple(int(x) for x in session.pull_counts()),
+        per_arm=tuple(session.pull_counts()),
         flags=flags,
         error=error,
         wall_time=elapsed,
@@ -275,7 +275,7 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
     per_arm_mean: list[float] = []
     if reports:
         stacked = np.array([r.per_arm for r in reports], dtype=np.float64)
-        per_arm_mean = [float(x) for x in stacked.mean(axis=0)]
+        per_arm_mean = stacked.mean(axis=0).tolist()
     summary = {
         "schema_version": 1,
         "instance": config.instance.name,
@@ -303,18 +303,26 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
 
 
 def write_report(result: dict, out_path) -> None:
-    """JSON report plus a CSV summary row; a traced run's records go to a sidecar .jsonl."""
+    """JSON report plus a CSV summary row; a traced run's records go to a sidecar .jsonl.
+
+    The report is one JSON object, ``{"summary": ..., "trials": [...]}``,
+    written piece by piece: the summary on the first line, then one trial
+    per line, so that no string of the whole document is ever built.
+    """
     out_path = Path(out_path)
     summary = result["summary"]
     reports: list[TrialReport] = result["reports"]
-    payload = {
-        "summary": summary,
-        "trials": [r.to_json() for r in reports],
-    }
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write('{"summary": ')
+        handle.write(json.dumps(summary, sort_keys=True))
+        handle.write(',\n"trials": [')
+        separator = "\n"
+        for rep in reports:
+            handle.write(separator)
+            handle.write(json.dumps(rep.to_json(), sort_keys=True))
+            separator = ",\n"
+        handle.write("\n]}\n")
 
     csv_path = out_path.with_suffix(".csv")
     row = {key: summary[key] for key in (

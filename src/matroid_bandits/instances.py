@@ -24,7 +24,9 @@ from .matroids import (
     TransversalMatroid,
     UniformMatroid,
 )
-from .sampling import Arm, ArmTable, SamplingSession, bernoulli, point, trial_seed
+from .sampling import (
+    BERNOULLI, POINT, SCALED, Arm, ArmTable, SamplingSession, bernoulli, point, trial_seed,
+)
 
 SCHEMA_VERSION = 1
 
@@ -59,12 +61,17 @@ def matroid_from_config(cfg: dict) -> Matroid:
     raise ValidationError(f"unknown matroid family {family!r}")
 
 
+# A file's kind strings mapped onto the module constants, so that a loaded
+# table shares one string per kind, as a generated one does.
+_KINDS = {kind: kind for kind in (BERNOULLI, SCALED, POINT)}
+
+
 def _arm_from_entry(entry) -> Arm:
-    kind = entry[0]
+    kind = _KINDS.get(entry[0], entry[0])  # Arm rejects a kind not found here
     mean = float(entry[1])
-    if kind == "scaled":
+    if kind == SCALED:
         lo, hi = entry[2]
-        return Arm("scaled", mean, (float(lo), float(hi)))
+        return Arm(SCALED, mean, (float(lo), float(hi)))
     return Arm(kind, mean)
 
 

@@ -73,14 +73,17 @@ class ArmTable:
     """Arms as columns: a kind, a mean and a support (or None) per arm id.
 
     ``q`` is each arm's binomial success probability, computed once per
-    table; a point mass takes no draw and has q = 0. Columns pickle as a few
-    flat objects, where one ``Arm`` per arm would pickle as a record each.
+    table; a point mass takes no draw and has q = 0. ``all_bernoulli`` says
+    whether every arm is Bernoulli, also decided once per table. Columns
+    pickle as a few flat objects, where one ``Arm`` per arm would pickle as a
+    record each.
     """
 
     kinds: tuple[str, ...]
     means: tuple[float, ...]
     supports: tuple[tuple[float, float] | None, ...]
     q: np.ndarray = field(compare=False, repr=False)
+    all_bernoulli: bool = field(compare=False, repr=False)
 
     @classmethod
     def from_arms(cls, arms: Iterable[Arm]) -> "ArmTable":
@@ -89,14 +92,15 @@ class ArmTable:
         means = tuple([arm.mean for arm in arms])
         supports = tuple([arm.support for arm in arms])
         q = np.array(means, dtype=np.float64)  # a Bernoulli arm's q is its mean
-        if kinds.count(BERNOULLI) < len(kinds):
+        all_bernoulli = kinds.count(BERNOULLI) == len(kinds)
+        if not all_bernoulli:
             for e, kind in enumerate(kinds):
                 if kind == SCALED:
                     lo, hi = supports[e]
                     q[e] = (means[e] - lo) / (hi - lo)
                 elif kind == POINT:
                     q[e] = 0.0
-        return cls(kinds, means, supports, q)
+        return cls(kinds, means, supports, q, all_bernoulli)
 
     def __len__(self) -> int:
         return len(self.means)
@@ -210,13 +214,19 @@ class SamplingSession:
             self._check_arm(e)
         arms = self._arms
         kinds = arms.kinds
-        stochastic = [e for e in ordered if kinds[e] != POINT]
+        stochastic = ordered if arms.all_bernoulli else [e for e in ordered if kinds[e] != POINT]
         self._check_batch(count, len(ordered), bool(stochastic))
-        hits = iter(self._rng.binomial(count, arms.q[stochastic]).tolist() if stochastic else ())
-        means = {}
+        draws = self._rng.binomial(count, arms.q[stochastic]) if stochastic else None
+        if arms.all_bernoulli and count <= 2**53 and stochastic:
+            # hits and count are exact in float64 here, so each quotient is
+            # rounded once, as Python's hits / count is
+            means = dict(zip(ordered, (draws / count).tolist()))
+        else:
+            hits = iter(draws.tolist() if stochastic else ())
+            means = {e: arms.batch_mean(e, count, 0 if kinds[e] == POINT else next(hits))
+                     for e in ordered}
         pulls = self._pulls
         for e in ordered:
-            means[e] = arms.batch_mean(e, count, 0 if kinds[e] == POINT else next(hits))
             pulls[e] += count
         self._total += len(ordered) * count
         return means

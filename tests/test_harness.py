@@ -275,6 +275,30 @@ def test_csv_header_row(tmp_path):
     assert not rest
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 0, 0, PAPER),
+    RunConfig(builtin("prop1"), "exact", 0.1, 0.1, 3, 0,
+              dataclasses.replace(PAPER, pull_budget=10)),
+    RunConfig(big_uniform_instance(300, 5, seed=4), "pac", 0.1, 0.1, 4, 7, DESK, trace=True),
+], ids=["no-trials", "budget-failed", "traced"])
+def test_report_is_the_summary_and_one_trial_per_line(config, tmp_path):
+    out = tmp_path / "report.json"
+    result = run_trials(config)
+    reports = result["reports"]
+    write_report(result, out)
+    text = out.read_text()
+    parsed = json.loads(text)
+    assert parsed == {"summary": result["summary"], "trials": [r.to_json() for r in reports]}
+    assert json.dumps(parsed) == json.dumps(parsed, sort_keys=True)  # every object key-sorted
+    first, opening, *trials, closing = text.splitlines()
+    assert first.startswith('{"summary": {') and first.endswith("},")
+    assert (opening, closing) == ('"trials": [', "]}")
+    assert [json.loads(line.removesuffix(",")) for line in trials] == parsed["trials"]
+    assert out.with_suffix(".trace.jsonl").exists() == config.trace
+    starved = config.algo == "exact"  # every trial of that batch runs out of pulls
+    assert parsed["summary"]["failures_by_guard"] == ({"budget": 3} if starved else {})
+
+
 def test_binomial_lcb_behaviour():
     assert binomial_lcb(0, 100) == 0.0
     assert binomial_lcb(0, 0) == 0.0

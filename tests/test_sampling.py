@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroid_bandits.errors import BudgetError, DomainError, ValidationError
-from matroid_bandits.instances import big_uniform_instance, builtin
+from matroid_bandits.instances import (
+    big_uniform_instance, builtin, load_instance, make_instance, save_instance,
+)
 from matroid_bandits.sampling import (
     Arm,
     ArmTable,
@@ -63,6 +65,18 @@ def test_pickled_instance_holds_columns_and_draws_alike():
         return instance.trial_session(4, 2).uniform_sample(range(0, 5000, 7), 50)
 
     assert draw(copy) == draw(inst)
+
+
+def test_loaded_table_shares_the_kind_constants(tmp_path):
+    arms = [bernoulli(0.2), scaled(0.1, 0.9, 0.5), point(0.7), bernoulli(0.6)]
+    made = make_instance("mixed", {"family": "uniform", "n": 4, "k": 2}, arms)
+    for inst in (made, big_uniform_instance(5000, 20, seed=0)):
+        path = tmp_path / f"{inst.name}.json"
+        save_instance(inst, path)
+        loaded = load_instance(path).arms
+        assert all(a is b for a, b in zip(loaded.kinds, inst.arms.kinds))
+        assert loaded == inst.arms and loaded.all_bernoulli == inst.arms.all_bernoulli
+        assert len(pickle.dumps(loaded)) == len(pickle.dumps(inst.arms))
 
 
 def test_point_mass_instance_draws_nothing():
@@ -282,6 +296,22 @@ def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
         assert vector.pull_counts() == scalar.pull_counts()
         assert vector.total_samples == scalar.total_samples
         # the generator is left where the per-arm draws leave it
+        assert _next_draws(vector) == _next_draws(scalar)
+
+
+def test_all_bernoulli_uniform_sample_draws_what_pull_batch_per_arm_draws():
+    # every arm Bernoulli: the means come from one array division up to 2**53
+    # pulls, and from the per-arm path above it
+    arms = [bernoulli(mu) for mu in (0.0, 0.013, 0.3, 1 / 3, 0.5, 0.61, 0.77, 0.9, 0.999, 1.0)]
+    assert ArmTable.from_arms(arms).all_bernoulli
+    for count in (1, 19, 185, 2**53, 2**53 + 1, 2**62):
+        vector = SamplingSession(arms, seed=5)
+        scalar = SamplingSession(arms, seed=5)
+        means = vector.uniform_sample([9, 3, 0, 1, 2, 4, 5, 6, 7, 8, 3], count)
+        assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
+        assert list(means) == sorted(means)
+        assert vector.pull_counts() == scalar.pull_counts() == [count] * len(arms)
+        assert vector.total_samples == scalar.total_samples
         assert _next_draws(vector) == _next_draws(scalar)
 
 
