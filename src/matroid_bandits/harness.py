@@ -238,15 +238,16 @@ def binomial_lcb(successes: int, trials: int, confidence: float = 0.95) -> float
     return mid
 
 
-def _quantiles(values) -> dict:
+def _quantiles(values: list[int]) -> dict:
+    """Exact ``min`` and ``max`` of the Python ints; float ``median`` and ``p90``."""
     if not values:
         return {"min": 0, "median": 0, "p90": 0, "max": 0}
     arr = np.asarray(values, dtype=np.float64)
     return {
-        "min": int(arr.min()),
+        "min": min(values),
         "median": float(np.median(arr)),
         "p90": float(np.quantile(arr, 0.9)),
-        "max": int(arr.max()),
+        "max": max(values),
     }
 
 

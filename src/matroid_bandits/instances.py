@@ -214,6 +214,8 @@ def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     """Top-k instance where every arm's gap is eps up to a small jitter."""
     if not 0 < k < n:
         raise ValidationError("need 0 < k < n")
+    if not eps > 0:
+        raise ValidationError(f"eps must be > 0; got {eps}")
     eta = eps / (20.0 * n)
     top = [0.5 + eps / 2.0 + i * eta for i in range(1, k + 1)]
     bottom = [0.5 - eps / 2.0 - j * eta for j in range(1, n - k + 1)]
@@ -239,6 +241,8 @@ def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> 
     """Gaps grow geometrically from ``min_gap``, cycling to stay inside (0, 1)."""
     if not 0 < k < n:
         raise ValidationError("need 0 < k < n")
+    if not 0 < min_gap < 1:
+        raise ValidationError(f"min_gap must lie in (0, 1); got {min_gap}")
     strata = max(1, int(math.floor(math.log2(0.8 / min_gap))))
     eta = min_gap / (64.0 * n)
     means = []
@@ -272,6 +276,8 @@ def random_means(rng: np.random.Generator, n: int, lo: float = 0.05, hi: float =
 
 
 def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) -> Instance:
+    if num_edges < 0 or (num_edges > 0 and num_vertices < 2):
+        raise ValidationError("need num_edges >= 0, and two vertices for any edge")
     rng = np.random.default_rng(seed)
     edges = []
     # spanning path first so no vertex is stranded, then random extras

@@ -30,7 +30,7 @@ class IndependentSet:
     Elements must lie in the matroid's ground set; callers check that once.
     This generic version asks ``rank`` once per query. A family may subclass
     it with a test that needs no ``rank`` call (a count or a union-find),
-    updating its state in ``_keep``.
+    updating its state in ``_keep``, and count its rank with it.
     """
 
     def __init__(self, m: "Matroid"):
@@ -53,12 +53,13 @@ class IndependentSet:
 
 
 class Matroid:
-    """Base class: a concrete family implements only ``rank`` over its ground set.
+    """Base class: a concrete family implements ``rank``, ``growing`` or both.
 
-    Independence, bases, blocking, loops and the views all derive from
-    ``rank``. A family may also return a faster :class:`IndependentSet` from
-    ``growing``, which greedy, pruning and contraction use. Instances are
-    immutable after construction and safe to share across concurrent workers.
+    Independence, bases, blocking and the views derive from ``rank``; greedy,
+    pruning, loops and contraction from the :class:`IndependentSet` that
+    ``growing`` returns. Partition, laminar and graphic implement only that
+    set and take ``rank = Matroid._grown_rank``. Instances are immutable after
+    construction and safe to share across concurrent workers.
     """
 
     _ground: tuple[int, ...]
@@ -98,6 +99,10 @@ class Matroid:
 
     def rank(self, elements: Iterable[int]) -> int:
         raise NotImplementedError
+
+    def _grown_rank(self, elements: Iterable[int]) -> int:
+        """The number of ``elements`` that a fresh :meth:`growing` set keeps."""
+        return sum(map(self.growing().add, self._as_subset(elements)))
 
     def growing(self) -> IndependentSet:
         """An empty independent set of this matroid, to grow by ``add``."""
@@ -188,33 +193,13 @@ class PartitionMatroid(Matroid):
             caps.append(cap)
         self._init_ground(seen)
         self._caps = tuple(caps)
-        self._group_of = {e: gi for gi, mset in enumerate(members_by_group) for e in mset}
+        self._covers = {e: (gi,) for gi, mset in enumerate(members_by_group) for e in mset}
         self._groups = tuple(members_by_group)
 
-    def rank(self, elements: Iterable[int]) -> int:
-        subset = self._as_subset(elements)
-        counts = [0] * len(self._caps)
-        for e in subset:
-            counts[self._group_of[e]] += 1
-        return sum(min(c, cap) for c, cap in zip(counts, self._caps))
+    rank = Matroid._grown_rank
 
     def growing(self) -> IndependentSet:
-        return _PartitionSet(self)
-
-
-class _PartitionSet(IndependentSet):
-    """A count per group; ``e`` is spanned once its group is full."""
-
-    def __init__(self, m: PartitionMatroid):
-        super().__init__(m)
-        self._counts = [0] * len(m._caps)
-
-    def spans(self, e: int) -> bool:
-        group = self._m._group_of[e]
-        return self._counts[group] >= self._m._caps[group] or e in self._kept
-
-    def _keep(self, e: int) -> None:
-        self._counts[self._m._group_of[e]] += 1
+        return _CappedSet(self)
 
 
 class LaminarMatroid(Matroid):
@@ -250,32 +235,29 @@ class LaminarMatroid(Matroid):
             for e in self._ground
         }
 
-    def rank(self, elements: Iterable[int]) -> int:
-        # Greedy insertion computes the max independent subset of a matroid.
-        subset = self._as_subset(elements)
-        counts = [0] * len(self._family)
-        taken = 0
-        for e in sorted(subset):
-            if all(counts[si] < self._caps[si] for si in self._covers[e]):
-                for si in self._covers[e]:
-                    counts[si] += 1
-                taken += 1
-        return taken
+    rank = Matroid._grown_rank
 
     def growing(self) -> IndependentSet:
-        return _LaminarSet(self)
+        return _CappedSet(self)
 
 
-class _LaminarSet(IndependentSet):
-    """A count per family set; ``e`` is spanned once a set covering it is saturated."""
+class _CappedSet(IndependentSet):
+    """A count per capped set (a partition group or a laminar family set).
 
-    def __init__(self, m: LaminarMatroid):
+    ``e`` is spanned once a set covering it is full; ``m._covers[e]`` lists
+    the indices of those sets and ``m._caps`` their capacities.
+    """
+
+    def __init__(self, m: PartitionMatroid | LaminarMatroid):
         super().__init__(m)
         self._counts = [0] * len(m._caps)
 
     def spans(self, e: int) -> bool:
         counts, caps = self._counts, self._m._caps
-        return any(counts[si] >= caps[si] for si in self._m._covers[e]) or e in self._kept
+        for si in self._m._covers[e]:  # a loop, not any(): no generator per call
+            if counts[si] >= caps[si]:
+                return True
+        return e in self._kept
 
     def _keep(self, e: int) -> None:
         for si in self._m._covers[e]:
@@ -285,8 +267,9 @@ class _LaminarSet(IndependentSet):
 class GraphicMatroid(Matroid):
     """Edges of a multigraph; independent sets are forests.
 
-    Element ``i`` is the ``i``-th edge. Rank queries run union-find over the
-    queried edges only. Self-loops are matroid loops.
+    Element ``i`` is the ``i``-th edge. Self-loops are matroid loops. The
+    vertices that edges touch are numbered once, so that a forest's
+    union-find is no longer than the edge list, whatever ``num_vertices`` is.
     """
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
@@ -297,39 +280,26 @@ class GraphicMatroid(Matroid):
                 raise ValidationError(f"edge ({u}, {v}) has an unknown endpoint")
         self.num_vertices = num_vertices
         self.edges = tuple((int(u), int(v)) for u, v in edges)
+        touched: dict[int, int] = {}
+        self._ends = tuple(
+            (touched.setdefault(u, len(touched)), touched.setdefault(v, len(touched)))
+            for u, v in self.edges
+        )
+        self._num_touched = len(touched)
         self._init_ground(range(len(self.edges)))
 
-    def rank(self, elements: Iterable[int]) -> int:
-        subset = self._as_subset(elements)
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while parent.setdefault(root, root) != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        taken = 0
-        for eid in sorted(subset):
-            u, v = self.edges[eid]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                taken += 1
-        return taken
+    rank = Matroid._grown_rank
 
     def growing(self) -> IndependentSet:
         return _Forest(self)
 
 
 class _Forest(IndependentSet):
-    """Union-find over the vertices; an edge is spanned once its ends are joined."""
+    """Union-find over the touched vertices; an edge is spanned once its ends are joined."""
 
     def __init__(self, m: GraphicMatroid):
         super().__init__(m)
-        self._parent = list(range(m.num_vertices))
+        self._parent = list(range(m._num_touched))
 
     def _find(self, x: int) -> int:
         parent = self._parent
@@ -341,11 +311,11 @@ class _Forest(IndependentSet):
         return root
 
     def spans(self, e: int) -> bool:
-        u, v = self._m.edges[e]
+        u, v = self._m._ends[e]
         return self._find(u) == self._find(v)
 
     def _keep(self, e: int) -> None:
-        u, v = self._m.edges[e]
+        u, v = self._m._ends[e]
         self._parent[self._find(u)] = self._find(v)
 
 
@@ -504,27 +474,25 @@ def unblocked(
     """Keys e of ``thresholds`` not blocked by {a in pool : a != e, weights[a] >= thresholds[e]}.
 
     The pruning step shared by every algorithm and optimality check, done as
-    offline MSF verification: candidates outside the pool are visited by
+    offline MSF verification in one sweep: candidates are visited by
     descending threshold while one :class:`IndependentSet` takes in the pool
-    by descending weight, so each pool element and each such candidate
-    costs one ``add`` or ``spans``. A candidate inside the pool must leave
-    itself out of its blocking set, so it costs one :meth:`Matroid.blocks`.
+    members at or above it (``heavy``) by descending weight. A candidate the
+    set did not keep costs one ``spans``: outside ``heavy`` it is outside its
+    blocking set, and a member the set refused was spanned by heavier ones.
+    A member the set kept must leave itself out, so it costs one
+    :meth:`Matroid.blocks`: at most rank(pool) of them per call.
     """
-    pool_set = m._as_subset(pool)
-    candidates = m._as_subset(thresholds)
-    pool_weights = [(_weight(weights, a), a) for a in pool_set]
-    pending = sorted(pool_weights)  # the heaviest last
+    pending = sorted((_weight(weights, a), a) for a in m._as_subset(pool))  # the heaviest last
     grown = m.growing()
-    kept = set()
-    for e in sorted(candidates - pool_set, key=thresholds.__getitem__, reverse=True):
+    heavy, taken, kept = set(), set(), set()
+    for e in sorted(m._as_subset(thresholds), key=thresholds.__getitem__, reverse=True):
         t = thresholds[e]
         while pending and pending[-1][0] >= t:
-            grown.add(pending.pop()[1])
-        if not grown.spans(e):
-            kept.add(e)
-    for e in candidates & pool_set:
-        t = thresholds[e]
-        if not m.blocks(frozenset(a for w, a in pool_weights if a != e and w >= t), e):
+            a = pending.pop()[1]
+            heavy.add(a)
+            if grown.add(a):
+                taken.add(a)
+        if not (m.blocks(heavy - {e}, e) if e in taken else grown.spans(e)):
             kept.add(e)
     return frozenset(kept)
 

@@ -34,6 +34,7 @@ from matroid_bandits.instances import (
     instance_from_config,
     load_instance,
     make_instance,
+    random_graphic_instance,
     resolve_instance,
     save_instance,
     uniform_gap_instance,
@@ -141,6 +142,26 @@ def test_generators_are_reproducible():
     assert c.to_config() == d.to_config()
     prof = gap_profile(c.matroid, c.true_means)
     assert prof.min_gap() >= 0.05 - 1e-9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_graphic_instance(1, 3),  # extra edges need two vertices: used to hang
+    lambda: random_graphic_instance(0, 1),
+    lambda: random_graphic_instance(5, -1),
+    lambda: geometric_ladder_instance(10, 3, 0.0),
+    lambda: geometric_ladder_instance(10, 3, -0.1),
+    lambda: geometric_ladder_instance(10, 3, float("nan")),
+    lambda: geometric_ladder_instance(10, 3, float("inf")),
+    lambda: uniform_gap_instance(10, 3, -0.1),
+    lambda: uniform_gap_instance(10, 3, float("nan")),
+])
+def test_generators_reject_bad_arguments_before_any_draw(make, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the generator drew before checking its arguments")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValidationError):
+        make()
 
 
 def test_run_config_validation():
@@ -273,6 +294,26 @@ def test_csv_header_row(tmp_path):
     )
     assert row.startswith("prop1,naive1,0.1,0.1,2,0,paper,0,")
     assert not rest
+
+
+def test_sample_extremes_stay_exact_above_two_to_the_53(tmp_path):
+    totals = [7, 2**53 + 1, 2**60 + 3]
+    config = RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, len(totals), 0, PAPER)
+    reports = [
+        harness.TrialReport(i, (0, i), "naive1", (0, 1), total, (total, 0, 0, 0),
+                            dict.fromkeys(harness.FLAGS, True), None, 0.0)
+        for i, total in enumerate(totals)
+    ]
+    result = harness.summarize(config, reports)
+    assert (result["summary"]["samples"]["min"], result["summary"]["samples"]["max"]) == (
+        7, 2**60 + 3)
+    out = tmp_path / "report.json"
+    write_report(result, out)
+    samples = json.loads(out.read_text())["summary"]["samples"]
+    assert (samples["min"], samples["max"]) == (7, 2**60 + 3)
+    header, row = out.with_suffix(".csv").read_text().splitlines()
+    columns = dict(zip(header.split(","), row.split(",")))
+    assert (columns["samples_min"], columns["samples_max"]) == ("7", str(2**60 + 3))
 
 
 @pytest.mark.parametrize("config", [

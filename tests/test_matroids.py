@@ -1,3 +1,6 @@
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from matroid_bandits.errors import DomainError, PreconditionError, ValidationErr
 from matroid_bandits.matroids import (
     GraphicMatroid,
     LaminarMatroid,
+    Matroid,
     PartitionMatroid,
     TransversalMatroid,
     UniformMatroid,
@@ -186,7 +190,28 @@ def _independent_by_definition(family, m, s):
         return len(s) <= m.k
     if family == "partition":
         return all(len(s & group) <= cap for group, cap in zip(m._groups, m._caps))
-    return all(len(s & members) <= cap for members, cap in zip(m._family, m._caps))
+    if family == "laminar":
+        return all(len(s & members) <= cap for members, cap in zip(m._family, m._caps))
+    # graphic: a forest has one edge fewer than vertices in each component it spans
+    neighbours = {}
+    for eid in s:
+        u, v = m.edges[eid]
+        neighbours.setdefault(u, []).append(v)
+        neighbours.setdefault(v, []).append(u)
+    seen = set()
+    for start in neighbours:
+        if start in seen:
+            continue
+        component, queue = {start}, deque([start])
+        while queue:
+            for nxt in neighbours[queue.popleft()]:
+                if nxt not in component:
+                    component.add(nxt)
+                    queue.append(nxt)
+        seen |= component
+        if sum(1 for eid in s if m.edges[eid][0] in component) != len(component) - 1:
+            return False
+    return True
 
 
 def test_is_independent_matches_family_definitions():
@@ -197,7 +222,7 @@ def test_is_independent_matches_family_definitions():
         return frozenset(e for e in pool if rng.random() < p)
 
     outcomes = set()
-    for family in ("uniform", "partition", "laminar"):
+    for family in ("uniform", "partition", "laminar", "graphic"):
         for _ in range(12):
             n = int(rng.integers(2, 10))
             m = random_matroid(rng, family, n)
@@ -341,7 +366,15 @@ def test_greedy_dominates_every_independent_set(weights):
         assert basis_weight(ind, weights) <= best + 1e-12
 
 
-def test_unblocked_matches_per_element_blocks():
+def test_unblocked_matches_per_element_blocks(monkeypatch):
+    blocked_for = []
+    real_blocks = Matroid.blocks
+
+    def counted_blocks(self, elements, e):
+        blocked_for.append(e)
+        return real_blocks(self, elements, e)
+
+    monkeypatch.setattr(Matroid, "blocks", counted_blocks)
     rng = np.random.default_rng(37)
     for family in FAMILY_NAMES:
         for _ in range(8):
@@ -349,16 +382,24 @@ def test_unblocked_matches_per_element_blocks():
             m = random_matroid(rng, family, n, allow_loops=True)
             # a coarse grid makes weights and thresholds tie, probing the >= boundary
             w = (rng.integers(0, 4, size=n) / 4).tolist()
-            pool = frozenset(
-                int(e) for e in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-            )
-            for candidates in (m.ground_set - pool, m.ground_set):
-                thresholds = {e: w[e] + float(rng.choice([-0.25, 0.0, 0.25])) for e in candidates}
-                direct = frozenset(
-                    e for e, t in thresholds.items()
-                    if not m.blocks(frozenset(a for a in pool if a != e and w[a] >= t), e)
-                )
-                assert unblocked(m, pool, w, thresholds) == direct
+            for view, _, _ in _kernel_views(rng, m):
+                ground = view.ground_set
+                pool = frozenset(e for e in ground if rng.random() < 0.5)
+                queries = [
+                    (pool, {e: w[e] + float(rng.choice([-0.25, 0.0, 0.25])) for e in candidates})
+                    for candidates in (ground - pool, ground)
+                ]
+                # the selection shape: the whole ground is both pool and candidates
+                selection = {e: w[e] - float(rng.choice([0.0, 0.25])) for e in ground}
+                queries.append((ground, selection))
+                for pool, thresholds in queries:
+                    direct = frozenset(
+                        e for e, t in thresholds.items()
+                        if not view.blocks(frozenset(a for a in pool if a != e and w[a] >= t), e)
+                    )
+                    blocked_for.clear()
+                    assert unblocked(view, pool, w, thresholds) == direct
+                    assert len(blocked_for) <= view.rank(pool)
 
 
 def _reference_greedy(m, w):
@@ -410,6 +451,19 @@ def test_growing_set_matches_rank_greedy_loops_and_contraction():
                     added.add(e)
                 assert greedy_max_basis(view, w) == _reference_greedy(view, w)
                 assert view.loops() == {e for e in view.ground if view.rank({e}) == 0}
+
+
+def test_graphic_queries_allocate_for_the_edges_not_the_vertices():
+    m = GraphicMatroid(10**6, [(0, 999_999), (999_999, 500_000), (500_000, 0)])
+    tracemalloc.start()
+    try:
+        assert m.rank(m.ground_set) == 2
+        grown = m.growing()
+        assert [grown.add(e) for e in m.ground] == [True, True, False]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("family", ["uniform", "partition", "laminar", "graphic"])
