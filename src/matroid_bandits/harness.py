@@ -343,7 +343,7 @@ def write_report(result: dict, out_path) -> None:
         with open(trace_path, "w", encoding="utf-8") as handle:
             for rep in reports:
                 for record in rep.trace:
-                    line = {"trial": rep.index, **record.to_record()}
+                    line = {"schema_version": 1, "trial": rep.index, **record.to_record()}
                     handle.write(json.dumps(line, sort_keys=True))
                     handle.write("\n")
 

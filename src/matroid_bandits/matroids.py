@@ -12,6 +12,7 @@ ids and never renumbers.
 from __future__ import annotations
 
 import math
+from itertools import filterfalse
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ValidationError
@@ -26,11 +27,13 @@ class IndependentSet:
     """An independent set grown one element at a time; see :meth:`Matroid.growing`.
 
     ``add(e)`` keeps ``e`` iff that raises the rank and says whether it did;
-    ``spans(e)`` says whether ``e`` lies in the closure of the kept elements.
+    ``spans(e)`` says whether ``e`` lies in the closure of the kept elements,
+    and ``spans_all()`` is a cheap sufficient test that every element does.
     Elements must lie in the matroid's ground set; callers check that once.
-    This generic version asks ``rank`` once per query. A family may subclass
-    it with a test that needs no ``rank`` call (a count or a union-find),
-    updating its state in ``_keep``, and count its rank with it.
+    This generic version asks ``rank`` once per query and never claims
+    ``spans_all``. A family may subclass it with a test that needs no
+    ``rank`` call (a count or a union-find), updating its state in ``_keep``,
+    and count its rank with it.
     """
 
     def __init__(self, m: "Matroid"):
@@ -50,6 +53,9 @@ class IndependentSet:
 
     def _keep(self, e: int) -> None:
         pass
+
+    def spans_all(self) -> bool:
+        return False
 
 
 class Matroid:
@@ -169,10 +175,16 @@ class UniformMatroid(Matroid):
 
 
 class _UniformSet(IndependentSet):
-    """Spans everything once ``k`` elements are kept."""
+    """Spans everything once ``k`` elements are kept.
+
+    Views hand back their parent's set, so a view's ground is spanned too.
+    """
 
     def spans(self, e: int) -> bool:
         return len(self._kept) >= self._m.k or e in self._kept
+
+    def spans_all(self) -> bool:
+        return len(self._kept) >= self._m.k
 
 
 class PartitionMatroid(Matroid):
@@ -461,7 +473,13 @@ def greedy_max_basis(m: Matroid, weights: Weights) -> ElementSet:
     """
     order = sorted(m.ground, key=lambda e: (-_weight(weights, e), e))
     grown = m.growing()
-    return frozenset(e for e in order if grown.add(e))
+    basis = []
+    for e in order:
+        if grown.add(e):
+            basis.append(e)
+            if grown.spans_all():  # every later element would be refused
+                break
+    return frozenset(basis)
 
 
 def basis_weight(basis: Iterable[int], weights: Weights) -> float:
@@ -481,11 +499,20 @@ def unblocked(
     blocking set, and a member the set refused was spanned by heavier ones.
     A member the set kept must leave itself out, so it costs one
     :meth:`Matroid.blocks`: at most rank(pool) of them per call.
+
+    Only candidates above the pool's lightest weight are sorted and swept.
+    Every other one faces the whole pool, so the set takes in the rest of the
+    pool first; once it ``spans_all``, only the members it kept need an answer.
     """
-    pending = sorted((_weight(weights, a), a) for a in m._as_subset(pool))  # the heaviest last
+    pool = m._as_subset(pool)
+    pending = sorted((_weight(weights, a), a) for a in pool)  # the heaviest last
+    floor = pending[0][0] if pending else math.inf
+    candidates = m._as_subset(thresholds)
+    high = [e for e in candidates if thresholds[e] > floor]
+    high.sort(key=thresholds.__getitem__, reverse=True)
     grown = m.growing()
     heavy, taken, kept = set(), set(), set()
-    for e in sorted(m._as_subset(thresholds), key=thresholds.__getitem__, reverse=True):
+    for e in high:
         t = thresholds[e]
         while pending and pending[-1][0] >= t:
             a = pending.pop()[1]
@@ -493,6 +520,17 @@ def unblocked(
             if grown.add(a):
                 taken.add(a)
         if not (m.blocks(heavy - {e}, e) if e in taken else grown.spans(e)):
+            kept.add(e)
+    low = candidates.difference(high)
+    if not low:
+        return frozenset(kept)
+    for _, a in reversed(pending):  # every other candidate faces the whole pool
+        if grown.add(a):
+            taken.add(a)
+    if not grown.spans_all():
+        kept.update(filterfalse(grown.spans, low - taken))
+    for e in low & taken:
+        if not m.blocks(pool - {e}, e):
             kept.add(e)
     return frozenset(kept)
 
@@ -536,10 +574,16 @@ def is_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: floa
 
     Checked through the blocking characterization: every excluded element
     must be blocked by basis elements of weight >= (its own weight - eps).
-    Comparisons are exact float comparisons. Monotone in ``eps``.
+    Comparisons are exact float comparisons. Monotone in ``eps``. A basis
+    spans every element, so only an element whose threshold clears the
+    lightest basis weight can go unblocked.
     """
     bset = _checked_basis(m, basis, eps)
-    thresholds = {e: _weight(weights, e) - eps for e in m.ground if e not in bset}
+    floor = min((_weight(weights, a) for a in bset), default=math.inf)
+    thresholds = {
+        e: t for e in m.ground
+        if e not in bset and (t := _weight(weights, e) - eps) > floor
+    }
     return not unblocked(m, bset, weights, thresholds)
 
 

@@ -396,11 +396,13 @@ def test_cli_trace_writes_round_records(tmp_path):
     save_instance(big_uniform_instance(2000, 3, seed=23).with_point_mass_arms(), big)
     cases = {
         "exact": ("builtin:prop1",
-                  {"trial", "kind", "r", "size", "n_opt", "n_bad", "changed", "samples"}),
+                  {"schema_version", "trial", "kind", "r", "size", "n_opt", "n_bad", "changed",
+                   "samples"}),
         "pac": ("builtin:prop1",
-                {"trial", "kind", "depth", "base_case", "size", "sampled", "kept"}),
-        "avgpac": (str(big), {"trial", "kind", "r", "size_before", "size_after",
-                              "eps_r", "delta_r", "samples"}),
+                {"schema_version", "trial", "kind", "depth", "base_case", "size", "sampled",
+                 "kept"}),
+        "avgpac": (str(big), {"schema_version", "trial", "kind", "r", "size_before",
+                              "size_after", "eps_r", "delta_r", "samples"}),
     }
     for algo, (instance, keys) in cases.items():
         out = tmp_path / f"{algo}.json"
@@ -414,6 +416,7 @@ def test_cli_trace_writes_round_records(tmp_path):
         assert lines
         records = [json.loads(line) for line in lines]
         assert {r["trial"] for r in records} == {0, 1}
+        assert {r["schema_version"] for r in records} == {1}
         assert all(set(r) == keys for r in records), algo
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_NAMES, loop_free, random_distinct_weights, random_matroid
+from matroid_bandits import matroids
 from matroid_bandits.errors import DomainError, PreconditionError, ValidationError
+from matroid_bandits.instances import big_uniform_instance
 from matroid_bandits.matroids import (
     GraphicMatroid,
     LaminarMatroid,
@@ -15,6 +17,7 @@ from matroid_bandits.matroids import (
     PartitionMatroid,
     TransversalMatroid,
     UniformMatroid,
+    _UniformSet,
     basis_weight,
     greedy_max_basis,
     is_eps_optimal,
@@ -493,6 +496,99 @@ def test_fast_families_prune_and_greedy_without_rank(family, monkeypatch):
     for view, pool, w, thresholds, direct, greedy in cases:
         assert unblocked(view, pool, w, thresholds) == direct
         assert greedy_max_basis(view, w) == greedy
+
+
+def _blocked_one_by_one(m, pool, w, thresholds):
+    """``unblocked`` by its definition: one ``blocks`` call per candidate."""
+    return frozenset(
+        e for e, t in thresholds.items()
+        if not m.blocks(frozenset(a for a in pool if a != e and w[a] >= t), e)
+    )
+
+
+def _tie_some_at_the_floor(rng, pool, w, thresholds):
+    """``thresholds`` with about a fifth set exactly to the pool's lightest weight."""
+    if not pool:
+        return thresholds
+    floor = min(w[a] for a in pool)
+    return {e: floor if rng.random() < 0.2 else t for e, t in thresholds.items()}
+
+
+def test_split_sweep_matches_per_element_blocks_at_size():
+    rng = np.random.default_rng(61)
+    narrow = UniformMatroid(300, 50).restrict(rng.choice(300, size=30, replace=False).tolist())
+    cases = [UniformMatroid(300, k) for k in (1, 3, 8)]  # the set saturates
+    cases += [narrow, narrow.contract(narrow.ground[:4])]  # |ground| < k: it never does
+    for family in FAMILY_NAMES:
+        m = random_matroid(rng, family, 40 if family == "transversal" else 150, allow_loops=True)
+        cases += [view for view, _, _ in _kernel_views(rng, m)]
+    for m in cases:
+        w = (rng.integers(0, 20, size=300) / 20).tolist()  # a coarse grid: many ties
+        ground = m.ground_set
+        sampled = frozenset(e for e in ground if rng.random() < 0.3)
+        inner = greedy_max_basis(m.restrict(sampled), w)
+        basis = greedy_max_basis(m, rng.random(300).tolist())  # a basis, seldom the optimum
+        shift = float(rng.choice([0.0, 0.05, 0.25]))
+        judged = {e: w[e] - shift for e in ground - basis}
+        queries = [
+            (inner, {e: w[e] - shift for e in ground - inner}),  # a pac level
+            (basis, judged),  # the judge, before its own filter
+            (ground, {e: w[e] - shift for e in ground}),  # exact's selection round
+        ]
+        for pool, thresholds in queries:
+            thresholds = _tie_some_at_the_floor(rng, pool, w, thresholds)
+            assert unblocked(m, pool, w, thresholds) == _blocked_one_by_one(m, pool, w, thresholds)
+        assert is_eps_optimal(m, basis, w, shift) == (
+            not _blocked_one_by_one(m, basis, w, judged)
+        )
+
+
+def test_pruning_and_judge_work_is_bounded_by_the_candidates_above_the_pool(monkeypatch):
+    inst = big_uniform_instance(2000, 10)
+    m, means = inst.matroid, list(inst.true_means)
+    rng = np.random.default_rng(67)
+    inner = greedy_max_basis(m.restrict(rng.choice(2000, size=200, replace=False).tolist()), means)
+    # a pac level at eps = 0.02: thresholds sit alpha + 2 lambda = eps / 2 below the means
+    thresholds = {e: means[e] - 0.01 for e in m.ground if e not in inner}
+    floor = min(means[a] for a in inner)
+    above = sum(t > floor for t in thresholds.values())
+    assert 0 < above < len(thresholds) // 10
+    direct = _blocked_one_by_one(m, inner, means, thresholds)
+
+    asked = []
+    real_spans = _UniformSet.spans
+
+    def counted_spans(self, e):
+        asked.append(e)
+        return real_spans(self, e)
+
+    monkeypatch.setattr(_UniformSet, "spans", counted_spans)
+    assert unblocked(m, inner, means, thresholds) == direct
+    # add() asks spans of pool members too; only the candidates' calls are the sweep's
+    assert sum(e in thresholds for e in asked) <= above
+
+    asked.clear()
+    opt = greedy_max_basis(m, means)
+    assert len(asked) == m.k  # greedy stops once its set spans everything
+
+    handed = []
+    real_unblocked = matroids.unblocked
+
+    def counted_unblocked(m, pool, weights, thresholds):
+        handed.append(len(thresholds))
+        return real_unblocked(m, pool, weights, thresholds)
+
+    monkeypatch.setattr(matroids, "unblocked", counted_unblocked)
+    assert is_eps_optimal(m, opt, means, 0.1)
+    assert len(handed) == 1 and handed[0] < m.k
+
+
+def test_judge_missing_weight_raises_domain_error():
+    m = UniformMatroid(4, 2)
+    # the first two lack excluded element 3's weight, the last lacks basis element 0's
+    for weights in ({0: 0.9, 1: 0.8, 2: 0.95}, [0.9, 0.8, 0.95], {1: 0.8, 2: 0.7, 3: 0.1}):
+        with pytest.raises(DomainError):
+            is_eps_optimal(m, {0, 1}, weights, 0.0)
 
 
 def test_is_optimal_basis_examples():
