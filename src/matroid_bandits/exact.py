@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, InvariantError
-from .matroids import Matroid, unblocked
+from .matroids import Matroid, sample_ids, shifted_thresholds, unblocked
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
 from .sampling import SamplingSession, sample_size
 
@@ -103,17 +103,19 @@ def exact_exp_gap(
         if kind == ELIMINATION:
             inner = pac_sample_prune(session, m_cur, eps_r, delta_r, profile).basis
             means = session.uniform_sample(inner, sample_size(eps_r / 2.0, delta_r / n_opt))
-            rest = set(current) - inner
-            means.update(session.uniform_sample(rest, sample_size(eps_r, delta_r / n_opt)))
+            rest = sample_ids(m_cur, inner)
+            means = means | session.uniform_sample(rest, sample_size(eps_r, delta_r / n_opt))
 
-            thresholds = {e: means[e] + 1.5 * eps_r for e in current if e not in inner}
+            thresholds = shifted_thresholds(means, 1.5 * eps_r, exclude=inner)
             changed = inner | unblocked(m_cur, inner, means, thresholds)
             if m_cur.rank(changed) != n_opt:
                 raise InvariantError("elimination dropped the rank of the survivors")
             m_next = m_cur.restrict(changed)
         else:
-            means = session.uniform_sample(current, sample_size(eps_r, delta_r / len(current)))
-            thresholds = {e: means[e] - 2.0 * eps_r for e in current}
+            means = session.uniform_sample(
+                sample_ids(m_cur), sample_size(eps_r, delta_r / len(current))
+            )
+            thresholds = shifted_thresholds(means, -2.0 * eps_r)
             changed = unblocked(m_cur, current, means, thresholds)
             if not m_cur.is_independent(changed):
                 raise InvariantError("selected arms are not jointly independent")

@@ -31,6 +31,7 @@ from .matroids import (
     Matroid, avg_within_eps, elementwise_within_eps, greedy_max_basis, is_eps_optimal,
 )
 from .pac import ConstantsProfile, PROFILES, PacResult, naive_one, pac_sample_prune
+from .sampling import DENSE_MIN_ARMS
 
 ALGORITHMS = ("naive1", "naive2", "pac", "exact", "avgpac")
 FLAGS = ("exact", "eps_optimal", "elementwise", "avg")
@@ -124,7 +125,15 @@ class TrialReport:
         }
 
 
-def _run_single_trial(config: RunConfig, index: int, opt) -> TrialReport:
+def _true_weights(instance: Instance):
+    """The true means as the judge reads them: one float array for a table of
+    at least ``DENSE_MIN_ARMS`` arms, which greedy and the judge read in
+    vector form; the tuple for a smaller one."""
+    means = instance.true_means
+    return np.array(means) if len(means) >= DENSE_MIN_ARMS else means
+
+
+def _run_single_trial(config: RunConfig, index: int, opt, means) -> TrialReport:
     session = config.instance.trial_session(
         config.seed, index, max_pulls=config.profile.pull_budget
     )
@@ -139,9 +148,7 @@ def _run_single_trial(config: RunConfig, index: int, opt) -> TrialReport:
         )
         basis = tuple(sorted(result.basis))
         trace = result.transcript if config.trace else ()
-        flags = success_flags(
-            config.instance.matroid, config.instance.true_means, result.basis, config.eps, opt
-        )
+        flags = success_flags(config.instance.matroid, means, result.basis, config.eps, opt)
     except BudgetError as exc:
         error = f"{type(exc).__name__}: {exc}"
         guard = exc.guard
@@ -164,7 +171,8 @@ def _run_single_trial(config: RunConfig, index: int, opt) -> TrialReport:
 
 def _run_chunk(config: RunConfig, opt, indices: range) -> list[TrialReport]:
     """The trials of one batch that one worker, or the serial path, runs."""
-    return [_run_single_trial(config, index, opt) for index in indices]
+    means = _true_weights(config.instance)
+    return [_run_single_trial(config, index, opt, means) for index in indices]
 
 
 # The process's trial workers: (jobs, pool), started by the first parallel
@@ -259,7 +267,7 @@ def run_trials(config: RunConfig) -> dict:
     died makes the batch raise ``BrokenProcessPool``; the next parallel
     batch starts a fresh pool.
     """
-    opt = greedy_max_basis(config.instance.matroid, config.instance.true_means)
+    opt = greedy_max_basis(config.instance.matroid, _true_weights(config.instance))
     if config.jobs > 1 and config.trials > 1:
         reports = _run_parallel(config, opt)
     else:

@@ -7,6 +7,11 @@ eps-optimality checkers.
 
 Element ids are stable across views: a view exposes a subset of its parent's
 ids and never renumbers.
+
+Greedy, the pruning sweep and the eps-optimality check read weights in
+vector form when they come as :class:`~.sampling.Estimates` or a float
+array indexed by element id; mappings and sequences keep the per-element
+reference code, which tests pin the vector form against.
 """
 
 from __future__ import annotations
@@ -15,12 +20,17 @@ import math
 from itertools import filterfalse
 from typing import Collection, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError, PreconditionError, ValidationError
+from .sampling import DENSE_MIN_ARMS, Estimates
 
 ElementSet = frozenset[int]
 
 # Weight lookups accept anything indexable by element id (dict, list, array).
-Weights = Mapping[int, float] | Sequence[float]
+# Estimates and numpy arrays are read as one float64 array (see _dense), in
+# which NaN, or an id past the end, is a missing weight.
+Weights = Mapping[int, float] | Sequence[float] | np.ndarray
 
 
 class IndependentSet:
@@ -70,16 +80,27 @@ class Matroid:
 
     _ground: tuple[int, ...]
     _ground_set: ElementSet
+    _ground_ids: np.ndarray | None
     _full_rank: int | None
 
     def _init_ground(self, ground: Iterable[int]) -> None:
         self._ground = tuple(sorted(set(ground)))
         self._ground_set = frozenset(self._ground)
+        self._ground_ids = None
         self._full_rank = None
 
     @property
     def ground(self) -> tuple[int, ...]:
         return self._ground
+
+    @property
+    def ground_ids(self) -> np.ndarray:
+        """The ground set as a sorted, read-only int64 array, built on first use."""
+        if self._ground_ids is None:
+            ids = np.fromiter(self._ground, np.int64, len(self._ground))
+            ids.flags.writeable = False
+            self._ground_ids = ids
+        return self._ground_ids
 
     @property
     def ground_set(self) -> ElementSet:
@@ -464,14 +485,75 @@ def _weight(weights: Weights, e: int) -> float:
         raise DomainError(f"no weight defined for element {e}") from exc
 
 
+# The weight forms read in vector form; one membership test dispatches them.
+_ARRAY_FORMS = frozenset({Estimates, np.ndarray})
+
+
+def _dense(weights: Estimates | np.ndarray) -> np.ndarray:
+    """The float64 array behind array-form weights."""
+    return weights.dense if type(weights) is Estimates else np.asarray(weights, dtype=np.float64)
+
+
+def _read(dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The weights of ``ids`` in ``dense``, once each of them has one: not NaN, not past the end."""
+    try:
+        w = dense[ids]
+    except IndexError:
+        raise DomainError(f"no weight defined for element {ids.max()}") from None
+    missing = np.isnan(w)
+    if missing.any():
+        raise DomainError(f"no weight defined for element {ids[missing][0]}")
+    return w
+
+
+def sample_ids(m: Matroid, exclude: ElementSet = frozenset()) -> Collection[int]:
+    """The ground of ``m`` less ``exclude``, in the form a session draws from fastest.
+
+    A ground of at least ``DENSE_MIN_ARMS`` elements lies in a table as large,
+    whose session is dense: it comes as a sorted int64 array. A smaller one
+    comes as a tuple or a set, so that no array is built for a small table.
+    """
+    if len(m._ground) < DENSE_MIN_ARMS:
+        return m._ground_set - exclude if exclude else m._ground
+    ids = m.ground_ids
+    return ids[~np.isin(ids, np.fromiter(exclude, np.int64, len(exclude)))] if exclude else ids
+
+
+def shifted_thresholds(
+    means: Mapping[int, float], first: float, *rest: float, exclude: Collection[int] = ()
+) -> dict[int, float] | np.ndarray:
+    """Each estimate plus the offsets, added one at a time, for every arm not in ``exclude``.
+
+    The offsets go in left to right, as ``(m - alpha) - 2 * lam`` does; one
+    sum of them could round differently. :class:`~.sampling.Estimates` give
+    a threshold array, NaN for every other id, that :func:`unblocked` reads
+    in vector form; any other mapping gives a dict.
+    """
+    if type(means) is Estimates:
+        shifted = means.dense + first
+        for offset in rest:
+            shifted += offset
+        if exclude:
+            shifted[np.fromiter(exclude, np.int64, len(exclude))] = np.nan
+        return shifted
+    thresholds = {e: t + first for e, t in means.items() if e not in exclude}
+    for offset in rest:
+        thresholds = {e: t + offset for e, t in thresholds.items()}
+    return thresholds
+
+
 def greedy_max_basis(m: Matroid, weights: Weights) -> ElementSet:
     """Maximum-weight basis by the greedy algorithm.
 
     Ties are broken by (weight desc, id asc), so the result is well defined
     even when empirical weights collide. With distinct weights this is the
-    unique optimum.
+    unique optimum. Array-form weights are ordered by one ``lexsort``.
     """
-    order = sorted(m.ground, key=lambda e: (-_weight(weights, e), e))
+    if type(weights) not in _ARRAY_FORMS:
+        order = sorted(m.ground, key=lambda e: (-_weight(weights, e), e))
+    else:
+        ids = m.ground_ids
+        order = ids[np.lexsort((ids, -_read(_dense(weights), ids)))].tolist()
     grown = m.growing()
     basis = []
     for e in order:
@@ -486,8 +568,43 @@ def basis_weight(basis: Iterable[int], weights: Weights) -> float:
     return math.fsum(_weight(weights, e) for e in basis)
 
 
+class _Marked:
+    """The ids that a boolean mask marks, with the three set operations that
+    :func:`unblocked` applies to its low candidates; a Python set of them is
+    built only when every one of them needs a ``spans``."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
+
+    def __bool__(self) -> bool:
+        return bool(self.mask.any())
+
+    def difference(self, other: Collection[int]) -> set[int]:
+        return set(np.flatnonzero(self.mask).tolist()).difference(other)
+
+    def intersection(self, other: Iterable[int]) -> list[int]:
+        mask = self.mask
+        return [e for e in other if e < len(mask) and mask[e]]
+
+
+def _split_array(m: Matroid, thresholds: np.ndarray, floor: float) -> tuple[list[int], _Marked]:
+    """A threshold array's candidates above ``floor``, by descending threshold then id; and the rest."""
+    n = len(thresholds)
+    ids = m.ground_ids
+    if not (len(ids) >= n and (n == 0 or ids[n - 1] == n - 1)):  # the ground is not all of 0..n-1
+        outside = ~np.isnan(thresholds)
+        outside[ids[: np.searchsorted(ids, n)]] = False
+        if outside.any():
+            raise DomainError(f"elements {np.flatnonzero(outside).tolist()} outside ground set")
+    high = np.flatnonzero(thresholds > floor)
+    high = high[np.argsort(-thresholds[high], kind="stable")]
+    return high.tolist(), _Marked(thresholds <= floor)
+
+
 def unblocked(
-    m: Matroid, pool: Iterable[int], weights: Weights, thresholds: Mapping[int, float]
+    m: Matroid, pool: Iterable[int], weights: Weights, thresholds: Mapping[int, float] | np.ndarray
 ) -> ElementSet:
     """Keys e of ``thresholds`` not blocked by {a in pool : a != e, weights[a] >= thresholds[e]}.
 
@@ -503,13 +620,25 @@ def unblocked(
     Only candidates above the pool's lightest weight are sorted and swept.
     Every other one faces the whole pool, so the set takes in the rest of the
     pool first; once it ``spans_all``, only the members it kept need an answer.
+
+    ``thresholds`` may also be a float array indexed by element id, NaN for
+    an element that is no candidate: one mask splits its candidates at the
+    pool's lightest weight, and a stable argsort orders the high ones.
     """
     pool = m._as_subset(pool)
-    pending = sorted((_weight(weights, a), a) for a in pool)  # the heaviest last
+    if type(weights) not in _ARRAY_FORMS:
+        pending = sorted((_weight(weights, a), a) for a in pool)  # the heaviest last
+    else:
+        members = np.fromiter(pool, np.int64, len(pool))
+        pending = sorted(zip(_read(_dense(weights), members).tolist(), members.tolist()))
     floor = pending[0][0] if pending else math.inf
-    candidates = m._as_subset(thresholds)
-    high = [e for e in candidates if thresholds[e] > floor]
-    high.sort(key=thresholds.__getitem__, reverse=True)
+    if type(thresholds) is np.ndarray:
+        high, low = _split_array(m, thresholds, floor)
+    else:
+        candidates = m._as_subset(thresholds)
+        high = [e for e in candidates if thresholds[e] > floor]
+        high.sort(key=thresholds.__getitem__, reverse=True)
+        low = candidates.difference(high)
     grown = m.growing()
     heavy, taken, kept = set(), set(), set()
     for e in high:
@@ -521,15 +650,14 @@ def unblocked(
                 taken.add(a)
         if not (m.blocks(heavy - {e}, e) if e in taken else grown.spans(e)):
             kept.add(e)
-    low = candidates.difference(high)
     if not low:
         return frozenset(kept)
     for _, a in reversed(pending):  # every other candidate faces the whole pool
         if grown.add(a):
             taken.add(a)
     if not grown.spans_all():
-        kept.update(filterfalse(grown.spans, low - taken))
-    for e in low & taken:
+        kept.update(filterfalse(grown.spans, low.difference(taken)))
+    for e in low.intersection(taken):
         if not m.blocks(pool - {e}, e):
             kept.add(e)
     return frozenset(kept)
@@ -579,11 +707,22 @@ def is_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: floa
     lightest basis weight can go unblocked.
     """
     bset = _checked_basis(m, basis, eps)
-    floor = min((_weight(weights, a) for a in bset), default=math.inf)
-    thresholds = {
-        e: t for e in m.ground
-        if e not in bset and (t := _weight(weights, e) - eps) > floor
-    }
+    if type(weights) not in _ARRAY_FORMS:
+        floor = min((_weight(weights, a) for a in bset), default=math.inf)
+        thresholds = {
+            e: t for e in m.ground
+            if e not in bset and (t := _weight(weights, e) - eps) > floor
+        }
+    else:
+        dense = _dense(weights)
+        ids = m.ground_ids
+        shifted = _read(dense, ids) - eps
+        members = np.fromiter(bset, np.int64, len(bset))
+        floor = float(_read(dense, members).min()) if len(members) else math.inf
+        above = shifted > floor
+        thresholds = np.full(len(dense), np.nan)
+        thresholds[ids[above]] = shifted[above]
+        thresholds[members] = np.nan
     return not unblocked(m, bset, weights, thresholds)
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import BudgetError, InvariantError
-from .matroids import ElementSet, Matroid, greedy_max_basis, unblocked
+from .matroids import (
+    ElementSet, Matroid, greedy_max_basis, sample_ids, shifted_thresholds, unblocked,
+)
 from .sampling import SamplingSession, _validate, sample_size
 
 
@@ -84,7 +86,7 @@ def naive_one(session: SamplingSession, m: Matroid, eps: float, delta: float) ->
     start = session.total_samples
     if m.size == 0:
         return PacResult(frozenset(), 0)
-    means = session.uniform_sample(m.ground, sample_size(eps / 2.0, delta / m.size))
+    means = session.uniform_sample(sample_ids(m), sample_size(eps / 2.0, delta / m.size))
     basis = greedy_max_basis(m, means)
     return PacResult(basis, session.total_samples - start)
 
@@ -127,24 +129,19 @@ def _sample_prune(
         transcript.append(PruneLevel(depth, ground, base_case=True))
         return naive_one(session, m, eps, delta).basis
 
-    sampled = session.random_subset(ground, profile.sample_prob)
+    sampled = session.random_subset(sample_ids(m), profile.sample_prob)
     alpha = eps / 3.0
     lam = eps / 12.0
-    inner = _sample_prune(
-        session, m.restrict(sampled), alpha, delta / 8.0, profile, depth + 1, transcript
-    )
+    subset = m.restrict(sampled)
+    inner = _sample_prune(session, subset, alpha, delta / 8.0, profile, depth + 1, transcript)
     means = session.uniform_sample(
-        ground, sample_size(lam, delta * profile.sample_prob / (8.0 * k))
+        sample_ids(m), sample_size(lam, delta * profile.sample_prob / (8.0 * k))
     )
 
-    thresholds = {e: means[e] - alpha - 2.0 * lam for e in ground if e not in inner}
+    thresholds = shifted_thresholds(means, -alpha, -2.0 * lam, exclude=inner)
     survivors = inner | unblocked(m, inner, means, thresholds)
     if m.rank(survivors) != k:
         raise InvariantError("pruning dropped the rank of the survivor set")
-    transcript.append(
-        PruneLevel(depth, ground, tuple(sorted(sampled)), tuple(sorted(survivors)),
-                   tuple(sorted(inner)))
-    )
-    return _sample_prune(
-        session, m.restrict(survivors), alpha, delta / 4.0, profile, depth + 1, transcript
-    )
+    rest = m.restrict(survivors)  # a view's ground is its sorted elements
+    transcript.append(PruneLevel(depth, ground, subset.ground, rest.ground, tuple(sorted(inner))))
+    return _sample_prune(session, rest, alpha, delta / 4.0, profile, depth + 1, transcript)

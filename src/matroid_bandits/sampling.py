@@ -11,8 +11,9 @@ side. ``pull_batch`` is the per-arm reference that tests pin
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .errors import BudgetError, DomainError, ValidationError
 BERNOULLI = "bernoulli"
 SCALED = "scaled"
 POINT = "point"
+
+# Tables of at least this many arms get dense sessions (see the module docstring).
+DENSE_MIN_ARMS = 256
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,80 @@ class ArmTable:
         return (lo * (count - hits) + hi * hits) / count
 
 
+def _is_id(e) -> bool:
+    """An arm id is a Python or numpy integer, and not a bool."""
+    return type(e) is int or isinstance(e, np.integer)
+
+
+# True for an iterable of Python int types only; anything else, numpy
+# integers included, goes on to the per-element check of ``_check_ids``.
+_ONLY_INTS = frozenset({int}).issuperset
+
+
+def _check_ids(unique: Iterable) -> None:
+    """Refuse any element that is not an integer arm id."""
+    for e in unique:
+        if not _is_id(e):
+            raise DomainError(f"arm id {e!r} is not an integer")
+
+
+def _sorted_ids(elements: Iterable[int]) -> np.ndarray:
+    """``elements`` as a strictly increasing int64 array.
+
+    An integer array that already increases strictly is taken as it is, so
+    that ``Matroid.ground_ids`` costs no sort.
+    """
+    if type(elements) is not np.ndarray:
+        unique = set(elements)
+        if not _ONLY_INTS(map(type, unique)):
+            _check_ids(unique)
+        return np.array(sorted(unique), dtype=np.int64)
+    if elements.dtype.kind not in "iu":
+        raise DomainError(f"arm ids must be integers, not {elements.dtype}")
+    ids = elements.astype(np.int64, copy=False)
+    if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+        ids = np.unique(ids)
+    return ids
+
+
+class Estimates(Mapping):
+    """A dense session's batch means: a read-only map from arm id to mean.
+
+    ``dense`` holds one float64 per arm of the table, NaN for an arm that is
+    not in the batch; looking such an arm up raises ``KeyError``. Consumers
+    in :mod:`matroids` read ``dense`` in vector form. ``a | b`` merges two
+    batches of one table, as ``|`` merges two dicts.
+    """
+
+    __slots__ = ("dense",)
+
+    def __init__(self, dense: np.ndarray):
+        dense.flags.writeable = False
+        self.dense = dense
+
+    def __getitem__(self, e: int) -> float:
+        dense = self.dense
+        if _is_id(e) and 0 <= e < len(dense):
+            mean = float(dense[e])
+            if mean == mean:  # NaN marks an arm outside the batch
+                return mean
+        raise KeyError(e)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(~np.isnan(self.dense)).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self.dense)))
+
+    def __or__(self, other):
+        if type(other) is not Estimates or len(other.dense) != len(self.dense):
+            return NotImplemented
+        return Estimates(np.where(np.isnan(other.dense), self.dense, other.dense))
+
+    def __repr__(self) -> str:
+        return f"Estimates({dict(self)!r})"
+
+
 def _validate(eps: float, delta: float) -> None:
     """Accuracy and confidence checks shared by every sampling algorithm."""
     if not eps > 0:
@@ -155,8 +233,11 @@ class SamplingSession:
     ):
         self._arms = arms if isinstance(arms, ArmTable) else ArmTable.from_arms(arms)
         self._rng = default_rng(seed)
-        # plain Python ints: pull counts can exceed int64 in deep rounds
-        self._pulls = [0] * len(self._arms)
+        n = len(self._arms)
+        self._dense = n >= DENSE_MIN_ARMS
+        # plain Python ints on a small table; a dense one's int64 ledger turns
+        # into them before a count could pass int64 (see ``_add_pulls``)
+        self._pulls = np.zeros(n, np.int64) if self._dense else [0] * n
         self._total = 0
         self._max_pulls = max_pulls
 
@@ -165,11 +246,13 @@ class SamplingSession:
         return self._total
 
     def pull_counts(self) -> list[int]:
-        return list(self._pulls)
+        pulls = self._pulls
+        return pulls.tolist() if type(pulls) is np.ndarray else list(pulls)
 
-    def _check_arm(self, e: int) -> None:
-        if not 0 <= e < len(self._arms):
-            raise DomainError(f"unknown arm {e}")
+    def _check_ends(self, first: int, last: int) -> None:
+        """Refuse ids from ``first`` up to ``last`` unless both ends, and so all of them, are arms."""
+        if first < 0 or last >= len(self._arms):
+            raise DomainError(f"unknown arm {first if first < 0 else last}")
 
     def _check_batch(self, count: int, arms: int, stochastic: bool) -> None:
         """Refuse ``count`` pulls of ``arms`` arms, undrawable or over budget, before any draw."""
@@ -189,29 +272,86 @@ class SamplingSession:
         """
         if count < 1:
             raise DomainError("batch size must be >= 1")
-        self._check_arm(e)
+        if not _is_id(e):
+            raise DomainError(f"arm id {e!r} is not an integer")
+        self._check_ends(e, e)
         arms = self._arms
         stochastic = arms.kinds[e] != POINT
         self._check_batch(count, 1, stochastic)
         hits = int(self._rng.binomial(count, arms.q[e])) if stochastic else 0
-        self._pulls[e] += count
-        self._total += count
+        self._add_pulls([e], count)
         return arms.batch_mean(e, count, hits)
 
-    def uniform_sample(self, elements: Iterable[int], count: int) -> dict[int, float]:
+    def _add_pulls(self, ids: Sequence[int] | np.ndarray, count: int) -> None:
+        """Record ``count`` pulls of each of the distinct ``ids``.
+
+        No arm's count exceeds the total, so an int64 ledger is exact while
+        the total stays below ``2**63``; before it could reach that, the
+        ledger turns into Python ints, once, for good.
+        """
+        total = self._total + len(ids) * count
+        pulls = self._pulls
+        if type(pulls) is np.ndarray:
+            if total < 2**63:
+                pulls[ids] += count
+                self._total = total
+                return
+            self._pulls = pulls = pulls.tolist()
+        for e in ids:
+            pulls[e] += count
+        self._total = total
+
+    def uniform_sample(self, elements: Iterable[int], count: int) -> Mapping[int, float]:
         """Pull every element exactly ``count`` fresh times; return the batch means.
 
         Earlier pulls of the same arms never leak into the estimate. The
         stochastic arms take one vector binomial draw in id order, which
         yields the values one ``pull_batch`` per arm would. A batch over the
         budget or past the drawability bound is refused whole with
-        ``BudgetError``: nothing is drawn and nothing is recorded.
+        ``BudgetError``: nothing is drawn and nothing is recorded. An id that
+        is not an integer, or not an arm, is refused with ``DomainError``.
+
+        A small table returns a dict; a dense one returns :class:`Estimates`
+        and takes a strictly increasing int64 array of ids as it is.
         """
         if count < 1:
             raise DomainError("batch size must be >= 1")
-        ordered = sorted(set(elements))
-        for e in ordered[:1] + ordered[-1:]:  # the ends bound every id
-            self._check_arm(e)
+        if self._dense:
+            return self._dense_sample(_sorted_ids(elements), count)
+        unique = set(elements)
+        if not _ONLY_INTS(map(type, unique)):
+            _check_ids(unique)
+        ordered = sorted(unique)
+        if ordered:
+            self._check_ends(ordered[0], ordered[-1])
+        means = dict(zip(ordered, self._draw(ordered, count)))
+        pulls = self._pulls
+        for e in ordered:
+            pulls[e] += count
+        self._total += len(ordered) * count
+        return means
+
+    def _dense_sample(self, ids: np.ndarray, count: int) -> Estimates:
+        """``uniform_sample`` on a dense table: an all-Bernoulli batch of up to
+        ``2**53`` pulls in vector form, any other through ``_draw``."""
+        if len(ids):
+            self._check_ends(int(ids[0]), int(ids[-1]))
+        arms = self._arms
+        means = np.full(len(arms), np.nan)
+        if arms.all_bernoulli and count <= 2**53:
+            self._check_batch(count, len(ids), len(ids) > 0)
+            if len(ids):
+                means[ids] = self._rng.binomial(count, arms.q[ids]) / count
+        else:
+            means[ids] = self._draw(ids.tolist(), count)
+        self._add_pulls(ids, count)
+        return Estimates(means)
+
+    def _draw(self, ordered: list[int], count: int) -> list[float]:
+        """Check and draw one batch of the distinct arms ``ordered``; their means, in order.
+
+        Records nothing: the caller adds the pulls to the ledger.
+        """
         arms = self._arms
         kinds = arms.kinds
         stochastic = ordered if arms.all_bernoulli else [e for e in ordered if kinds[e] != POINT]
@@ -220,21 +360,18 @@ class SamplingSession:
         if arms.all_bernoulli and count <= 2**53 and stochastic:
             # hits and count are exact in float64 here, so each quotient is
             # rounded once, as Python's hits / count is
-            means = dict(zip(ordered, (draws / count).tolist()))
-        else:
-            hits = iter(draws.tolist() if stochastic else ())
-            means = {e: arms.batch_mean(e, count, 0 if kinds[e] == POINT else next(hits))
-                     for e in ordered}
-        pulls = self._pulls
-        for e in ordered:
-            pulls[e] += count
-        self._total += len(ordered) * count
-        return means
+            return (draws / count).tolist()
+        hits = iter(draws.tolist() if stochastic else ())
+        return [arms.batch_mean(e, count, 0 if kinds[e] == POINT else next(hits))
+                for e in ordered]
 
     def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int]:
         """Keep each element independently with probability ``p``."""
         if not 0.0 <= p <= 1.0:
             raise DomainError("p must lie in [0, 1]")
+        if type(elements) is np.ndarray:
+            ids = _sorted_ids(elements)
+            return frozenset(ids[self._rng.random(len(ids)) < p].tolist())
         ordered = sorted(set(elements))
         draws = self._rng.random(len(ordered))
         return frozenset(e for e, u in zip(ordered, draws.tolist()) if u < p)

@@ -23,9 +23,11 @@ from matroid_bandits.matroids import (
     is_eps_optimal,
     is_eps_optimal_modified_cost,
     is_optimal_basis,
+    shifted_thresholds,
     unblocked,
 )
 from matroid_bandits.oracle import iter_bases, iter_independent_sets
+from matroid_bandits.sampling import Estimates
 
 PROP1_MEANS = (0.91, 0.9, 0.89, 0.875)
 
@@ -571,6 +573,26 @@ def test_pruning_and_judge_work_is_bounded_by_the_candidates_above_the_pool(monk
     opt = greedy_max_basis(m, means)
     assert len(asked) == m.k  # greedy stops once its set spans everything
 
+    # the array form reads no weight per element: at most the pool's, through _weight
+    estimates = Estimates(np.array(means))
+    dense_thresholds = shifted_thresholds(estimates, -0.01, exclude=inner)
+    read = []
+    real_weight = matroids._weight
+
+    def counted_weight(weights, e):
+        read.append(e)
+        return real_weight(weights, e)
+
+    monkeypatch.setattr(matroids, "_weight", counted_weight)
+    asked.clear()
+    assert unblocked(m, inner, estimates, dense_thresholds) == direct
+    assert sum(e in thresholds for e in asked) <= above
+    assert len(read) <= len(inner)
+    read.clear()
+    assert greedy_max_basis(m, estimates) == opt
+    assert is_eps_optimal(m, opt, estimates, 0.1)
+    assert len(read) <= len(opt)
+
     handed = []
     real_unblocked = matroids.unblocked
 
@@ -581,6 +603,90 @@ def test_pruning_and_judge_work_is_bounded_by_the_candidates_above_the_pool(monk
     monkeypatch.setattr(matroids, "unblocked", counted_unblocked)
     assert is_eps_optimal(m, opt, means, 0.1)
     assert len(handed) == 1 and handed[0] < m.k
+
+
+def _array_forms(w, size):
+    """``w`` (a list over ids 0..len(w)-1) as Estimates and as a bare array, both ``size`` long."""
+    dense = np.full(size, np.nan)
+    dense[: len(w)] = w
+    return [Estimates(dense.copy()), dense]
+
+
+def _as_array(thresholds, size):
+    dense = np.full(size, np.nan)
+    dense[list(thresholds)] = list(thresholds.values())
+    return dense
+
+
+def test_array_forms_match_the_mapping_reference():
+    rng = np.random.default_rng(71)
+    for family in FAMILY_NAMES:
+        for _ in range(8):
+            n = int(rng.integers(2, 12))
+            m = random_matroid(rng, family, n, allow_loops=True)
+            w = (rng.integers(0, 4, size=n) / 4).tolist()  # a coarse grid: many ties
+            forms = _array_forms(w, n + 3)
+            for view, _, _ in _kernel_views(rng, m):
+                ground = view.ground_set
+                for weights in forms:
+                    assert greedy_max_basis(view, weights) == greedy_max_basis(view, w)
+                pool = frozenset(e for e in ground if rng.random() < 0.5)
+                queries = [(pool, {e: w[e] + float(rng.choice([-0.25, 0.0, 0.25]))
+                                   for e in candidates}) for candidates in (ground - pool, ground)]
+                queries.append((ground, {e: w[e] - float(rng.choice([0.0, 0.25])) for e in ground}))
+                for pool, thresholds in queries:
+                    expected = unblocked(view, pool, w, thresholds)
+                    dense = _as_array(thresholds, n + 3)
+                    assert unblocked(view, pool, w, dense) == expected
+                    for weights in forms:
+                        assert unblocked(view, pool, weights, thresholds) == expected
+                        assert unblocked(view, pool, weights, dense) == expected
+                for basis in (greedy_max_basis(view, w),
+                              greedy_max_basis(view, rng.random(n).tolist())):
+                    for eps in (0.0, 0.25, 0.5):
+                        expected = is_eps_optimal(view, basis, w, eps)
+                        assert all(is_eps_optimal(view, basis, weights, eps) == expected
+                                   for weights in forms)
+
+
+def test_shifted_thresholds_add_the_offsets_left_to_right_in_both_forms():
+    rng = np.random.default_rng(73)
+    batch = {e: float(rng.random()) for e in range(0, 3000, 3)}
+    exclude = frozenset(rng.choice(3000, size=40).tolist())
+    for offsets in ((-0.1 / 3.0, -2.0 * 0.1 / 12.0), (-0.02, -0.02, -0.02), (1.5 * 0.01,)):
+        expected = {}
+        for e, mean in batch.items():
+            if e not in exclude:
+                for offset in offsets:  # never one sum: (m - a) - b can differ from m - (a + b)
+                    mean = mean + offset
+                expected[e] = mean
+        assert shifted_thresholds(batch, *offsets, exclude=exclude) == expected
+        dense = shifted_thresholds(Estimates(_as_array(batch, 3001)), *offsets, exclude=exclude)
+        assert np.array_equal(dense, _as_array(expected, 3001), equal_nan=True)
+    summed = shifted_thresholds(batch, -0.1 / 3.0 + -2.0 * 0.1 / 12.0)
+    assert summed != shifted_thresholds(batch, -0.1 / 3.0, -2.0 * 0.1 / 12.0)
+
+
+def test_array_weights_missing_an_element_raise_domain_error():
+    m = UniformMatroid(6, 2)
+    full = np.linspace(0.9, 0.4, 6)
+    holed = full.copy()
+    holed[4] = np.nan
+    for dense in (holed, full[:4]):  # a NaN, or ids past the array's end
+        for weights in (Estimates(dense.copy()), dense):
+            with pytest.raises(DomainError):
+                greedy_max_basis(m, weights)
+            with pytest.raises(DomainError):
+                is_eps_optimal(m, {0, 1}, weights, 0.0)
+            with pytest.raises(DomainError):
+                unblocked(m, {1, 4}, weights, _as_array({0: 0.5}, 6))
+
+
+def test_array_thresholds_outside_the_ground_raise_domain_error():
+    view = UniformMatroid(6, 2).restrict({0, 1, 2})
+    for thresholds in ({4: 0.1}, _as_array({4: 0.1}, 6)):
+        with pytest.raises(DomainError):
+            unblocked(view, {0}, list(np.linspace(0.9, 0.4, 6)), thresholds)
 
 
 def test_judge_missing_weight_raises_domain_error():

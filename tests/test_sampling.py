@@ -11,9 +11,12 @@ from matroid_bandits.errors import BudgetError, DomainError, ValidationError
 from matroid_bandits.instances import (
     big_uniform_instance, builtin, load_instance, make_instance, save_instance,
 )
+from matroid_bandits import sampling
 from matroid_bandits.sampling import (
+    DENSE_MIN_ARMS,
     Arm,
     ArmTable,
+    Estimates,
     SamplingSession,
     bernoulli,
     point,
@@ -334,3 +337,91 @@ def test_concentration_rate_within_declared_delta():
             misses += 1
     slack = 3 * math.sqrt(delta * (1 - delta) / reps)
     assert misses / reps <= delta + slack
+
+
+_MIXED = [point(0.4), bernoulli(0.3), scaled(0.2, 0.9, 0.5), bernoulli(0.0),
+          bernoulli(1.0), scaled(0.1, 0.3, 0.3), bernoulli(0.77)] * 6
+_BERNOULLI = [bernoulli(mu) for mu in np.linspace(0.0, 1.0, 41).tolist()]
+
+
+def _session(arms, dense, monkeypatch, seed=13, max_pulls=None):
+    """A session over ``arms`` on the dense path or on the reference path."""
+    monkeypatch.setattr(sampling, "DENSE_MIN_ARMS", 1 if dense else 10**9)
+    session = SamplingSession(arms, seed=seed, max_pulls=max_pulls)
+    monkeypatch.undo()
+    return session
+
+
+def _script(session, n):
+    """Batches of every input shape and size regime; every result, then the ledger."""
+    out = []
+    for elements, count in (([5, 3, 3, 0], 7), (range(n), 185), (np.arange(0, n, 3), 1),
+                            ({n - 1, 1}, 2**53 + 1), (np.array([4, 2, 9, 4]), 11),
+                            (np.array([], dtype=np.int64), 5), ([], 3), (range(n), 2**62)):
+        out.append(dict(session.uniform_sample(elements, count)))
+    out.append(sorted(session.random_subset(np.arange(n), 0.3)))
+    out.append(sorted(session.random_subset(range(n), 0.6)))
+    with pytest.raises(BudgetError, match="not drawable"):
+        session.uniform_sample([0, 1, 2], 2**62 + 1)
+    return out, session.pull_counts(), session.total_samples, _next_draws(session)
+
+
+@pytest.mark.parametrize("arms", [_MIXED, _BERNOULLI], ids=["mixed", "bernoulli"])
+def test_dense_session_draws_and_records_what_the_reference_does(arms, monkeypatch):
+    reference = _session(arms, False, monkeypatch)
+    dense = _session(arms, True, monkeypatch)
+    assert type(reference.uniform_sample([1], 1)) is dict
+    assert type(dense.uniform_sample([1], 1)) is Estimates
+    assert _script(dense, len(arms)) == _script(reference, len(arms))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["reference", "dense"])
+def test_non_integer_arm_ids_are_refused_before_any_draw(dense, monkeypatch):
+    session = _session(_MIXED, dense, monkeypatch)
+    for bad in ([1.5], [1.0], ["a"], [True], [2, True], [np.bool_(False)],
+                np.array([1.5]), np.array([True]), np.array(["a"])):
+        with pytest.raises(DomainError):
+            session.uniform_sample(bad, 3)
+    for bad in (1.5, 1.0, "a", True, np.bool_(True)):
+        with pytest.raises(DomainError):
+            session.pull_batch(bad, 3)
+    assert session.total_samples == 0 and not any(session.pull_counts())
+    assert _next_draws(session) == _next_draws(_session(_MIXED, dense, monkeypatch))
+    twin = _session(_MIXED, dense, monkeypatch)
+    numpy_ids = [np.int64(1), np.int32(4), np.uint8(2)]
+    assert session.uniform_sample(numpy_ids, 3) == twin.uniform_sample([1, 4, 2], 3)
+    assert session.pull_batch(np.int64(6), 5) == twin.pull_batch(6, 5)
+
+
+def test_estimates_read_like_a_read_only_mapping():
+    est = Estimates(np.array([0.5, np.nan, 0.25]))
+    assert est == {0: 0.5, 2: 0.25} and list(est) == [0, 2] and len(est) == 2
+    for missing in (1, 3, -1, True, 2.0, "a"):
+        assert missing not in est
+        with pytest.raises(KeyError):
+            est[missing]
+    merged = est | Estimates(np.array([np.nan, 0.75, np.nan]))
+    assert merged == {0: 0.5, 1: 0.75, 2: 0.25} and type(merged) is Estimates
+    assert dict(merged) == dict(est) | {1: 0.75}
+    with pytest.raises(ValueError):
+        est.dense[1] = 0.0
+
+
+def test_dense_ledger_stays_exact_past_int64():
+    n = DENSE_MIN_ARMS
+    arms = [point(0.25 + e / (4 * n)) for e in range(n)]  # a point mass has no 2**62 cap
+    session = SamplingSession(arms, seed=0)
+    expected = [0] * n
+    for elements, count in ((range(n), 2**54), ([0, 7], 2**62), ([7], 2**70),
+                            (np.arange(n), 3)):
+        means = session.uniform_sample(elements, count)
+        assert means == {e: arms[e].mean for e in elements}
+        for e in elements:
+            expected[e] += count
+        assert session.pull_counts() == expected
+    assert session.pull_batch(9, 2**64) == arms[9].mean
+    expected[9] += 2**64
+    counts = session.pull_counts()
+    assert counts == expected and all(type(c) is int for c in counts)
+    assert session.total_samples == sum(expected) > 2**64
+    assert type(session.total_samples) is int
