@@ -19,6 +19,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -283,7 +284,9 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
     failed = [r for r in reports if r.error is not None]
     per_arm_mean: list[float] = []
     if reports:
-        stacked = np.array([r.per_arm for r in reports], dtype=np.float64)
+        arms = len(reports[0].per_arm)
+        stacked = np.fromiter(chain.from_iterable(r.per_arm for r in reports), np.float64,
+                              trials * arms).reshape(trials, arms)
         per_arm_mean = stacked.mean(axis=0).tolist()
     summary = {
         "schema_version": 1,

@@ -11,6 +11,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,7 @@ from .matroids import (
     TransversalMatroid,
     UniformMatroid,
 )
-from .sampling import (
-    BERNOULLI, POINT, SCALED, Arm, ArmTable, SamplingSession, bernoulli, point, trial_seed,
-)
+from .sampling import BERNOULLI, POINT, ArmTable, SamplingSession, trial_seed
 
 SCHEMA_VERSION = 1
 
@@ -61,18 +60,22 @@ def matroid_from_config(cfg: dict) -> Matroid:
     raise ValidationError(f"unknown matroid family {family!r}")
 
 
-# A file's kind strings mapped onto the module constants, so that a loaded
-# table shares one string per kind, as a generated one does.
-_KINDS = {kind: kind for kind in (BERNOULLI, SCALED, POINT)}
+def _arms_from_entries(entries) -> ArmTable:
+    """A file's ``[kind, mean]`` and ``[kind, mean, [lo, hi]]`` entries, read as columns."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValidationError(f"arms must be a list, not {type(entries).__name__}")
+    lengths = set(map(len, entries))
+    if not lengths <= {2, 3}:
+        raise ValidationError("an arm entry is [kind, mean] or [kind, mean, [lo, hi]]")
+    supports = None
+    if 3 in lengths:
+        supports = [entry[2] if len(entry) == 3 else None for entry in entries]
+    return ArmTable.from_columns(list(map(itemgetter(0), entries)),
+                                 list(map(itemgetter(1), entries)), supports)
 
 
-def _arm_from_entry(entry) -> Arm:
-    kind = _KINDS.get(entry[0], entry[0])  # Arm rejects a kind not found here
-    mean = float(entry[1])
-    if kind == SCALED:
-        lo, hi = entry[2]
-        return Arm(SCALED, mean, (float(lo), float(hi)))
-    return Arm(kind, mean)
+def _bernoulli_arms(means) -> ArmTable:
+    return ArmTable.from_columns((BERNOULLI,) * len(means), means)
 
 
 def _arm_entries(arms: ArmTable) -> list:
@@ -109,8 +112,9 @@ class Instance:
         )
 
     def with_point_mass_arms(self) -> "Instance":
+        means = self.arms.means
         return replace(self, name=f"{self.name}-pointmass",
-                       arms=ArmTable.from_arms(point(mu) for mu in self.arms.means))
+                       arms=ArmTable.from_columns((POINT,) * len(means), means))
 
     def to_config(self) -> dict:
         cfg = {
@@ -136,17 +140,20 @@ def make_instance(
     gap_floor: float | None = None,
     allow_ties: bool = False,
 ) -> Instance:
+    """An instance over ``arms``: an :class:`ArmTable`, or ``Arm`` records."""
     matroid = matroid_from_config(matroid_config)
-    arms = ArmTable.from_arms(arms)
+    if not isinstance(arms, ArmTable):
+        arms = ArmTable.from_arms(arms)
     if len(arms) != matroid.size:
         raise ValidationError(
             f"{len(arms)} arms for a matroid over {matroid.size} elements"
         )
-    means = arms.means
-    for mu in means:
-        if not 0.0 < mu < 1.0:
-            raise ValidationError(f"instance means must lie in (0, 1); got {mu}")
-    if not allow_ties and len(set(means)) != len(means):
+    # The table has no NaN mean, and an all-Bernoulli one has its means as q.
+    means = np.sort(arms.q if arms.all_bernoulli else np.array(arms.means))
+    if len(means) and not 0.0 < means[0] <= means[-1] < 1.0:
+        mu = means[0] if means[0] <= 0.0 else means[-1]
+        raise ValidationError(f"instance means must lie in (0, 1); got {mu}")
+    if not allow_ties and np.count_nonzero(means[1:] == means[:-1]):
         raise ValidationError("instance means must be pairwise distinct")
     loops = matroid.loops()
     if loops:
@@ -177,7 +184,7 @@ def instance_from_config(cfg: dict) -> Instance:
     with _reading("gap_floor"):
         gap_floor = None if cfg.get("gap_floor") is None else float(cfg["gap_floor"])
     with _reading("arms"):
-        arms = [_arm_from_entry(a) for a in cfg["arms"]]
+        arms = _arms_from_entries(cfg["arms"])
     return make_instance(
         name=cfg.get("name", "unnamed"),
         matroid_config=matroid_config,
@@ -223,15 +230,13 @@ def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     if min(means) <= 0.0 or max(means) >= 1.0:
         raise ValidationError("eps too large for means to stay inside (0, 1)")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    assigned = [0.0] * n
-    for slot, mu in zip(order, means):
-        assigned[int(slot)] = mu
+    assigned = np.empty(n)
+    assigned[rng.permutation(n)] = means
     gap_floor = 0.9 * eps if n <= 20 else None
     return make_instance(
         name=f"uniform-gap-n{n}-k{k}",
         matroid_config={"family": "uniform", "n": n, "k": k},
-        arms=[bernoulli(mu) for mu in assigned],
+        arms=_bernoulli_arms(assigned),
         notes=f"all gaps within ~10% of {eps}",
         gap_floor=gap_floor,
     )
@@ -255,24 +260,22 @@ def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> 
     if min(means) <= 0.0 or max(means) >= 1.0:
         raise ValidationError("min_gap too large for this ladder")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    assigned = [0.0] * n
-    for slot, mu in zip(order, means):
-        assigned[int(slot)] = mu
+    assigned = np.empty(n)
+    assigned[rng.permutation(n)] = means
     return make_instance(
         name=f"ladder-n{n}-k{k}",
         matroid_config={"family": "uniform", "n": n, "k": k},
-        arms=[bernoulli(mu) for mu in assigned],
+        arms=_bernoulli_arms(assigned),
         notes=f"geometric gap ladder, minimum gap ~{min_gap}",
     )
 
 
 def random_means(rng: np.random.Generator, n: int, lo: float = 0.05, hi: float = 0.95):
-    """Distinct means, comfortably inside (0, 1)."""
+    """Distinct means, comfortably inside (0, 1), as one float64 array."""
     while True:
         means = lo + (hi - lo) * rng.random(n)
-        if len(set(means.tolist())) == n:
-            return [float(mu) for mu in means]
+        if len(np.unique(means)) == n:
+            return means
 
 
 def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) -> Instance:
@@ -291,7 +294,7 @@ def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) ->
         name=f"graphic-v{num_vertices}-e{num_edges}",
         matroid_config={"family": "graphic", "num_vertices": num_vertices,
                         "edges": [list(e) for e in edges]},
-        arms=[bernoulli(mu) for mu in random_means(rng, num_edges)],
+        arms=_bernoulli_arms(random_means(rng, num_edges)),
     )
 
 
@@ -300,7 +303,7 @@ def big_uniform_instance(n: int, k: int, seed: int = 0) -> Instance:
     return make_instance(
         name=f"big-uniform-n{n}-k{k}",
         matroid_config={"family": "uniform", "n": n, "k": k},
-        arms=[bernoulli(mu) for mu in random_means(rng, n)],
+        arms=_bernoulli_arms(random_means(rng, n)),
     )
 
 
@@ -312,7 +315,7 @@ def _builtin_prop1() -> Instance:
     return make_instance(
         name="prop1",
         matroid_config={"family": "uniform", "n": 4, "k": 2},
-        arms=[bernoulli(mu) for mu in (0.91, 0.9, 0.89, 0.875)],
+        arms=_bernoulli_arms((0.91, 0.9, 0.89, 0.875)),
         notes="four-arm pick-2 example separating the optimality notions",
     )
 
@@ -322,7 +325,7 @@ def _builtin_ladder10() -> Instance:
     return make_instance(
         name="ladder10",
         matroid_config={"family": "uniform", "n": 10, "k": 3},
-        arms=[bernoulli(mu) for mu in means],
+        arms=_bernoulli_arms(means),
         notes="ten arms, pick 3, minimum gap 0.05",
         gap_floor=0.05,
     )
@@ -333,7 +336,7 @@ def _builtin_graphic_k4() -> Instance:
     return make_instance(
         name="graphic_k4",
         matroid_config={"family": "graphic", "num_vertices": 4, "edges": edges},
-        arms=[bernoulli(mu) for mu in (0.9, 0.82, 0.74, 0.66, 0.58, 0.5)],
+        arms=_bernoulli_arms((0.9, 0.82, 0.74, 0.66, 0.58, 0.5)),
         notes="complete graph on 4 vertices; bases are spanning trees",
     )
 
@@ -343,7 +346,7 @@ def _builtin_transversal5() -> Instance:
         name="transversal5",
         matroid_config={"family": "transversal", "n": 5,
                         "workers": [[0, 1, 2], [1, 3], [2, 4]]},
-        arms=[bernoulli(mu) for mu in (0.9, 0.85, 0.8, 0.7, 0.6)],
+        arms=_bernoulli_arms((0.9, 0.85, 0.8, 0.7, 0.6)),
         notes="five tasks, three workers",
     )
 
@@ -357,7 +360,7 @@ def _builtin_laminar6() -> Instance:
     return make_instance(
         name="laminar6",
         matroid_config={"family": "laminar", "n": 6, "sets": sets},
-        arms=[bernoulli(mu) for mu in (0.95, 0.9, 0.85, 0.8, 0.75, 0.7)],
+        arms=_bernoulli_arms((0.95, 0.9, 0.85, 0.8, 0.75, 0.7)),
         notes="nested capacities over six arms",
     )
 
@@ -370,7 +373,7 @@ def _builtin_partition6() -> Instance:
     return make_instance(
         name="partition6",
         matroid_config={"family": "partition", "groups": groups},
-        arms=[bernoulli(mu) for mu in (0.9, 0.8, 0.7, 0.6, 0.5, 0.4)],
+        arms=_bernoulli_arms((0.9, 0.8, 0.7, 0.6, 0.5, 0.4)),
         notes="two groups with capacities 1 and 2",
     )
 

@@ -194,6 +194,10 @@ class UniformMatroid(Matroid):
     def growing(self) -> IndependentSet:
         return _UniformSet(self)
 
+    def loops(self) -> ElementSet:
+        """No element when ``k >= 1``; every element when ``k == 0``."""
+        return frozenset() if self.k else self._ground_set
+
 
 class _UniformSet(IndependentSet):
     """Spans everything once ``k`` elements are kept.

@@ -26,6 +26,8 @@ from .errors import BudgetError, DomainError, ValidationError
 BERNOULLI = "bernoulli"
 SCALED = "scaled"
 POINT = "point"
+# Each kind mapped onto its constant, so that a table shares one string per kind.
+_KINDS = {kind: kind for kind in (BERNOULLI, SCALED, POINT)}
 
 # Tables of at least this many arms get dense sessions (see the module docstring).
 DENSE_MIN_ARMS = 256
@@ -35,8 +37,9 @@ DENSE_MIN_ARMS = 256
 class Arm:
     """One reward source: Bernoulli, two-point scaled Bernoulli, or point mass.
 
-    The validated record that instance files and constructors use; instances
-    and sessions hold their arms as an :class:`ArmTable`.
+    The validated record for code that builds arms one at a time. Instances
+    and sessions hold their arms as an :class:`ArmTable`, which instance
+    files and generators build from columns, with no record per arm.
     """
 
     kind: str
@@ -51,7 +54,10 @@ class Arm:
         if self.kind == SCALED:
             if self.support is None:
                 raise ValidationError("scaled arm needs a (lo, hi) support")
-            lo, hi = self.support
+            try:
+                lo, hi = self.support
+            except (TypeError, ValueError):
+                raise ValidationError(f"scaled support {self.support!r} is not a pair") from None
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValidationError(f"scaled support {self.support} invalid")
             if not lo <= self.mean <= hi:
@@ -72,6 +78,17 @@ def scaled(lo: float, hi: float, mean: float) -> Arm:
     return Arm(SCALED, mean, (lo, hi))
 
 
+def _numbers(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``values`` as a new float64 array of ``shape``; anything else is a ``ValidationError``."""
+    try:
+        array = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} are not numbers: {exc}") from None
+    if array.shape != shape:
+        raise ValidationError(f"{what} have shape {array.shape}, not {shape}")
+    return array
+
+
 @dataclass(frozen=True)
 class ArmTable:
     """Arms as columns: a kind, a mean and a support (or None) per arm id.
@@ -90,21 +107,65 @@ class ArmTable:
     all_bernoulli: bool = field(compare=False, repr=False)
 
     @classmethod
-    def from_arms(cls, arms: Iterable[Arm]) -> "ArmTable":
-        arms = tuple(arms)
-        kinds = tuple([arm.kind for arm in arms])
-        means = tuple([arm.mean for arm in arms])
-        supports = tuple([arm.support for arm in arms])
-        q = np.array(means, dtype=np.float64)  # a Bernoulli arm's q is its mean
-        all_bernoulli = kinds.count(BERNOULLI) == len(kinds)
+    def from_columns(
+        cls,
+        kinds: Sequence[str],
+        means: Sequence[float] | np.ndarray,
+        supports: Sequence[tuple[float, float] | None] | None = None,
+    ) -> "ArmTable":
+        """A table from one kind, mean and support (or None) per arm.
+
+        Refuses with ``ValidationError`` every row that :class:`Arm` refuses,
+        checking each column in vector form; ``supports=None`` gives no arm a
+        support. Kinds map onto the module constants, so that a table shares
+        one string per kind however its kinds were read, and a scaled arm's
+        support is stored as a pair of floats.
+        """
+        try:
+            kinds = tuple(map(_KINDS.__getitem__, kinds))
+        except (KeyError, TypeError):
+            bad = next(k for k in kinds if not (isinstance(k, str) and k in _KINDS))
+            raise ValidationError(f"unknown arm kind {bad!r}") from None
+        n = len(kinds)
+        q = _numbers(means, (n,), "arm means")  # a Bernoulli arm's q is its mean
+        inside = (q >= 0.0) & (q <= 1.0)  # False for NaN
+        if np.count_nonzero(inside) != n:
+            raise ValidationError(f"arm mean {q[inside.argmin()]} outside [0, 1]")
+        means = tuple(q.tolist())
+        all_bernoulli = kinds.count(BERNOULLI) == n
+        scaled = [] if all_bernoulli else [e for e, kind in enumerate(kinds) if kind is SCALED]
+        if supports is None:
+            supports, with_support = [None] * n, []
+        else:
+            supports = list(supports)
+            if len(supports) != n:
+                raise ValidationError(f"{len(supports)} supports for {n} arms")
+            with_support = [e for e, support in enumerate(supports) if support is not None]
+        if with_support != scaled:
+            e = min(set(with_support).symmetric_difference(scaled))
+            if kinds[e] is SCALED:
+                raise ValidationError("scaled arm needs a (lo, hi) support")
+            raise ValidationError(f"{kinds[e]} arm takes no support")
+        if scaled:
+            bounds = _numbers([supports[e] for e in scaled], (len(scaled), 2), "scaled supports")
+            lo, hi = bounds.T
+            if not ((0.0 <= lo) & (lo < hi) & (hi <= 1.0)).all():
+                raise ValidationError("scaled support invalid")
+            mu = q[scaled]
+            if not ((lo <= mu) & (mu <= hi)).all():
+                raise ValidationError("scaled arm mean outside its support")
+            q[scaled] = (mu - lo) / (hi - lo)
+            for e, support in zip(scaled, bounds.tolist()):
+                supports[e] = tuple(support)
         if not all_bernoulli:
-            for e, kind in enumerate(kinds):
-                if kind == SCALED:
-                    lo, hi = supports[e]
-                    q[e] = (means[e] - lo) / (hi - lo)
-                elif kind == POINT:
-                    q[e] = 0.0
-        return cls(kinds, means, supports, q, all_bernoulli)
+            q[[e for e, kind in enumerate(kinds) if kind is POINT]] = 0.0
+        return cls(kinds, means, tuple(supports), q, all_bernoulli)
+
+    @classmethod
+    def from_arms(cls, arms: Iterable[Arm]) -> "ArmTable":
+        arms = list(arms)
+        return cls.from_columns([arm.kind for arm in arms], [arm.mean for arm in arms],
+                                [arm.support for arm in arms])
 
     def __len__(self) -> int:
         return len(self.means)

@@ -105,8 +105,24 @@ _TWO_ARMS = {"schema_version": 1, "matroid": {"family": "uniform", "n": 2, "k": 
     dict(_TWO_ARMS, matroid={"family": "graphic", "num_vertices": 2, "edges": [[0], [0, 1]]}),
     [_TWO_ARMS],
     dict(_TWO_ARMS, gap_floor="abc"),
+    dict(_TWO_ARMS, arms=[["bernoulli", None], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["bernoulli", float("nan")], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["bernoulli", 10**400], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["gaussian", 0.4], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[[["bernoulli"], 0.4], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["scaled", 0.4], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["scaled", 0.4, [0.1]], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["scaled", 0.4, ["lo", "hi"]], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["point", 0.4, [0.1, 0.9]], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms=[["bernoulli", 0.4, None, None], ["bernoulli", 0.6]]),
+    dict(_TWO_ARMS, arms={"0": ["bernoulli", 0.4], "1": ["bernoulli", 0.6]}),
+    dict(_TWO_ARMS, arms="bernoulli"),
+    dict(_TWO_ARMS, arms=[0.4, 0.6]),
 ], ids=["uniform-without-k", "no-arms", "arm-without-mean", "arm-mean-not-a-number",
-        "one-ended-edge", "top-level-list", "gap-floor-not-a-number"])
+        "one-ended-edge", "top-level-list", "gap-floor-not-a-number", "null-mean", "nan-mean",
+        "mean-past-a-float", "unknown-kind", "unhashable-kind", "scaled-without-support",
+        "scaled-support-one-number", "scaled-support-not-numbers", "point-with-support",
+        "four-item-entry", "arms-a-mapping", "arms-a-string", "arms-bare-numbers"])
 def test_malformed_instance_files_are_validation_errors(cfg, tmp_path, capsys):
     with pytest.raises(ValidationError):
         instance_from_config(cfg)
@@ -314,6 +330,21 @@ def test_sample_extremes_stay_exact_above_two_to_the_53(tmp_path):
     header, row = out.with_suffix(".csv").read_text().splitlines()
     columns = dict(zip(header.split(","), row.split(",")))
     assert (columns["samples_min"], columns["samples_max"]) == ("7", str(2**60 + 3))
+
+
+def test_per_arm_mean_pulls_match_stacking_the_ledgers_as_an_array():
+    config = RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 4, 0, PAPER)
+    ledgers = [(3, 0, 7, 1), (2**63 + 1, 5, 0, 2**53 + 1), (2**64 + 12345, 2**70 * 3 + 7, 9, 0),
+               (10**30 + 1, 1, 1, 2**63 - 1)]  # the last three hold Python ints past int64
+    reports = [
+        harness.TrialReport(i, (0, i), "naive1", (0, 1), sum(per_arm), per_arm,
+                            dict.fromkeys(harness.FLAGS, True), None, 0.0)
+        for i, per_arm in enumerate(ledgers)
+    ]
+    for batch in (reports[:1], reports):
+        expected = np.array([r.per_arm for r in batch], dtype=np.float64).mean(axis=0)
+        got = harness.summarize(config, batch)["summary"]["per_arm_mean_pulls"]
+        assert np.array(got).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("config", [

@@ -316,6 +316,15 @@ def test_isolated_and_loops():
     assert loops == p.ground_set - frozenset.union(*bases)
 
 
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_uniform_loops_are_every_element_exactly_when_k_is_zero(n):
+    for k in range(n + 2):
+        m = UniformMatroid(n, k)
+        assert m.loops() == Matroid.loops(m)  # the per-element reference
+        assert m.loops() == (m.ground_set if k == 0 else frozenset())
+        assert m.isolated_and_loops()[1] == m.loops()
+
+
 def test_loops_match_isolated_and_loops_and_rank_zero():
     rng = np.random.default_rng(41)
     seen_loops = 0

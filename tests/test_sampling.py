@@ -12,6 +12,7 @@ from matroid_bandits.instances import (
     big_uniform_instance, builtin, load_instance, make_instance, save_instance,
 )
 from matroid_bandits import sampling
+from matroid_bandits.matroids import IndependentSet
 from matroid_bandits.sampling import (
     DENSE_MIN_ARMS,
     Arm,
@@ -80,6 +81,120 @@ def test_loaded_table_shares_the_kind_constants(tmp_path):
         assert all(a is b for a, b in zip(loaded.kinds, inst.arms.kinds))
         assert loaded == inst.arms and loaded.all_bernoulli == inst.arms.all_bernoulli
         assert len(pickle.dumps(loaded)) == len(pickle.dumps(inst.arms))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_building_and_loading_a_large_instance_makes_no_arm_records_and_no_spans(
+        tmp_path, monkeypatch):
+    path = tmp_path / "uniform.json"
+    save_instance(big_uniform_instance(5000, 20, seed=0), path)
+    calls = {"Arm": 0, "spans": 0}
+
+    def counting(owner, name, key):
+        original = vars(owner)[name]
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(Arm, "__post_init__", "Arm")
+    for owner in (IndependentSet, *_subclasses(IndependentSet)):
+        if "spans" in vars(owner):
+            counting(owner, "spans", "spans")
+    loaded = load_instance(path)
+    made = big_uniform_instance(5000, 20, seed=0)
+    assert calls == {"Arm": 0, "spans": 0}
+    assert loaded.arms == made.arms and loaded.size == 5000
+    bernoulli(0.5)  # the counters do see a record
+    assert calls["Arm"] == 1
+
+
+_VALID_ROWS = [("bernoulli", 0.3, None), ("bernoulli", 0.0, None), ("bernoulli", 1.0, None),
+               ("point", 0.4, None), ("point", 1.0, None), ("scaled", 0.5, (0.2, 0.9)),
+               ("scaled", 0.2, (0.2, 0.9)), ("scaled", 0.9, (0.2, 0.9)), ("scaled", 0.0, (0.0, 1.0))]
+_INVALID_ROWS = {
+    "unknown-kind": ("gaussian", 0.5, None),
+    "nan-mean": ("bernoulli", float("nan"), None),
+    "negative-mean": ("bernoulli", -0.01, None),
+    "mean-above-one": ("point", 1.01, None),
+    "scaled-without-support": ("scaled", 0.5, None),
+    "support-lo-not-below-hi": ("scaled", 0.5, (0.5, 0.5)),
+    "support-reversed": ("scaled", 0.5, (0.9, 0.2)),
+    "support-below-zero": ("scaled", 0.1, (-0.1, 0.5)),
+    "support-above-one": ("scaled", 0.9, (0.5, 1.1)),
+    "support-nan": ("scaled", 0.5, (float("nan"), 0.9)),
+    "support-of-three": ("scaled", 0.5, (0.2, 0.4, 0.9)),
+    "mean-outside-support": ("scaled", 0.5, (0.2, 0.4)),
+    "point-with-support": ("point", 0.5, (0.1, 0.9)),
+    "bernoulli-with-support": ("bernoulli", 0.5, (0.1, 0.9)),
+}
+
+
+def _table_or_refusal(build):
+    try:
+        return build()
+    except ValidationError:
+        return None
+
+
+def _rows_both_ways(rows):
+    """The table of ``rows`` from ``Arm`` records and from columns; None where refused."""
+    records = _table_or_refusal(lambda: ArmTable.from_arms([Arm(*row) for row in rows]))
+    columns = _table_or_refusal(lambda: ArmTable.from_columns(
+        [row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows]))
+    return records, columns
+
+
+@st.composite
+def _scaled_rows(draw):
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+    mean = draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+    return ("scaled", mean, (lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(_VALID_ROWS),
+    st.tuples(st.sampled_from(["bernoulli", "point"]), st.floats(0.0, 1.0), st.none()),
+    _scaled_rows(),
+), max_size=12), st.lists(st.tuples(st.integers(0, 12), st.one_of(
+    st.sampled_from(list(_INVALID_ROWS.values())),
+    st.tuples(st.just("scaled"), st.floats(0.0, 1.0), st.tuples(st.floats(0.0, 1.0),
+                                                                 st.floats(0.0, 1.0))),
+)), max_size=2))
+def test_columns_and_records_make_the_same_table(rows, inserted):
+    for at, row in inserted:  # none, one or two rows that may be invalid
+        rows.insert(at, row)
+    records, columns = _rows_both_ways(rows)
+    assert (records is None) == (columns is None)
+    if columns is None:
+        return
+    # the per-arm reference for each arm's binomial success probability
+    q = [0.0 if kind == "point" else mean if kind == "bernoulli"
+         else (mean - support[0]) / (support[1] - support[0]) for kind, mean, support in rows]
+    assert columns == records
+    assert columns.q.tobytes() == records.q.tobytes() == np.array(q, dtype=np.float64).tobytes()
+    assert columns.all_bernoulli == records.all_bernoulli == all(r[0] == "bernoulli" for r in rows)
+    assert len(pickle.dumps(columns)) == len(pickle.dumps(records))
+    if all(row[2] is None for row in rows):
+        assert ArmTable.from_columns([r[0] for r in rows], [r[1] for r in rows]) == columns
+
+    def draws(table):
+        return SamplingSession(table, seed=8).uniform_sample(range(len(rows)), 37)
+
+    assert draws(columns) == draws(records)
+
+
+@pytest.mark.parametrize("row", list(_INVALID_ROWS.values()), ids=list(_INVALID_ROWS))
+def test_columns_and_records_refuse_each_invalid_row(row):
+    assert _rows_both_ways([*_VALID_ROWS[:4], row, *_VALID_ROWS[4:]]) == (None, None)
 
 
 def test_point_mass_instance_draws_nothing():
