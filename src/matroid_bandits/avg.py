@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError
 from .matroids import (
-    ElementSet, Matroid, Weights, basis_weight, greedy_max_basis, sample_ids,
-    shifted_thresholds, unblocked,
+    ElementSet, Matroid, Weights, basis_weight, greedy_max_basis, shifted_thresholds, unblocked,
 )
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
 from .sampling import SamplingSession, _validate, ceil_pulls, sample_size
@@ -62,7 +61,7 @@ def naive_two(session: SamplingSession, m: Matroid, eps: float, delta: float) ->
     if k == 0:
         return PacResult(frozenset(), 0)
     count = naive_two_pull_count(m.size, k, eps, delta)
-    means = session.uniform_sample(sample_ids(m), count)
+    means = session.uniform_sample(session.sample_ids(m), count)
     basis = greedy_max_basis(m, means)
     return PacResult(basis, session.total_samples - start)
 
@@ -103,14 +102,14 @@ def elimination(
         )
     lam = alpha = beta = eps / 5.0
     p = elimination_sample_prob(n, k, delta)
-    sampled = session.random_subset(sample_ids(m), p)
+    sampled = session.random_subset(session.sample_ids(m), p)
     # delta is split into sixths, one per claim of the elimination analysis:
     # the subset-size bound, the pruning-power bound, the recursive PAC call,
     # the solution-side estimates, the value-loss event, the leftover count.
     inner = pac_sample_prune(session, m.restrict(sampled), lam, delta / 6.0, profile).basis
     means = session.uniform_sample(inner, sample_size(alpha, delta / (6.0 * k)))
     count = elimination_pull_count(beta, k, delta)
-    means = means | session.uniform_sample(sample_ids(m, inner), count)
+    means = means | session.uniform_sample(session.sample_ids(m, inner), count)
 
     thresholds = shifted_thresholds(means, -lam, -alpha, -beta, exclude=inner)
     return inner | unblocked(m, inner, means, thresholds)

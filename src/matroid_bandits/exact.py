@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, InvariantError
-from .matroids import Matroid, sample_ids, shifted_thresholds, unblocked
+from .matroids import Matroid, shifted_thresholds, unblocked
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
 from .sampling import SamplingSession, sample_size
 
@@ -103,7 +103,7 @@ def exact_exp_gap(
         if kind == ELIMINATION:
             inner = pac_sample_prune(session, m_cur, eps_r, delta_r, profile).basis
             means = session.uniform_sample(inner, sample_size(eps_r / 2.0, delta_r / n_opt))
-            rest = sample_ids(m_cur, inner)
+            rest = session.sample_ids(m_cur, inner)
             means = means | session.uniform_sample(rest, sample_size(eps_r, delta_r / n_opt))
 
             thresholds = shifted_thresholds(means, 1.5 * eps_r, exclude=inner)
@@ -113,7 +113,7 @@ def exact_exp_gap(
             m_next = m_cur.restrict(changed)
         else:
             means = session.uniform_sample(
-                sample_ids(m_cur), sample_size(eps_r, delta_r / len(current))
+                session.sample_ids(m_cur), sample_size(eps_r, delta_r / len(current))
             )
             thresholds = shifted_thresholds(means, -2.0 * eps_r)
             changed = unblocked(m_cur, current, means, thresholds)

@@ -32,7 +32,6 @@ from .matroids import (
     Matroid, avg_within_eps, elementwise_within_eps, greedy_max_basis, is_eps_optimal,
 )
 from .pac import ConstantsProfile, PROFILES, PacResult, naive_one, pac_sample_prune
-from .sampling import DENSE_MIN_ARMS
 
 ALGORITHMS = ("naive1", "naive2", "pac", "exact", "avgpac")
 FLAGS = ("exact", "eps_optimal", "elementwise", "avg")
@@ -127,11 +126,11 @@ class TrialReport:
 
 
 def _true_weights(instance: Instance):
-    """The true means as the judge reads them: one float array for a table of
-    at least ``DENSE_MIN_ARMS`` arms, which greedy and the judge read in
-    vector form; the tuple for a smaller one."""
+    """The true means as the judge reads them: one float array for a dense
+    table, which greedy and the judge read in vector form; the tuple for a
+    smaller one."""
     means = instance.true_means
-    return np.array(means) if len(means) >= DENSE_MIN_ARMS else means
+    return np.array(means) if instance.arms.dense else means
 
 
 def _run_single_trial(config: RunConfig, index: int, opt, means) -> TrialReport:

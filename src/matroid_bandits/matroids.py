@@ -11,7 +11,9 @@ ids and never renumbers.
 Greedy, the pruning sweep and the eps-optimality check read weights in
 vector form when they come as :class:`~.sampling.Estimates` or a float
 array indexed by element id; mappings and sequences keep the per-element
-reference code, which tests pin the vector form against.
+reference code, which tests pin the vector form against. Both refuse a
+missing or NaN weight. The form is the caller's: :mod:`.sampling` decides a
+table's, and its sessions hand algorithms their ids (``sample_ids``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .sampling import DENSE_MIN_ARMS, Estimates
+from .sampling import Estimates
 
 ElementSet = frozenset[int]
 
@@ -84,8 +86,9 @@ class Matroid:
     _full_rank: int | None
 
     def _init_ground(self, ground: Iterable[int]) -> None:
-        self._ground = tuple(sorted(set(ground)))
-        self._ground_set = frozenset(self._ground)
+        """Set the ground from ``ground``; a frozenset is kept as it is, not copied."""
+        self._ground_set = frozenset(ground)
+        self._ground = tuple(sorted(self._ground_set))
         self._ground_ids = None
         self._full_rank = None
 
@@ -484,9 +487,12 @@ class _ContractionView(Matroid):
 
 def _weight(weights: Weights, e: int) -> float:
     try:
-        return float(weights[e])
-    except (KeyError, IndexError) as exc:
-        raise DomainError(f"no weight defined for element {e}") from exc
+        w = float(weights[e])
+    except (KeyError, IndexError):
+        w = math.nan
+    if w != w:  # missing, or NaN, which array-form weights also refuse
+        raise DomainError(f"no weight defined for element {e}")
+    return w
 
 
 # The weight forms read in vector form; one membership test dispatches them.
@@ -508,19 +514,6 @@ def _read(dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
     if missing.any():
         raise DomainError(f"no weight defined for element {ids[missing][0]}")
     return w
-
-
-def sample_ids(m: Matroid, exclude: ElementSet = frozenset()) -> Collection[int]:
-    """The ground of ``m`` less ``exclude``, in the form a session draws from fastest.
-
-    A ground of at least ``DENSE_MIN_ARMS`` elements lies in a table as large,
-    whose session is dense: it comes as a sorted int64 array. A smaller one
-    comes as a tuple or a set, so that no array is built for a small table.
-    """
-    if len(m._ground) < DENSE_MIN_ARMS:
-        return m._ground_set - exclude if exclude else m._ground
-    ids = m.ground_ids
-    return ids[~np.isin(ids, np.fromiter(exclude, np.int64, len(exclude)))] if exclude else ids
 
 
 def shifted_thresholds(
@@ -687,8 +680,8 @@ def avg_within_eps(
 
 
 def _checked_basis(m: Matroid, basis: Iterable[int], eps: float) -> ElementSet:
-    """``basis`` as a set, once ``eps >= 0`` and ``basis`` is a basis of ``m``."""
-    if eps < 0:
+    """``basis`` as a set, once ``eps >= 0`` (so not NaN) and ``basis`` is a basis of ``m``."""
+    if not eps >= 0:
         raise DomainError("eps must be >= 0")
     bset = m._as_subset(basis)
     if not m.is_basis(bset):

@@ -198,7 +198,7 @@ def is_eps_approx_subset(
     m: Matroid, inner: Iterable[int], outer: Iterable[int], weights: Weights, eps: float
 ) -> bool:
     """True iff some independent subset of ``inner`` is eps-optimal for ``outer``."""
-    if eps < 0:
+    if not eps >= 0:  # NaN too
         raise DomainError("eps must be >= 0")
     inner_set = m._as_subset(inner)
     outer_set = m._as_subset(outer)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import BudgetError, InvariantError
 from .matroids import (
-    ElementSet, Matroid, greedy_max_basis, sample_ids, shifted_thresholds, unblocked,
+    ElementSet, Matroid, greedy_max_basis, shifted_thresholds, unblocked,
 )
 from .sampling import SamplingSession, _validate, sample_size
 
@@ -86,7 +86,7 @@ def naive_one(session: SamplingSession, m: Matroid, eps: float, delta: float) ->
     start = session.total_samples
     if m.size == 0:
         return PacResult(frozenset(), 0)
-    means = session.uniform_sample(sample_ids(m), sample_size(eps / 2.0, delta / m.size))
+    means = session.uniform_sample(session.sample_ids(m), sample_size(eps / 2.0, delta / m.size))
     basis = greedy_max_basis(m, means)
     return PacResult(basis, session.total_samples - start)
 
@@ -129,13 +129,13 @@ def _sample_prune(
         transcript.append(PruneLevel(depth, ground, base_case=True))
         return naive_one(session, m, eps, delta).basis
 
-    sampled = session.random_subset(sample_ids(m), profile.sample_prob)
+    sampled = session.random_subset(session.sample_ids(m), profile.sample_prob)
     alpha = eps / 3.0
     lam = eps / 12.0
     subset = m.restrict(sampled)
     inner = _sample_prune(session, subset, alpha, delta / 8.0, profile, depth + 1, transcript)
     means = session.uniform_sample(
-        sample_ids(m), sample_size(lam, delta * profile.sample_prob / (8.0 * k))
+        session.sample_ids(m), sample_size(lam, delta * profile.sample_prob / (8.0 * k))
     )
 
     thresholds = shifted_thresholds(means, -alpha, -2.0 * lam, exclude=inner)

@@ -6,14 +6,24 @@ one trial. Algorithms draw only through ``uniform_sample`` (a set of arms, a
 fixed count each) and ``random_subset``; true means stay on the instance
 side. ``pull_batch`` is the per-arm reference that tests pin
 ``uniform_sample`` against.
+
+A table of at least ``DENSE_MIN_ARMS`` arms is dense (``ArmTable.dense``, the
+one place that size is compared). Its sessions keep an int64 ledger, which
+turns into exact Python ints before the total could reach ``2**63``, return
+:class:`Estimates` and hand out ids (``sample_ids``) as sorted int64 arrays,
+such as ``Matroid.ground_ids``, for views of any size. A smaller table's
+sessions keep a list ledger, return dicts and hand out tuples or sets, which
+cost less than numpy's fixed per-call cost on a few arms. Both forms draw the
+same numbers and record the same pulls.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from itertools import compress
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,13 +33,16 @@ from numpy.random import SeedSequence, default_rng
 
 from .errors import BudgetError, DomainError, ValidationError
 
+if TYPE_CHECKING:
+    from .matroids import Matroid
+
 BERNOULLI = "bernoulli"
 SCALED = "scaled"
 POINT = "point"
 # Each kind mapped onto its constant, so that a table shares one string per kind.
 _KINDS = {kind: kind for kind in (BERNOULLI, SCALED, POINT)}
 
-# Tables of at least this many arms get dense sessions (see the module docstring).
+# Tables of at least this many arms are dense (see the module docstring).
 DENSE_MIN_ARMS = 256
 
 
@@ -170,6 +183,11 @@ class ArmTable:
     def __len__(self) -> int:
         return len(self.means)
 
+    @property
+    def dense(self) -> bool:
+        """Whether sessions over this table keep an int64 ledger and return :class:`Estimates`."""
+        return len(self.means) >= DENSE_MIN_ARMS
+
     def batch_mean(self, e: int, count: int, hits: int) -> float:
         """Mean of ``count`` pulls of arm ``e`` with ``hits`` successes."""
         kind = self.kinds[e]
@@ -198,8 +216,8 @@ def _check_ids(unique: Iterable) -> None:
             raise DomainError(f"arm id {e!r} is not an integer")
 
 
-def _sorted_ids(elements: Iterable[int]) -> np.ndarray:
-    """``elements`` as a strictly increasing int64 array.
+def _sorted_ids(elements: Iterable[int], array: bool) -> np.ndarray | list[int]:
+    """``elements`` as strictly increasing ids: an int64 array if ``array``, else a list.
 
     An integer array that already increases strictly is taken as it is, so
     that ``Matroid.ground_ids`` costs no sort.
@@ -208,13 +226,14 @@ def _sorted_ids(elements: Iterable[int]) -> np.ndarray:
         unique = set(elements)
         if not _ONLY_INTS(map(type, unique)):
             _check_ids(unique)
-        return np.array(sorted(unique), dtype=np.int64)
+        ordered = sorted(unique)
+        return np.array(ordered, dtype=np.int64) if array else ordered
     if elements.dtype.kind not in "iu":
         raise DomainError(f"arm ids must be integers, not {elements.dtype}")
     ids = elements.astype(np.int64, copy=False)
     if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
         ids = np.unique(ids)
-    return ids
+    return ids if array else ids.tolist()
 
 
 class Estimates(Mapping):
@@ -295,7 +314,7 @@ class SamplingSession:
         self._arms = arms if isinstance(arms, ArmTable) else ArmTable.from_arms(arms)
         self._rng = default_rng(seed)
         n = len(self._arms)
-        self._dense = n >= DENSE_MIN_ARMS
+        self._dense = self._arms.dense
         # plain Python ints on a small table; a dense one's int64 ledger turns
         # into them before a count could pass int64 (see ``_add_pulls``)
         self._pulls = np.zeros(n, np.int64) if self._dense else [0] * n
@@ -362,6 +381,18 @@ class SamplingSession:
             pulls[e] += count
         self._total = total
 
+    def sample_ids(self, m: Matroid, exclude: Collection[int] = frozenset()) -> Collection[int]:
+        """The ground of ``m`` less ``exclude``, in the form this session draws from fastest.
+
+        A dense session gets a sorted int64 array, ``m.ground_ids`` itself
+        when nothing is excluded; a small one gets a tuple or a set, so that
+        no array is built for a small table.
+        """
+        if not self._dense:
+            return m.ground_set - exclude if exclude else m.ground
+        ids = m.ground_ids
+        return ids[~np.isin(ids, np.fromiter(exclude, np.int64, len(exclude)))] if exclude else ids
+
     def uniform_sample(self, elements: Iterable[int], count: int) -> Mapping[int, float]:
         """Pull every element exactly ``count`` fresh times; return the batch means.
 
@@ -377,65 +408,40 @@ class SamplingSession:
         """
         if count < 1:
             raise DomainError("batch size must be >= 1")
-        if self._dense:
-            return self._dense_sample(_sorted_ids(elements), count)
-        unique = set(elements)
-        if not _ONLY_INTS(map(type, unique)):
-            _check_ids(unique)
-        ordered = sorted(unique)
-        if ordered:
-            self._check_ends(ordered[0], ordered[-1])
-        means = dict(zip(ordered, self._draw(ordered, count)))
-        pulls = self._pulls
-        for e in ordered:
-            pulls[e] += count
-        self._total += len(ordered) * count
-        return means
-
-    def _dense_sample(self, ids: np.ndarray, count: int) -> Estimates:
-        """``uniform_sample`` on a dense table: an all-Bernoulli batch of up to
-        ``2**53`` pulls in vector form, any other through ``_draw``."""
+        ids = _sorted_ids(elements, self._dense)
         if len(ids):
-            self._check_ends(int(ids[0]), int(ids[-1]))
-        arms = self._arms
-        means = np.full(len(arms), np.nan)
-        if arms.all_bernoulli and count <= 2**53:
-            self._check_batch(count, len(ids), len(ids) > 0)
-            if len(ids):
-                means[ids] = self._rng.binomial(count, arms.q[ids]) / count
-        else:
-            means[ids] = self._draw(ids.tolist(), count)
+            self._check_ends(ids[0], ids[-1])
+        means = self._draw(ids, count)
         self._add_pulls(ids, count)
-        return Estimates(means)
+        if not self._dense:
+            return dict(zip(ids, means.tolist()))
+        dense = np.full(len(self._arms), np.nan)
+        dense[ids] = means
+        return Estimates(dense)
 
-    def _draw(self, ordered: list[int], count: int) -> list[float]:
-        """Check and draw one batch of the distinct arms ``ordered``; their means, in order.
-
-        Records nothing: the caller adds the pulls to the ledger.
-        """
-        arms = self._arms
-        kinds = arms.kinds
-        stochastic = ordered if arms.all_bernoulli else [e for e in ordered if kinds[e] != POINT]
-        self._check_batch(count, len(ordered), bool(stochastic))
-        draws = self._rng.binomial(count, arms.q[stochastic]) if stochastic else None
-        if arms.all_bernoulli and count <= 2**53 and stochastic:
+    def _draw(self, ids: list[int] | np.ndarray, count: int) -> np.ndarray:
+        """Check and draw one batch of the increasing ``ids``; their means in order, unrecorded."""
+        arms, kinds = self._arms, self._arms.kinds
+        if not arms.all_bernoulli and type(ids) is np.ndarray:
+            ids = ids.tolist()  # the per-arm code below reads Python ints faster
+        stochastic = ids if arms.all_bernoulli else [e for e in ids if kinds[e] != POINT]
+        self._check_batch(count, len(ids), len(stochastic) > 0)
+        draws = self._rng.binomial(count, arms.q[stochastic]) if len(stochastic) else np.zeros(0)
+        if arms.all_bernoulli and count <= 2**53:
             # hits and count are exact in float64 here, so each quotient is
             # rounded once, as Python's hits / count is
-            return (draws / count).tolist()
-        hits = iter(draws.tolist() if stochastic else ())
-        return [arms.batch_mean(e, count, 0 if kinds[e] == POINT else next(hits))
-                for e in ordered]
+            return draws / count
+        hits = iter(draws.tolist())
+        return np.array([arms.batch_mean(e, count, 0 if kinds[e] == POINT else next(hits))
+                         for e in ids])
 
     def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int]:
         """Keep each element independently with probability ``p``."""
         if not 0.0 <= p <= 1.0:
             raise DomainError("p must lie in [0, 1]")
-        if type(elements) is np.ndarray:
-            ids = _sorted_ids(elements)
-            return frozenset(ids[self._rng.random(len(ids)) < p].tolist())
-        ordered = sorted(set(elements))
-        draws = self._rng.random(len(ordered))
-        return frozenset(e for e, u in zip(ordered, draws.tolist()) if u < p)
+        ids = _sorted_ids(elements, self._dense)
+        keep = self._rng.random(len(ids)) < p
+        return frozenset(ids[keep].tolist() if self._dense else compress(ids, keep.tolist()))
 
 
 def trial_seed(master_seed: int, trial_index: int) -> SeedSequence:

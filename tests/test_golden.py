@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from matroid_bandits import harness, matroids, sampling
+from matroid_bandits import sampling
 from matroid_bandits.harness import ALGORITHMS, RunConfig, run_trials
 from matroid_bandits.instances import BUILTINS, builtin, make_instance
 from matroid_bandits.pac import DESK
@@ -101,9 +101,9 @@ def test_dense_outputs_match_golden_fixture():
 ], ids=["builtins-dense", "dense-size-reference"])
 def test_the_other_path_gives_the_same_output(dense_min_arms, record, path, monkeypatch):
     # the builtins through dense sessions, and the dense-size instances
-    # through the reference path, reproduce their fixtures
-    for module in (sampling, matroids, harness):
-        monkeypatch.setattr(module, "DENSE_MIN_ARMS", dense_min_arms)
+    # through the reference path, reproduce their fixtures; the session and
+    # the judge both read the table's one flag
+    monkeypatch.setattr(sampling, "DENSE_MIN_ARMS", dense_min_arms)
     assert json.loads(json.dumps(record())) == json.loads(path.read_text(encoding="utf-8"))
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import deque
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import FAMILY_NAMES, loop_free, random_distinct_weights, random_matroid
 from matroid_bandits import matroids
 from matroid_bandits.errors import DomainError, PreconditionError, ValidationError
-from matroid_bandits.instances import big_uniform_instance
+from matroid_bandits.instances import big_uniform_instance, builtin
 from matroid_bandits.matroids import (
     GraphicMatroid,
     LaminarMatroid,
@@ -369,6 +370,12 @@ def test_greedy_tie_break_is_weight_desc_then_id_asc():
 def test_greedy_missing_weight_raises():
     with pytest.raises(DomainError):
         greedy_max_basis(UniformMatroid(3, 2), {0: 0.1, 1: 0.2})
+    # a NaN weight is missing on the per-element path, as it is in array form
+    m = builtin("ladder10").matroid
+    w = [0.85, math.nan, 0.65, 0.6, 0.55, 0.5, 0.45, 0.35, 0.25, 0.1]
+    for weights in (w, dict(enumerate(w)), np.array(w)):
+        with pytest.raises(DomainError, match="element 1"):
+            greedy_max_basis(m, weights)
 
 
 @settings(max_examples=40, deadline=None)
@@ -700,8 +707,11 @@ def test_array_thresholds_outside_the_ground_raise_domain_error():
 
 def test_judge_missing_weight_raises_domain_error():
     m = UniformMatroid(4, 2)
-    # the first two lack excluded element 3's weight, the last lacks basis element 0's
-    for weights in ({0: 0.9, 1: 0.8, 2: 0.95}, [0.9, 0.8, 0.95], {1: 0.8, 2: 0.7, 3: 0.1}):
+    # the first two lack excluded element 3's weight, the third basis element 0's;
+    # the last four hold a NaN, which is no weight either
+    for weights in ({0: 0.9, 1: 0.8, 2: 0.95}, [0.9, 0.8, 0.95], {1: 0.8, 2: 0.7, 3: 0.1},
+                    {0: 0.9, 1: 0.8, 2: 0.95, 3: math.nan}, [0.9, 0.8, 0.95, math.nan],
+                    {0: math.nan, 1: 0.8, 2: 0.7, 3: 0.1}, [math.nan, 0.8, 0.7, 0.1]):
         with pytest.raises(DomainError):
             is_eps_optimal(m, {0, 1}, weights, 0.0)
 

@@ -11,6 +11,7 @@ from matroid_bandits.matroids import (
     UniformMatroid,
     greedy_max_basis,
     is_eps_optimal,
+    is_eps_optimal_modified_cost,
 )
 from matroid_bandits.oracle import (
     brute_force_opt,
@@ -173,6 +174,17 @@ def test_approx_subset_basics():
     assert not is_eps_approx_subset(m, frozenset({2, 3}), full, w, 0.29)
     with pytest.raises(DomainError):
         is_eps_approx_subset(m, frozenset({0, 1, 2}), frozenset({0, 1}), w, 0.1)
+
+
+def test_every_judge_refuses_a_nan_eps():
+    inst = builtin("ladder10")
+    m, w, basis = inst.matroid, inst.true_means, [9, 8, 7]
+    for judge in (is_eps_optimal, is_eps_optimal_modified_cost, is_elementwise_eps_optimal,
+                  is_avg_eps_optimal):
+        with pytest.raises(DomainError, match="eps"):
+            judge(m, basis, w, math.nan)
+    with pytest.raises(DomainError, match="eps"):
+        is_eps_approx_subset(m, m.ground_set, m.ground_set, w, math.nan)
 
 
 def test_approx_subset_transitivity():

@@ -1,6 +1,9 @@
 import io
 import math
 import pickle
+import re
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from matroid_bandits.instances import (
     big_uniform_instance, builtin, load_instance, make_instance, save_instance,
 )
 from matroid_bandits import sampling
-from matroid_bandits.matroids import IndependentSet
+from matroid_bandits.matroids import IndependentSet, UniformMatroid
 from matroid_bandits.sampling import (
     DENSE_MIN_ARMS,
     Arm,
@@ -394,12 +397,21 @@ def test_uniform_sample_refuses_an_undrawable_batch_whole():
     assert session.pull_counts() == [count, count, 0, count]
 
 
-def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
+def _session(arms, dense, monkeypatch, seed=13, max_pulls=None):
+    """A session over ``arms`` on the dense path or on the reference path."""
+    monkeypatch.setattr(sampling, "DENSE_MIN_ARMS", 1 if dense else 10**9)
+    session = SamplingSession(arms, seed=seed, max_pulls=max_pulls)
+    monkeypatch.undo()
+    return session
+
+
+def test_uniform_sample_draws_what_pull_batch_per_arm_draws(monkeypatch):
+    # on both session forms: a dict and a list ledger, Estimates and an int64 ledger
     arms = [point(0.4), bernoulli(0.3), scaled(0.2, 0.9, 0.5), bernoulli(0.0),
             bernoulli(1.0), scaled(0.1, 0.3, 0.3), bernoulli(0.77)]
-    for count in (1, 19, 185, 1_500_000_000_000, 2**62, 2**62 + 1):
-        vector = SamplingSession(arms, seed=11)
-        scalar = SamplingSession(arms, seed=11)
+    for dense, count in product((False, True), (1, 19, 185, 1_500_000_000_000, 2**62, 2**62 + 1)):
+        vector = _session(arms, dense, monkeypatch, seed=11)
+        scalar = _session(arms, dense, monkeypatch, seed=11)
         if count > 2**62:  # the batch holds stochastic arms, so none of it is drawn
             with pytest.raises(BudgetError, match="not drawable"):
                 vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
@@ -409,6 +421,7 @@ def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
             assert vector.total_samples == 0
         else:
             means = vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
+            assert type(means) is (Estimates if dense else dict)
             assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
             assert list(means) == sorted(means)
         assert vector.pull_counts() == scalar.pull_counts()
@@ -417,15 +430,16 @@ def test_uniform_sample_draws_what_pull_batch_per_arm_draws():
         assert _next_draws(vector) == _next_draws(scalar)
 
 
-def test_all_bernoulli_uniform_sample_draws_what_pull_batch_per_arm_draws():
+def test_all_bernoulli_uniform_sample_draws_what_pull_batch_per_arm_draws(monkeypatch):
     # every arm Bernoulli: the means come from one array division up to 2**53
-    # pulls, and from the per-arm path above it
+    # pulls, and from the per-arm path above it, on both session forms
     arms = [bernoulli(mu) for mu in (0.0, 0.013, 0.3, 1 / 3, 0.5, 0.61, 0.77, 0.9, 0.999, 1.0)]
     assert ArmTable.from_arms(arms).all_bernoulli
-    for count in (1, 19, 185, 2**53, 2**53 + 1, 2**62):
-        vector = SamplingSession(arms, seed=5)
-        scalar = SamplingSession(arms, seed=5)
+    for dense, count in product((False, True), (1, 19, 185, 2**53, 2**53 + 1, 2**62)):
+        vector = _session(arms, dense, monkeypatch, seed=5)
+        scalar = _session(arms, dense, monkeypatch, seed=5)
         means = vector.uniform_sample([9, 3, 0, 1, 2, 4, 5, 6, 7, 8, 3], count)
+        assert type(means) is (Estimates if dense else dict)
         assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
         assert list(means) == sorted(means)
         assert vector.pull_counts() == scalar.pull_counts() == [count] * len(arms)
@@ -457,14 +471,6 @@ def test_concentration_rate_within_declared_delta():
 _MIXED = [point(0.4), bernoulli(0.3), scaled(0.2, 0.9, 0.5), bernoulli(0.0),
           bernoulli(1.0), scaled(0.1, 0.3, 0.3), bernoulli(0.77)] * 6
 _BERNOULLI = [bernoulli(mu) for mu in np.linspace(0.0, 1.0, 41).tolist()]
-
-
-def _session(arms, dense, monkeypatch, seed=13, max_pulls=None):
-    """A session over ``arms`` on the dense path or on the reference path."""
-    monkeypatch.setattr(sampling, "DENSE_MIN_ARMS", 1 if dense else 10**9)
-    session = SamplingSession(arms, seed=seed, max_pulls=max_pulls)
-    monkeypatch.undo()
-    return session
 
 
 def _script(session, n):
@@ -506,6 +512,34 @@ def test_non_integer_arm_ids_are_refused_before_any_draw(dense, monkeypatch):
     numpy_ids = [np.int64(1), np.int32(4), np.uint8(2)]
     assert session.uniform_sample(numpy_ids, 3) == twin.uniform_sample([1, 4, 2], 3)
     assert session.pull_batch(np.int64(6), 5) == twin.pull_batch(6, 5)
+
+
+@pytest.mark.parametrize("n", [20, DENSE_MIN_ARMS])
+def test_sample_ids_take_the_form_of_the_session(n):
+    # a dense session gets an int64 array even for a view under DENSE_MIN_ARMS
+    # elements; a small one gets the view's tuple, or a set
+    session = SamplingSession([bernoulli(0.5)] * n, seed=0)
+    view = UniformMatroid(n, 3).restrict(range(0, 20, 2))
+    ids, rest = session.sample_ids(view), session.sample_ids(view, {4, 8})
+    if n >= DENSE_MIN_ARMS:
+        assert ids is view.ground_ids
+        assert type(rest) is np.ndarray and rest.dtype == np.int64
+        assert type(session.uniform_sample(ids, 3)) is Estimates
+    else:
+        assert ids is view.ground
+        assert isinstance(rest, (set, frozenset))
+        assert type(session.uniform_sample(ids, 3)) is dict
+    assert list(ids) == list(range(0, 20, 2))
+    assert sorted(rest) == [0, 2, 6, 10, 12, 14, 16, 18]
+
+
+def test_only_sampling_names_the_dense_size():
+    package = Path(sampling.__file__).parent
+    naming = [path.name for path in sorted(package.glob("*.py"))
+              if "DENSE_MIN_ARMS" in path.read_text(encoding="utf-8")]
+    assert naming == ["sampling.py"]
+    source = Path(sampling.__file__).read_text(encoding="utf-8")
+    assert len(re.findall(r"[<>]=?\s*DENSE_MIN_ARMS|DENSE_MIN_ARMS\s*[<>]", source)) == 1
 
 
 def test_estimates_read_like_a_read_only_mapping():
