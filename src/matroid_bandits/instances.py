@@ -1,8 +1,14 @@
 """Problem instances: a matroid plus arm distributions, with file round-trip.
 
-The on-disk form is JSON with a versioned schema. Generators cover the
-worked four-arm example, uniform-gap hard instances, geometric gap ladders,
-random graphic instances and large random uniform instances.
+The on-disk form is JSON with a versioned schema. ``save_instance`` writes
+version 2, which keeps the arms as columns: one ``means`` list, a ``kinds``
+list only when some arm is not Bernoulli, and a ``supports`` list (``null``
+for every arm that is not scaled) only when some arm is scaled. Version 1,
+one ``[kind, mean]`` or ``[kind, mean, [lo, hi]]`` entry per arm under
+``arms``, is still read. Both read into one ``ArmTable.from_columns`` call.
+Generators cover the worked four-arm example, uniform-gap hard instances,
+geometric gap ladders, random graphic instances and large random uniform
+instances.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import index, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +31,9 @@ from .matroids import (
     TransversalMatroid,
     UniformMatroid,
 )
-from .sampling import BERNOULLI, POINT, ArmTable, SamplingSession, trial_seed
+from .sampling import BERNOULLI, POINT, SCALED, ArmTable, SamplingSession, trial_seed
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @contextmanager
@@ -41,27 +47,44 @@ def _reading(what: str):
         raise ValidationError(f"malformed {what}: {type(exc).__name__} {exc}") from None
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string is refused."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _integers(values, what: str) -> list[int]:
+    return [_integer(value, what) for value in values]
+
+
 def matroid_from_config(cfg: dict) -> Matroid:
     with _reading("matroid"):
         family = cfg.get("family")
         if family == "uniform":
-            return UniformMatroid(int(cfg["n"]), int(cfg["k"]))
+            return UniformMatroid(_integer(cfg["n"], "n"), _integer(cfg["k"], "k"))
         if family == "partition":
-            groups = [(g["members"], int(g["capacity"])) for g in cfg["groups"]]
+            groups = [(_integers(g["members"], "a member"), _integer(g["capacity"], "a capacity"))
+                      for g in cfg["groups"]]
             return PartitionMatroid(groups)
         if family == "laminar":
-            sets = [(s["members"], int(s["capacity"])) for s in cfg["sets"]]
-            return LaminarMatroid(int(cfg["n"]), sets)
+            sets = [(_integers(s["members"], "a member"), _integer(s["capacity"], "a capacity"))
+                    for s in cfg["sets"]]
+            return LaminarMatroid(_integer(cfg["n"], "n"), sets)
         if family == "graphic":
-            edges = [tuple(e) for e in cfg["edges"]]
-            return GraphicMatroid(int(cfg["num_vertices"]), edges)
+            edges = [tuple(_integers(e, "an endpoint")) for e in cfg["edges"]]
+            return GraphicMatroid(_integer(cfg["num_vertices"], "num_vertices"), edges)
         if family == "transversal":
-            return TransversalMatroid(int(cfg["n"]), cfg["workers"])
+            workers = [_integers(tasks, "a task") for tasks in cfg["workers"]]
+            return TransversalMatroid(_integer(cfg["n"], "n"), workers)
     raise ValidationError(f"unknown matroid family {family!r}")
 
 
-def _arms_from_entries(entries) -> ArmTable:
-    """A file's ``[kind, mean]`` and ``[kind, mean, [lo, hi]]`` entries, read as columns."""
+def _arms_from_entries(cfg: dict) -> ArmTable:
+    """Version 1: ``[kind, mean]`` and ``[kind, mean, [lo, hi]]`` entries, read as columns."""
+    if "means" in cfg:
+        raise ValidationError('a version-1 file keeps its arms as "arms" entries, not columns')
+    entries = cfg["arms"]
     if not isinstance(entries, (list, tuple)):
         raise ValidationError(f"arms must be a list, not {type(entries).__name__}")
     lengths = set(map(len, entries))
@@ -78,11 +101,22 @@ def _bernoulli_arms(means) -> ArmTable:
     return ArmTable.from_columns((BERNOULLI,) * len(means), means)
 
 
-def _arm_entries(arms: ArmTable) -> list:
-    return [
-        [kind, mean] if support is None else [kind, mean, list(support)]
-        for kind, mean, support in zip(arms.kinds, arms.means, arms.supports)
-    ]
+def _arms_from_columns(cfg: dict) -> ArmTable:
+    """Version 2: a ``means`` list, with optional ``kinds`` and ``supports`` beside it."""
+    if "arms" in cfg:
+        raise ValidationError('a version-2 file keeps its arms as columns, not "arms" entries')
+    means = cfg["means"]
+    columns = {name: cfg[name] for name in ("kinds", "supports") if name in cfg}
+    for name, column in [("means", means), *columns.items()]:
+        if not isinstance(column, list):
+            raise ValidationError(f"{name} must be a list, not {type(column).__name__}")
+        if len(column) != len(means):
+            raise ValidationError(f"{len(column)} {name} for {len(means)} means")
+    kinds = columns.get("kinds", (BERNOULLI,) * len(means))
+    return ArmTable.from_columns(kinds, means, columns.get("supports"))
+
+
+_ARM_READERS = {1: _arms_from_entries, 2: _arms_from_columns}
 
 
 @dataclass(frozen=True)
@@ -121,8 +155,13 @@ class Instance:
             "schema_version": SCHEMA_VERSION,
             "name": self.name,
             "matroid": self.matroid_config,
-            "arms": _arm_entries(self.arms),
+            "means": list(self.arms.means),
         }
+        if not self.arms.all_bernoulli:
+            cfg["kinds"] = list(self.arms.kinds)
+            if SCALED in self.arms.kinds:
+                cfg["supports"] = [None if support is None else list(support)
+                                   for support in self.arms.supports]
         if self.notes:
             cfg["notes"] = self.notes
         if self.gap_floor is not None:
@@ -141,6 +180,10 @@ def make_instance(
     allow_ties: bool = False,
 ) -> Instance:
     """An instance over ``arms``: an :class:`ArmTable`, or ``Arm`` records."""
+    if not (isinstance(name, str) and isinstance(notes, str)):
+        raise ValidationError(f"name and notes must be strings; got {name!r} and {notes!r}")
+    if type(allow_ties) is not bool:
+        raise ValidationError(f"allow_ties must be true or false, not {allow_ties!r}")
     matroid = matroid_from_config(matroid_config)
     if not isinstance(arms, ArmTable):
         arms = ArmTable.from_arms(arms)
@@ -178,20 +221,24 @@ def _check_gap_floor(inst: Instance) -> None:
 def instance_from_config(cfg: dict) -> Instance:
     with _reading("instance"):
         version = cfg.get("schema_version")
-        if version != SCHEMA_VERSION:
+        read_arms = _ARM_READERS.get(version) if type(version) is int else None
+        if read_arms is None:
             raise ValidationError(f"unsupported schema_version {version!r}")
         matroid_config = cfg["matroid"]
-    with _reading("gap_floor"):
-        gap_floor = None if cfg.get("gap_floor") is None else float(cfg["gap_floor"])
+    gap_floor = cfg.get("gap_floor")
+    if gap_floor is not None:
+        if type(gap_floor) not in (int, float):
+            raise ValidationError(f"gap_floor must be a number, not {gap_floor!r}")
+        gap_floor = float(gap_floor)
     with _reading("arms"):
-        arms = _arms_from_entries(cfg["arms"])
+        arms = read_arms(cfg)
     return make_instance(
         name=cfg.get("name", "unnamed"),
         matroid_config=matroid_config,
         arms=arms,
         notes=cfg.get("notes", ""),
         gap_floor=gap_floor,
-        allow_ties=bool(cfg.get("allow_ties", False)),
+        allow_ties=cfg.get("allow_ties", False),
     )
 
 
@@ -201,9 +248,11 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
+    """Write ``inst`` as version 2, encoded in full first: a failed encoding writes nothing."""
+    with _reading("instance"):
+        text = json.dumps(inst.to_config(), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(inst.to_config(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
 
 
 def resolve_instance(ref: str) -> Instance:
@@ -219,6 +268,7 @@ def resolve_instance(ref: str) -> Instance:
 
 def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     """Top-k instance where every arm's gap is eps up to a small jitter."""
+    n, k = index(n), index(k)
     if not 0 < k < n:
         raise ValidationError("need 0 < k < n")
     if not eps > 0:
@@ -244,6 +294,7 @@ def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
 
 def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> Instance:
     """Gaps grow geometrically from ``min_gap``, cycling to stay inside (0, 1)."""
+    n, k = index(n), index(k)
     if not 0 < k < n:
         raise ValidationError("need 0 < k < n")
     if not 0 < min_gap < 1:
@@ -279,6 +330,7 @@ def random_means(rng: np.random.Generator, n: int, lo: float = 0.05, hi: float =
 
 
 def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) -> Instance:
+    num_vertices, num_edges = index(num_vertices), index(num_edges)
     if num_edges < 0 or (num_edges > 0 and num_vertices < 2):
         raise ValidationError("need num_edges >= 0, and two vertices for any edge")
     rng = np.random.default_rng(seed)
@@ -299,6 +351,7 @@ def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) ->
 
 
 def big_uniform_instance(n: int, k: int, seed: int = 0) -> Instance:
+    n, k = index(n), index(k)
     rng = np.random.default_rng(seed)
     return make_instance(
         name=f"big-uniform-n{n}-k{k}",

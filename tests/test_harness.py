@@ -42,7 +42,9 @@ from matroid_bandits.instances import (
 from matroid_bandits.matroids import GraphicMatroid, UniformMatroid
 from matroid_bandits.oracle import gap_profile
 from matroid_bandits.pac import DESK, PAPER, ConstantsProfile
-from matroid_bandits.sampling import ArmTable, bernoulli, point, scaled
+from matroid_bandits.sampling import (
+    BERNOULLI, POINT, SCALED, ArmTable, bernoulli, point, scaled,
+)
 
 
 def test_builtin_prop1_values():
@@ -56,9 +58,15 @@ def test_builtin_prop1_values():
 def test_instance_file_round_trip(tmp_path):
     mixed = make_instance("mixed", {"family": "uniform", "n": 3, "k": 1},
                           [bernoulli(0.3), point(0.2), scaled(0.1, 0.9, 0.25)])
-    assert mixed.to_config()["arms"] == [
-        ["bernoulli", 0.3], ["point", 0.2], ["scaled", 0.25, [0.1, 0.9]],
-    ]
+    cfg = mixed.to_config()
+    assert {key: cfg[key] for key in ("schema_version", "means", "kinds", "supports")} == {
+        "schema_version": 2, "means": [0.3, 0.2, 0.25], "kinds": ["bernoulli", "point", "scaled"],
+        "supports": [None, None, [0.1, 0.9]],
+    }
+    assert "arms" not in cfg
+    # the optional columns are left out when every arm is Bernoulli or none is scaled
+    assert builtin("graphic_k4").to_config().keys().isdisjoint({"kinds", "supports"})
+    assert "supports" not in mixed.with_point_mass_arms().to_config()
     for inst in (builtin("graphic_k4"), mixed):
         path, again = tmp_path / "inst.json", tmp_path / "again.json"
         save_instance(inst, path)
@@ -95,9 +103,45 @@ def test_instance_validation_errors():
 
 _TWO_ARMS = {"schema_version": 1, "matroid": {"family": "uniform", "n": 2, "k": 1},
              "arms": [["bernoulli", 0.4], ["bernoulli", 0.6]]}
+_TWO_MEANS = {"schema_version": 2, "matroid": {"family": "uniform", "n": 2, "k": 1},
+              "means": [0.4, 0.6]}
+# Header fields of the wrong JSON type, refused in both schema versions.
+_LOOSE_HEADERS = {
+    "allow-ties-a-string": {"allow_ties": "false"},
+    "k-a-float": {"matroid": {"family": "uniform", "n": 2, "k": 1.9}},
+    "k-a-string": {"matroid": {"family": "uniform", "n": 2, "k": "1"}},
+    "capacity-a-float": {"matroid": {"family": "partition",
+                                     "groups": [{"members": [0, 1], "capacity": 1.9}]}},
+    "endpoint-a-float": {"matroid": {"family": "graphic", "num_vertices": 3,
+                                     "edges": [[0, 1], [0, 1.5]]}},
+    "name-a-number": {"name": 5},
+    "notes-a-list": {"notes": ["x"]},
+    "gap-floor-a-string": {"gap_floor": "0.01"},
+    "gap-floor-a-bool": {"gap_floor": True},
+}
+_COLUMN_CASES = {
+    "v2-with-arms": dict(_TWO_MEANS, arms=_TWO_ARMS["arms"]),
+    "v2-without-means": {key: value for key, value in _TWO_MEANS.items() if key != "means"},
+    "v1-with-means": dict(_TWO_ARMS, means=[0.4, 0.6]),
+    "means-a-mapping": dict(_TWO_MEANS, means={"0": 0.4, "1": 0.6}),
+    "kinds-a-mapping": dict(_TWO_MEANS, kinds={"bernoulli": 0, "point": 1}),
+    "supports-null": dict(_TWO_MEANS, supports=None),
+    "kinds-too-short": dict(_TWO_MEANS, kinds=["point"]),
+    "supports-too-long": dict(_TWO_MEANS, kinds=["scaled", "bernoulli"],
+                              supports=[[0.1, 0.9], None, None]),
+    "v2-scaled-without-support": dict(_TWO_MEANS, kinds=["scaled", "bernoulli"]),
+    "v2-unknown-kind": dict(_TWO_MEANS, kinds=["gaussian", "bernoulli"]),
+    "v2-mean-not-a-number": dict(_TWO_MEANS, means=["abc", 0.6]),
+    "version-3": dict(_TWO_MEANS, schema_version=3),
+    "version-true": dict(_TWO_ARMS, schema_version=True),
+    "v1-tied-means-allow-ties-a-string": dict(
+        _TWO_ARMS, allow_ties="false", arms=[["bernoulli", 0.5], ["bernoulli", 0.5]]),
+}
+_HEADER_CASES = {f"v{base['schema_version']}-{name}": dict(base, **fields)
+                 for base in (_TWO_ARMS, _TWO_MEANS) for name, fields in _LOOSE_HEADERS.items()}
 
 
-@pytest.mark.parametrize("cfg", [
+@pytest.mark.parametrize("cfg", [*_HEADER_CASES.values(), *_COLUMN_CASES.values(),
     dict(_TWO_ARMS, matroid={"family": "uniform", "n": 2}),
     {key: value for key, value in _TWO_ARMS.items() if key != "arms"},
     dict(_TWO_ARMS, arms=[["bernoulli"], ["bernoulli", 0.6]]),
@@ -118,7 +162,7 @@ _TWO_ARMS = {"schema_version": 1, "matroid": {"family": "uniform", "n": 2, "k": 
     dict(_TWO_ARMS, arms={"0": ["bernoulli", 0.4], "1": ["bernoulli", 0.6]}),
     dict(_TWO_ARMS, arms="bernoulli"),
     dict(_TWO_ARMS, arms=[0.4, 0.6]),
-], ids=["uniform-without-k", "no-arms", "arm-without-mean", "arm-mean-not-a-number",
+], ids=[*_HEADER_CASES, *_COLUMN_CASES, "uniform-without-k", "no-arms", "arm-without-mean", "arm-mean-not-a-number",
         "one-ended-edge", "top-level-list", "gap-floor-not-a-number", "null-mean", "nan-mean",
         "mean-past-a-float", "unknown-kind", "unhashable-kind", "scaled-without-support",
         "scaled-support-one-number", "scaled-support-not-numbers", "point-with-support",
@@ -131,6 +175,56 @@ def test_malformed_instance_files_are_validation_errors(cfg, tmp_path, capsys):
     # main returns rather than raising, so `python -m` would print no traceback
     assert main(["verify", "--instance", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_a_version_1_file_loads_as_its_version_2_twin(tmp_path):
+    # No writer produces version 1 any more: this fixture is its reader's only positive test.
+    old, new = load_instance(DATA / "instance_v1.json"), load_instance(DATA / "instance_v2.json")
+    assert [json.loads((DATA / f"instance_v{v}.json").read_text())["schema_version"]
+            for v in (1, 2)] == [1, 2]
+    assert old.arms == new.arms and np.array_equal(old.arms.q, new.arms.q)
+    assert old.arms.kinds == (BERNOULLI, POINT, SCALED, BERNOULLI, POINT)
+    assert all(a is b for a, b in zip(old.arms.kinds, new.arms.kinds))
+    assert old.arms.supports[2] == (0.2, 0.9)
+    assert old.matroid_config == new.matroid_config
+    assert (old.matroid.edges, old.matroid.ground) == (new.matroid.edges, new.matroid.ground)
+    assert (old.name, old.notes, old.gap_floor, old.allow_ties) == (
+        new.name, new.notes, new.gap_floor, new.allow_ties) == (
+        "mixed-graphic", "mixed kinds on a five-edge graph", 0.1, False)
+    resaved = tmp_path / "resaved.json"
+    save_instance(old, resaved)  # a version-1 file re-saves as version 2
+    assert resaved.read_bytes() == (DATA / "instance_v2.json").read_bytes()
+
+
+def test_the_readme_instance_example_loads_and_saves_as_written():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Instance files\n", 1)[1]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert instance_from_config(example).to_config() == example
+
+
+def test_generators_store_python_ints_and_a_failed_save_leaves_no_file(tmp_path):
+    made = [big_uniform_instance(np.int64(300), np.int64(5)),
+            uniform_gap_instance(np.int64(12), np.int64(3), 0.1),
+            geometric_ladder_instance(np.int64(12), np.int64(3), 0.05),
+            random_graphic_instance(np.int64(6), np.int64(9))]
+    for inst in made:
+        cfg = inst.matroid_config
+        assert all(type(cfg[key]) is int for key in cfg if key not in ("family", "edges"))
+        path = tmp_path / f"{inst.name}.json"
+        save_instance(inst, path)
+        assert load_instance(path).to_config() == inst.to_config()
+    bad = dataclasses.replace(made[0], matroid_config=dict(made[0].matroid_config,
+                                                           n=np.int64(300)))
+    fresh, old = tmp_path / "fresh.json", tmp_path / f"{made[0].name}.json"
+    before = old.read_bytes()
+    for path in (fresh, old):
+        with pytest.raises(ValidationError, match="int64"):
+            save_instance(bad, path)
+    assert not fresh.exists() and old.read_bytes() == before
 
 
 def test_gap_floor_above_the_enumeration_guard_is_a_capacity_error(tmp_path, capsys):

@@ -86,6 +86,33 @@ def test_loaded_table_shares_the_kind_constants(tmp_path):
         assert len(pickle.dumps(loaded)) == len(pickle.dumps(inst.arms))
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tables_of_every_kind_and_form_save_and_load_exactly(tmp_path_factory, data):
+    n = data.draw(st.one_of(st.integers(1, 12),
+                            st.integers(DENSE_MIN_ARMS - 3, DENSE_MIN_ARMS + 3)), "n")
+    present = data.draw(st.sets(st.sampled_from(("bernoulli", "point", "scaled")), min_size=1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    kinds = rng.choice(sorted(present), n).tolist()
+    means = rng.uniform(0.01, 0.99, n)
+    # a few awkward floats in front, to check that every mean round-trips through repr
+    head = data.draw(st.lists(st.floats(1e-300, 1.0, exclude_max=True), max_size=min(n, 6)))
+    means[:len(head)] = head
+    lows, highs = means * rng.random(n), means + (1.0 - means) * rng.random(n)
+    supports = [(lo, hi) if kind == "scaled" else None
+                for kind, lo, hi in zip(kinds, lows.tolist(), highs.tolist())]
+    table = ArmTable.from_columns(kinds, means, supports)
+    inst = make_instance("mix", {"family": "uniform", "n": n, "k": 1}, table, allow_ties=True)
+    path = tmp_path_factory.mktemp("round-trip") / "mix.json"
+    save_instance(inst, path)
+    loaded = load_instance(path).arms
+    assert loaded == table and np.array_equal(loaded.q, table.q)
+    assert (loaded.dense, loaded.all_bernoulli) == (table.dense, table.all_bernoulli)
+    constants = {sampling.BERNOULLI, sampling.POINT, sampling.SCALED}
+    assert {id(kind) for kind in loaded.kinds} <= {id(kind) for kind in constants}
+    assert len(pickle.dumps(loaded)) == len(pickle.dumps(table))
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
