@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, InvariantError, PreconditionError
 from .matroids import (
     ElementSet, Matroid, Weights, basis_weight, greedy_max_basis, shifted_thresholds, unblocked,
 )
@@ -56,14 +56,12 @@ def naive_two_pull_count(n: int, k: int, eps: float, delta: float) -> int:
 def naive_two(session: SamplingSession, m: Matroid, eps: float, delta: float) -> PacResult:
     """Uniformly sample with the basis-level union bound, then greedy."""
     _validate(eps, delta)
-    start = session.total_samples
     k = m.full_rank
     if k == 0:
-        return PacResult(frozenset(), 0)
+        return PacResult(frozenset())
     count = naive_two_pull_count(m.size, k, eps, delta)
     means = session.uniform_sample(session.sample_ids(m), count)
-    basis = greedy_max_basis(m, means)
-    return PacResult(basis, session.total_samples - start)
+    return PacResult(greedy_max_basis(m, means))
 
 
 def elimination_sample_prob(n: int, k: int, delta: float) -> float:
@@ -107,12 +105,15 @@ def elimination(
     # the subset-size bound, the pruning-power bound, the recursive PAC call,
     # the solution-side estimates, the value-loss event, the leftover count.
     inner = pac_sample_prune(session, m.restrict(sampled), lam, delta / 6.0, profile).basis
-    means = session.uniform_sample(inner, sample_size(alpha, delta / (6.0 * k)))
+    weights = session.uniform_sample(inner, sample_size(alpha, delta / (6.0 * k)))
     count = elimination_pull_count(beta, k, delta)
-    means = means | session.uniform_sample(session.sample_ids(m, inner), count)
+    rest = session.uniform_sample(session.sample_ids(m, inner), count)
 
-    thresholds = shifted_thresholds(means, -lam, -alpha, -beta, exclude=inner)
-    return inner | unblocked(m, inner, means, thresholds)
+    thresholds = shifted_thresholds(rest, -lam, -alpha, -beta)
+    survivors = inner | unblocked(m, inner, weights, thresholds)
+    if m.rank(survivors) != k:
+        raise InvariantError("elimination dropped the rank of the survivors")
+    return survivors
 
 
 def recur_break_bound(k: int, delta_r: float) -> float:
@@ -133,11 +134,10 @@ def avg_pac_recur_elim(
     start = session.total_samples
     k = m.full_rank
     if k == 0:
-        return PacResult(frozenset(), 0)
+        return PacResult(frozenset())
     n = m.size
     if n / k <= 10.0 or math.log(1.0 / delta) > k * math.log(n / k):
-        res = naive_two(session, m, eps, delta)
-        return PacResult(res.basis, session.total_samples - start)
+        return naive_two(session, m, eps, delta)
 
     transcript: list[AvgRound] = []
     current: ElementSet = m.ground_set
@@ -155,7 +155,7 @@ def avg_pac_recur_elim(
         )
         r += 1
     res = naive_two(session, m.restrict(current), eps / 2.0, delta / 2.0)
-    return PacResult(res.basis, session.total_samples - start, tuple(transcript))
+    return PacResult(res.basis, tuple(transcript))
 
 
 def val(m: Matroid, subset, weights: Weights) -> float | None:

@@ -108,8 +108,7 @@ def main(argv=None) -> int:
         if args.command == "gaps":
             return _cmd_gaps(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValidationError, CapacityError, PreconditionError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, ValidationError, CapacityError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -102,12 +102,12 @@ def exact_exp_gap(
 
         if kind == ELIMINATION:
             inner = pac_sample_prune(session, m_cur, eps_r, delta_r, profile).basis
-            means = session.uniform_sample(inner, sample_size(eps_r / 2.0, delta_r / n_opt))
-            rest = session.sample_ids(m_cur, inner)
-            means = means | session.uniform_sample(rest, sample_size(eps_r, delta_r / n_opt))
+            weights = session.uniform_sample(inner, sample_size(eps_r / 2.0, delta_r / n_opt))
+            rest = session.uniform_sample(session.sample_ids(m_cur, inner),
+                                          sample_size(eps_r, delta_r / n_opt))
 
-            thresholds = shifted_thresholds(means, 1.5 * eps_r, exclude=inner)
-            changed = inner | unblocked(m_cur, inner, means, thresholds)
+            thresholds = shifted_thresholds(rest, 1.5 * eps_r)
+            changed = inner | unblocked(m_cur, inner, weights, thresholds)
             if m_cur.rank(changed) != n_opt:
                 raise InvariantError("elimination dropped the rank of the survivors")
             m_next = m_cur.restrict(changed)
@@ -129,4 +129,4 @@ def exact_exp_gap(
         )
         m_cur = m_next
 
-    return PacResult(frozenset(answer), session.total_samples - start, tuple(transcript))
+    return PacResult(frozenset(answer), tuple(transcript))

@@ -17,6 +17,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from numbers import Real
 from operator import index, itemgetter
 from pathlib import Path
 
@@ -184,6 +185,8 @@ def make_instance(
         raise ValidationError(f"name and notes must be strings; got {name!r} and {notes!r}")
     if type(allow_ties) is not bool:
         raise ValidationError(f"allow_ties must be true or false, not {allow_ties!r}")
+    if gap_floor is not None and not (isinstance(gap_floor, Real) and math.isfinite(gap_floor)):
+        raise ValidationError(f"gap_floor must be a finite number, not {gap_floor!r}")
     matroid = matroid_from_config(matroid_config)
     if not isinstance(arms, ArmTable):
         arms = ArmTable.from_arms(arms)
@@ -191,6 +194,10 @@ def make_instance(
         raise ValidationError(
             f"{len(arms)} arms for a matroid over {matroid.size} elements"
         )
+    ground = matroid.ground  # sorted distinct integers, as many as the arms
+    if ground and (ground[0], ground[-1]) != (0, len(ground) - 1):
+        raise ValidationError(f"the matroid's elements must be the arm ids 0..{len(ground) - 1}; "
+                              f"got {ground[0]}..{ground[-1]}")
     # The table has no NaN mean, and an all-Bernoulli one has its means as q.
     means = np.sort(arms.q if arms.all_bernoulli else np.array(arms.means))
     if len(means) and not 0.0 < means[0] <= means[-1] < 1.0:
@@ -244,7 +251,11 @@ def instance_from_config(cfg: dict) -> Instance:
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
-        return instance_from_config(json.load(handle))
+        try:
+            cfg = json.load(handle)
+        except ValueError as exc:  # not UTF-8 (UnicodeDecodeError), or not JSON
+            raise ValidationError(f"instance file is not UTF-8 JSON: {exc}") from None
+    return instance_from_config(cfg)
 
 
 def save_instance(inst: Instance, path) -> None:

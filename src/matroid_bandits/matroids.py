@@ -9,11 +9,13 @@ Element ids are stable across views: a view exposes a subset of its parent's
 ids and never renumbers.
 
 Greedy, the pruning sweep and the eps-optimality check read weights in
-vector form when they come as :class:`~.sampling.Estimates` or a float
-array indexed by element id; mappings and sequences keep the per-element
-reference code, which tests pin the vector form against. Both refuse a
-missing or NaN weight. The form is the caller's: :mod:`.sampling` decides a
-table's, and its sessions hand algorithms their ids (``sample_ids``).
+vector form when they come as a float array indexed by element id, which is
+what a dense sampling session returns; mappings and sequences keep the
+per-element reference code, which tests pin the vector form against. Both
+refuse a missing or NaN weight, and a negative id, which an array or a
+sequence would read from its end. The form is the caller's: :mod:`.sampling`
+decides a table's, and its sessions hand algorithms their ids
+(``sample_ids``).
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ValidationError
-from .sampling import Estimates
 
 ElementSet = frozenset[int]
 
 # Weight lookups accept anything indexable by element id (dict, list, array).
-# Estimates and numpy arrays are read as one float64 array (see _dense), in
-# which NaN, or an id past the end, is a missing weight.
+# A numpy array is read in vector form (see _read), in which NaN, or an id
+# past either end, is a missing weight.
 Weights = Mapping[int, float] | Sequence[float] | np.ndarray
 
 
@@ -490,22 +491,17 @@ def _weight(weights: Weights, e: int) -> float:
         w = float(weights[e])
     except (KeyError, IndexError):
         w = math.nan
-    if w != w:  # missing, or NaN, which array-form weights also refuse
+    # missing, NaN (which array-form weights also refuse), or a negative id
+    # that a sequence would read from its end
+    if w != w or (e < 0 and not isinstance(weights, Mapping)):
         raise DomainError(f"no weight defined for element {e}")
     return w
 
 
-# The weight forms read in vector form; one membership test dispatches them.
-_ARRAY_FORMS = frozenset({Estimates, np.ndarray})
-
-
-def _dense(weights: Estimates | np.ndarray) -> np.ndarray:
-    """The float64 array behind array-form weights."""
-    return weights.dense if type(weights) is Estimates else np.asarray(weights, dtype=np.float64)
-
-
 def _read(dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The weights of ``ids`` in ``dense``, once each of them has one: not NaN, not past the end."""
+    """The weights of ``ids`` in ``dense``, once each of them has one: not NaN, not outside it."""
+    if len(ids) and ids.min() < 0:  # numpy would read a negative id from the end
+        raise DomainError(f"no weight defined for element {ids.min()}")
     try:
         w = dense[ids]
     except IndexError:
@@ -517,17 +513,18 @@ def _read(dense: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def shifted_thresholds(
-    means: Mapping[int, float], first: float, *rest: float, exclude: Collection[int] = ()
+    means: Mapping[int, float] | np.ndarray, first: float, *rest: float,
+    exclude: Collection[int] = (),
 ) -> dict[int, float] | np.ndarray:
     """Each estimate plus the offsets, added one at a time, for every arm not in ``exclude``.
 
     The offsets go in left to right, as ``(m - alpha) - 2 * lam`` does; one
-    sum of them could round differently. :class:`~.sampling.Estimates` give
-    a threshold array, NaN for every other id, that :func:`unblocked` reads
-    in vector form; any other mapping gives a dict.
+    sum of them could round differently. An array of means, NaN for an arm
+    with none, gives a threshold array, NaN for every other id, that
+    :func:`unblocked` reads in vector form; a mapping gives a dict.
     """
-    if type(means) is Estimates:
-        shifted = means.dense + first
+    if type(means) is np.ndarray:
+        shifted = means + first
         for offset in rest:
             shifted += offset
         if exclude:
@@ -546,11 +543,11 @@ def greedy_max_basis(m: Matroid, weights: Weights) -> ElementSet:
     even when empirical weights collide. With distinct weights this is the
     unique optimum. Array-form weights are ordered by one ``lexsort``.
     """
-    if type(weights) not in _ARRAY_FORMS:
+    if type(weights) is not np.ndarray:
         order = sorted(m.ground, key=lambda e: (-_weight(weights, e), e))
     else:
         ids = m.ground_ids
-        order = ids[np.lexsort((ids, -_read(_dense(weights), ids)))].tolist()
+        order = ids[np.lexsort((ids, -_read(weights, ids)))].tolist()
     grown = m.growing()
     basis = []
     for e in order:
@@ -592,7 +589,8 @@ def _split_array(m: Matroid, thresholds: np.ndarray, floor: float) -> tuple[list
     ids = m.ground_ids
     if not (len(ids) >= n and (n == 0 or ids[n - 1] == n - 1)):  # the ground is not all of 0..n-1
         outside = ~np.isnan(thresholds)
-        outside[ids[: np.searchsorted(ids, n)]] = False
+        lo, hi = np.searchsorted(ids, (0, n))  # a negative id would clear an entry from the end
+        outside[ids[lo:hi]] = False
         if outside.any():
             raise DomainError(f"elements {np.flatnonzero(outside).tolist()} outside ground set")
     high = np.flatnonzero(thresholds > floor)
@@ -623,11 +621,11 @@ def unblocked(
     pool's lightest weight, and a stable argsort orders the high ones.
     """
     pool = m._as_subset(pool)
-    if type(weights) not in _ARRAY_FORMS:
+    if type(weights) is not np.ndarray:
         pending = sorted((_weight(weights, a), a) for a in pool)  # the heaviest last
     else:
         members = np.fromiter(pool, np.int64, len(pool))
-        pending = sorted(zip(_read(_dense(weights), members).tolist(), members.tolist()))
+        pending = sorted(zip(_read(weights, members).tolist(), members.tolist()))
     floor = pending[0][0] if pending else math.inf
     if type(thresholds) is np.ndarray:
         high, low = _split_array(m, thresholds, floor)
@@ -704,20 +702,19 @@ def is_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: floa
     lightest basis weight can go unblocked.
     """
     bset = _checked_basis(m, basis, eps)
-    if type(weights) not in _ARRAY_FORMS:
+    if type(weights) is not np.ndarray:
         floor = min((_weight(weights, a) for a in bset), default=math.inf)
         thresholds = {
             e: t for e in m.ground
             if e not in bset and (t := _weight(weights, e) - eps) > floor
         }
     else:
-        dense = _dense(weights)
         ids = m.ground_ids
-        shifted = _read(dense, ids) - eps
+        shifted = _read(weights, ids) - eps
         members = np.fromiter(bset, np.int64, len(bset))
-        floor = float(_read(dense, members).min()) if len(members) else math.inf
+        floor = float(_read(weights, members).min()) if len(members) else math.inf
         above = shifted > floor
-        thresholds = np.full(len(dense), np.nan)
+        thresholds = np.full(len(weights), np.nan)
         thresholds[ids[above]] = shifted[above]
         thresholds[members] = np.nan
     return not unblocked(m, bset, weights, thresholds)

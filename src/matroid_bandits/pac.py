@@ -75,20 +75,19 @@ class PruneLevel:
 
 @dataclass(frozen=True)
 class PacResult:
+    """A returned basis and the algorithm's transcript; the session counts the samples."""
+
     basis: ElementSet
-    samples: int
     transcript: tuple = field(default_factory=tuple)
 
 
 def naive_one(session: SamplingSession, m: Matroid, eps: float, delta: float) -> PacResult:
     """Uniformly sample every arm at accuracy eps/2, then take the empirical optimum."""
     _validate(eps, delta)
-    start = session.total_samples
     if m.size == 0:
-        return PacResult(frozenset(), 0)
+        return PacResult(frozenset())
     means = session.uniform_sample(session.sample_ids(m), sample_size(eps / 2.0, delta / m.size))
-    basis = greedy_max_basis(m, means)
-    return PacResult(basis, session.total_samples - start)
+    return PacResult(greedy_max_basis(m, means))
 
 
 def pac_sample_prune(
@@ -107,9 +106,8 @@ def pac_sample_prune(
     """
     _validate(eps, delta)
     transcript: list[PruneLevel] = []
-    start = session.total_samples
     basis = _sample_prune(session, m, eps, delta, profile, 0, transcript)
-    return PacResult(basis, session.total_samples - start, tuple(transcript))
+    return PacResult(basis, tuple(transcript))
 
 
 def _sample_prune(

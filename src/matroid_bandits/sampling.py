@@ -10,20 +10,20 @@ side. ``pull_batch`` is the per-arm reference that tests pin
 A table of at least ``DENSE_MIN_ARMS`` arms is dense (``ArmTable.dense``, the
 one place that size is compared). Its sessions keep an int64 ledger, which
 turns into exact Python ints before the total could reach ``2**63``, return
-:class:`Estimates` and hand out ids (``sample_ids``) as sorted int64 arrays,
-such as ``Matroid.ground_ids``, for views of any size. A smaller table's
-sessions keep a list ledger, return dicts and hand out tuples or sets, which
-cost less than numpy's fixed per-call cost on a few arms. Both forms draw the
-same numbers and record the same pulls.
+each batch's means as one read-only float64 array indexed by arm id (NaN for
+an arm outside the batch) and hand out ids (``sample_ids``) as sorted int64
+arrays, such as ``Matroid.ground_ids``, for views of any size. A smaller
+table's sessions keep a list ledger, return dicts and hand out tuples or
+sets, which cost less than numpy's fixed per-call cost on a few arms. Both
+forms draw the same numbers and record the same pulls.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from itertools import compress
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -185,7 +185,7 @@ class ArmTable:
 
     @property
     def dense(self) -> bool:
-        """Whether sessions over this table keep an int64 ledger and return :class:`Estimates`."""
+        """Whether sessions over this table keep an int64 ledger and return arrays of means."""
         return len(self.means) >= DENSE_MIN_ARMS
 
     def batch_mean(self, e: int, count: int, hits: int) -> float:
@@ -234,44 +234,6 @@ def _sorted_ids(elements: Iterable[int], array: bool) -> np.ndarray | list[int]:
     if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
         ids = np.unique(ids)
     return ids if array else ids.tolist()
-
-
-class Estimates(Mapping):
-    """A dense session's batch means: a read-only map from arm id to mean.
-
-    ``dense`` holds one float64 per arm of the table, NaN for an arm that is
-    not in the batch; looking such an arm up raises ``KeyError``. Consumers
-    in :mod:`matroids` read ``dense`` in vector form. ``a | b`` merges two
-    batches of one table, as ``|`` merges two dicts.
-    """
-
-    __slots__ = ("dense",)
-
-    def __init__(self, dense: np.ndarray):
-        dense.flags.writeable = False
-        self.dense = dense
-
-    def __getitem__(self, e: int) -> float:
-        dense = self.dense
-        if _is_id(e) and 0 <= e < len(dense):
-            mean = float(dense[e])
-            if mean == mean:  # NaN marks an arm outside the batch
-                return mean
-        raise KeyError(e)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(~np.isnan(self.dense)).tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self.dense)))
-
-    def __or__(self, other):
-        if type(other) is not Estimates or len(other.dense) != len(self.dense):
-            return NotImplemented
-        return Estimates(np.where(np.isnan(other.dense), self.dense, other.dense))
-
-    def __repr__(self) -> str:
-        return f"Estimates({dict(self)!r})"
 
 
 def _validate(eps: float, delta: float) -> None:
@@ -393,7 +355,7 @@ class SamplingSession:
         ids = m.ground_ids
         return ids[~np.isin(ids, np.fromiter(exclude, np.int64, len(exclude)))] if exclude else ids
 
-    def uniform_sample(self, elements: Iterable[int], count: int) -> Mapping[int, float]:
+    def uniform_sample(self, elements: Iterable[int], count: int) -> dict[int, float] | np.ndarray:
         """Pull every element exactly ``count`` fresh times; return the batch means.
 
         Earlier pulls of the same arms never leak into the estimate. The
@@ -403,8 +365,9 @@ class SamplingSession:
         ``BudgetError``: nothing is drawn and nothing is recorded. An id that
         is not an integer, or not an arm, is refused with ``DomainError``.
 
-        A small table returns a dict; a dense one returns :class:`Estimates`
-        and takes a strictly increasing int64 array of ids as it is.
+        A small table returns a dict. A dense one returns a read-only float64
+        array over the whole table, NaN for every arm outside the batch, and
+        takes a strictly increasing int64 array of ids as it is.
         """
         if count < 1:
             raise DomainError("batch size must be >= 1")
@@ -417,7 +380,8 @@ class SamplingSession:
             return dict(zip(ids, means.tolist()))
         dense = np.full(len(self._arms), np.nan)
         dense[ids] = means
-        return Estimates(dense)
+        dense.flags.writeable = False
+        return dense
 
     def _draw(self, ids: list[int] | np.ndarray, count: int) -> np.ndarray:
         """Check and draw one batch of the increasing ``ids``; their means in order, unrecorded."""

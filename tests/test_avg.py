@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroid_bandits import avg
 from matroid_bandits.avg import (
     avg_pac_recur_elim,
     elimination,
@@ -19,12 +20,12 @@ from matroid_bandits.avg import (
     recur_break_bound,
     val,
 )
-from matroid_bandits.errors import DomainError, PreconditionError
+from matroid_bandits.errors import DomainError, InvariantError, PreconditionError
 from matroid_bandits.harness import success_flags
 from matroid_bandits.instances import big_uniform_instance, builtin, make_instance
 from matroid_bandits.matroids import GraphicMatroid, UniformMatroid, greedy_max_basis
 from matroid_bandits.oracle import brute_force_opt_weight
-from matroid_bandits.pac import DESK, PAPER
+from matroid_bandits.pac import DESK, PAPER, PacResult
 from matroid_bandits.sampling import SamplingSession, bernoulli, point, trial_seed
 
 
@@ -57,12 +58,11 @@ def test_naive_two_point_mass_exact_and_degenerate():
     session = inst.trial_session(0, 0)
     res = naive_two(session, inst.matroid, 0.2, 0.1)
     assert res.basis == greedy_max_basis(inst.matroid, inst.true_means)
-    assert res.samples == session.total_samples
 
     rank0 = UniformMatroid(3, 0)
     session = SamplingSession([point(0.2), point(0.4), point(0.6)], seed=0)
     res = naive_two(session, rank0, 0.2, 0.1)
-    assert res.basis == frozenset() and res.samples == 0
+    assert res.basis == frozenset() and session.total_samples == 0
 
 
 def test_val_examples():
@@ -102,6 +102,17 @@ def test_elimination_pull_count_floor_term():
     # for large k the per-arm count bottoms out at beta^-2 * ln(200)/2
     beta = 0.05
     assert elimination_pull_count(beta, 10**6, 0.5) == math.ceil(beta**-2 * math.log(200) / 2)
+
+
+def test_elimination_that_drops_the_rank_is_an_invariant_error(monkeypatch):
+    # a broken pass (an inner solution short of a basis, and a pruning step
+    # that keeps nothing) is a bug, not a statistical failure
+    inst = big_uniform_instance(1000, 2, seed=1)
+    monkeypatch.setattr(avg, "pac_sample_prune",
+                        lambda session, m, *args: PacResult(frozenset(m.ground[:1])))
+    monkeypatch.setattr(avg, "unblocked", lambda m, pool, weights, thresholds: frozenset())
+    with pytest.raises(InvariantError, match="rank"):
+        elimination(inst.trial_session(0, 0), inst.matroid, 0.1, 0.1, DESK)
 
 
 def test_elimination_precondition_enforced():
@@ -206,7 +217,8 @@ class _RecordingSession(SamplingSession):
 
     def uniform_sample(self, elements, count):
         means = super().uniform_sample(elements, count)
-        self.draws += [[e, count, mean] for e, mean in means.items()]
+        ids = np.flatnonzero(~np.isnan(means))  # a dense session: NaN outside the batch
+        self.draws += [[e, count, mean] for e, mean in zip(ids.tolist(), means[ids].tolist())]
         return means
 
 
@@ -224,7 +236,7 @@ def test_recur_elim_fixed_seed_output_through_elimination():
     res = avg_pac_recur_elim(session, inst.matroid, 0.1, 0.1, DESK)
     assert [(rec.r, rec.size_before, rec.size_after) for rec in res.transcript] == [(1, 1000, 251)]
     assert sorted(res.basis) == [186, 932]
-    assert res.samples == session.total_samples == 95_495_200_445
+    assert session.total_samples == 95_495_200_445
     assert _sha256(session.pull_counts()) == (
         "f6d07f4e0430adc571ec5627f8eee7dd6f4c7d1340165a452402e3a132774cf4")
     assert len(session.draws) == 2270
@@ -252,7 +264,7 @@ def test_recur_elim_noisy_smoke():
 def test_rank_zero_matroid_short_circuits():
     session = SamplingSession([point(0.5)], seed=0)
     res = avg_pac_recur_elim(session, UniformMatroid(1, 0), 0.1, 0.1, PAPER)
-    assert res.basis == frozenset() and res.samples == 0
+    assert res.basis == frozenset() and session.total_samples == 0
 
 
 def test_precondition_helper_matches_formula():

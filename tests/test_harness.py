@@ -118,6 +118,9 @@ _LOOSE_HEADERS = {
     "notes-a-list": {"notes": ["x"]},
     "gap-floor-a-string": {"gap_floor": "0.01"},
     "gap-floor-a-bool": {"gap_floor": True},
+    "gap-floor-nan": {"gap_floor": float("nan")},
+    "gap-floor-infinite": {"gap_floor": float("inf")},
+    "gap-floor-minus-infinity": {"gap_floor": -float("inf")},
 }
 _COLUMN_CASES = {
     "v2-with-arms": dict(_TWO_MEANS, arms=_TWO_ARMS["arms"]),
@@ -162,11 +165,14 @@ _HEADER_CASES = {f"v{base['schema_version']}-{name}": dict(base, **fields)
     dict(_TWO_ARMS, arms={"0": ["bernoulli", 0.4], "1": ["bernoulli", 0.6]}),
     dict(_TWO_ARMS, arms="bernoulli"),
     dict(_TWO_ARMS, arms=[0.4, 0.6]),
+    dict(_TWO_MEANS, means=[0.1, 0.2, 0.3, 0.4], matroid={"family": "partition", "groups": [
+        {"members": [0, 1], "capacity": 1}, {"members": [5, 7], "capacity": 1}]}),
 ], ids=[*_HEADER_CASES, *_COLUMN_CASES, "uniform-without-k", "no-arms", "arm-without-mean", "arm-mean-not-a-number",
         "one-ended-edge", "top-level-list", "gap-floor-not-a-number", "null-mean", "nan-mean",
         "mean-past-a-float", "unknown-kind", "unhashable-kind", "scaled-without-support",
         "scaled-support-one-number", "scaled-support-not-numbers", "point-with-support",
-        "four-item-entry", "arms-a-mapping", "arms-a-string", "arms-bare-numbers"])
+        "four-item-entry", "arms-a-mapping", "arms-a-string", "arms-bare-numbers",
+        "ground-not-the-arm-ids"])
 def test_malformed_instance_files_are_validation_errors(cfg, tmp_path, capsys):
     with pytest.raises(ValidationError):
         instance_from_config(cfg)
@@ -175,6 +181,17 @@ def test_malformed_instance_files_are_validation_errors(cfg, tmp_path, capsys):
     # main returns rather than raising, so `python -m` would print no traceback
     assert main(["verify", "--instance", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_file_that_is_not_utf8_json_is_a_validation_error(tmp_path, capsys):
+    text = json.dumps(_TWO_MEANS)
+    for name, data in (("utf16", text.encode("utf-16")), ("cut", text[:-1].encode())):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)  # UTF-16 starts with the bytes ff fe
+        with pytest.raises(ValidationError, match="UTF-8 JSON"):
+            load_instance(path)
+        assert main(["verify", "--instance", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 DATA = Path(__file__).parent / "data"

@@ -28,7 +28,6 @@ from matroid_bandits.matroids import (
     unblocked,
 )
 from matroid_bandits.oracle import iter_bases, iter_independent_sets
-from matroid_bandits.sampling import Estimates
 
 PROP1_MEANS = (0.91, 0.9, 0.89, 0.875)
 
@@ -590,7 +589,7 @@ def test_pruning_and_judge_work_is_bounded_by_the_candidates_above_the_pool(monk
     assert len(asked) == m.k  # greedy stops once its set spans everything
 
     # the array form reads no weight per element: at most the pool's, through _weight
-    estimates = Estimates(np.array(means))
+    estimates = np.array(means)
     dense_thresholds = shifted_thresholds(estimates, -0.01, exclude=inner)
     read = []
     real_weight = matroids._weight
@@ -622,10 +621,13 @@ def test_pruning_and_judge_work_is_bounded_by_the_candidates_above_the_pool(monk
 
 
 def _array_forms(w, size):
-    """``w`` (a list over ids 0..len(w)-1) as Estimates and as a bare array, both ``size`` long."""
+    """``w`` (a list over ids 0..len(w)-1) as a read-only array, as a dense session returns
+    its means, and as a writable one, both ``size`` long."""
     dense = np.full(size, np.nan)
     dense[: len(w)] = w
-    return [Estimates(dense.copy()), dense]
+    frozen = dense.copy()
+    frozen.flags.writeable = False
+    return [frozen, dense]
 
 
 def _as_array(thresholds, size):
@@ -677,7 +679,7 @@ def test_shifted_thresholds_add_the_offsets_left_to_right_in_both_forms():
                     mean = mean + offset
                 expected[e] = mean
         assert shifted_thresholds(batch, *offsets, exclude=exclude) == expected
-        dense = shifted_thresholds(Estimates(_as_array(batch, 3001)), *offsets, exclude=exclude)
+        dense = shifted_thresholds(_as_array(batch, 3001), *offsets, exclude=exclude)
         assert np.array_equal(dense, _as_array(expected, 3001), equal_nan=True)
     summed = shifted_thresholds(batch, -0.1 / 3.0 + -2.0 * 0.1 / 12.0)
     assert summed != shifted_thresholds(batch, -0.1 / 3.0, -2.0 * 0.1 / 12.0)
@@ -688,14 +690,31 @@ def test_array_weights_missing_an_element_raise_domain_error():
     full = np.linspace(0.9, 0.4, 6)
     holed = full.copy()
     holed[4] = np.nan
-    for dense in (holed, full[:4]):  # a NaN, or ids past the array's end
-        for weights in (Estimates(dense.copy()), dense):
-            with pytest.raises(DomainError):
-                greedy_max_basis(m, weights)
-            with pytest.raises(DomainError):
-                is_eps_optimal(m, {0, 1}, weights, 0.0)
-            with pytest.raises(DomainError):
-                unblocked(m, {1, 4}, weights, _as_array({0: 0.5}, 6))
+    for weights in (holed, full[:4]):  # a NaN, or ids past the array's end
+        with pytest.raises(DomainError):
+            greedy_max_basis(m, weights)
+        with pytest.raises(DomainError):
+            is_eps_optimal(m, {0, 1}, weights, 0.0)
+        with pytest.raises(DomainError):
+            unblocked(m, {1, 4}, weights, _as_array({0: 0.5}, 6))
+
+
+def test_a_negative_id_has_no_weight_in_an_array_or_a_sequence():
+    # an array or a list would read id -1 from its end; a dict keyed by it has its weight
+    m = PartitionMatroid([([-1, 0], 1), ([1, 2], 1)])
+    for weights in (np.array([0.1, 0.2, 0.9]), [0.1, 0.2, 0.9]):
+        for check in (lambda: greedy_max_basis(m, weights),
+                      lambda: basis_weight([-1], weights),
+                      lambda: is_eps_optimal(m, {0, 2}, weights, 0.0),
+                      lambda: unblocked(m, {-1, 2}, weights, {0: 0.5})):
+            with pytest.raises(DomainError, match="element -1"):
+                check()
+    # nor may a negative ground id clear threshold 3, outside the ground, from the end
+    with pytest.raises(DomainError, match=r"\[3\]"):
+        unblocked(m, (), [], np.array([np.nan, np.nan, np.nan, 0.5]))
+    keyed = {-1: 0.9, 0: 0.1, 1: 0.2, 2: 0.3}
+    assert greedy_max_basis(m, keyed) == {-1, 2}
+    assert basis_weight([-1], keyed) == 0.9
 
 
 def test_array_thresholds_outside_the_ground_raise_domain_error():

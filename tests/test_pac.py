@@ -34,8 +34,7 @@ def test_naive_one_sample_count_formula():
     res = naive_one(session, UniformMatroid(4, 2), 0.2, 0.1)
     per_arm = math.ceil((0.2 / 2) ** -2 * math.log(2 * 4 / 0.1) / 2)
     assert per_arm == 220
-    assert res.samples == 4 * per_arm == 880
-    assert res.samples == session.total_samples
+    assert session.total_samples == 4 * per_arm == 880
 
 
 def test_naive_one_validates_parameters():
@@ -47,8 +46,9 @@ def test_naive_one_validates_parameters():
 
 
 def test_naive_one_empty_matroid():
-    res = naive_one(point_session(()), UniformMatroid(0, 0), 0.1, 0.1)
-    assert res.basis == frozenset() and res.samples == 0
+    session = point_session(())
+    res = naive_one(session, UniformMatroid(0, 0), 0.1, 0.1)
+    assert res.basis == frozenset() and session.total_samples == 0
 
 
 def test_profiles_have_declared_constants():
@@ -67,7 +67,7 @@ def test_paper_profile_base_case_matches_naive_one():
     res_pac = pac_sample_prune(a, inst.matroid, 0.1, 0.1, PAPER)
     res_naive = naive_one(b, inst.matroid, 0.1, 0.1)
     assert res_pac.basis == res_naive.basis
-    assert res_pac.samples == res_naive.samples
+    assert a.total_samples == b.total_samples
     assert a.pull_counts() == b.pull_counts()
     assert len(res_pac.transcript) == 1 and res_pac.transcript[0].base_case
 
@@ -88,7 +88,6 @@ def test_desk_recursion_noiseless_keeps_optimum_each_level():
             inst.matroid.restrict(ground), inst.true_means
         )
         assert level_opt <= kept  # no optimal arm of the level is pruned
-    assert res.samples == session.total_samples
 
 
 def test_desk_noisy_success_rate_smoke():
@@ -180,11 +179,10 @@ def test_zero_rank_matroid_returns_empty():
     assert res.basis == frozenset()
 
 
-def test_result_samples_match_ledger_exactly():
+def test_desk_recursion_returns_a_basis():
     inst = uniform_gap_instance(30, 3, 0.1, seed=4)
     session = inst.trial_session(8, 0)
     res = pac_sample_prune(session, inst.matroid, 0.3, 0.2, DESK)
-    assert res.samples == session.total_samples
     assert inst.matroid.is_basis(res.basis)
 
 

@@ -20,7 +20,6 @@ from matroid_bandits.sampling import (
     DENSE_MIN_ARMS,
     Arm,
     ArmTable,
-    Estimates,
     SamplingSession,
     bernoulli,
     point,
@@ -28,6 +27,14 @@ from matroid_bandits.sampling import (
     scaled,
     trial_seed,
 )
+
+
+def _means(batch):
+    """A batch's means as a dict; a dense session's array holds NaN for each arm outside it."""
+    if type(batch) is not np.ndarray:
+        return batch
+    ids = np.flatnonzero(~np.isnan(batch))
+    return dict(zip(ids.tolist(), batch[ids].tolist()))
 
 
 def test_arm_validation():
@@ -69,7 +76,7 @@ def test_pickled_instance_holds_columns_and_draws_alike():
     assert copy.arms == inst.arms
 
     def draw(instance):
-        return instance.trial_session(4, 2).uniform_sample(range(0, 5000, 7), 50)
+        return _means(instance.trial_session(4, 2).uniform_sample(range(0, 5000, 7), 50))
 
     assert draw(copy) == draw(inst)
 
@@ -258,7 +265,7 @@ def test_bernoulli_mean_within_four_sigma():
 
 def test_single_pulls_match_distribution():
     session = SamplingSession([bernoulli(0.4)] * 10_000, seed=7)
-    values = list(session.uniform_sample(range(10_000), 1).values())
+    values = list(_means(session.uniform_sample(range(10_000), 1)).values())
     values += [session.uniform_sample({0}, 1)[0] for _ in range(10_000)]
     assert set(values) <= {0.0, 1.0}
     assert abs(np.mean(values) - 0.4) < 5 * math.sqrt(0.24 / 20_000)
@@ -266,7 +273,7 @@ def test_single_pulls_match_distribution():
 
 def test_scaled_arm_support_and_mean():
     session = SamplingSession([scaled(0.2, 0.6, 0.5)] * 2000, seed=11)
-    values = list(session.uniform_sample(range(2000), 1).values())
+    values = list(_means(session.uniform_sample(range(2000), 1)).values())
     assert set(values) == {0.2, 0.6}
     q = (0.5 - 0.2) / 0.4
     sigma = 0.4 * math.sqrt(q * (1 - q))
@@ -433,7 +440,7 @@ def _session(arms, dense, monkeypatch, seed=13, max_pulls=None):
 
 
 def test_uniform_sample_draws_what_pull_batch_per_arm_draws(monkeypatch):
-    # on both session forms: a dict and a list ledger, Estimates and an int64 ledger
+    # on both session forms: a dict and a list ledger, an array and an int64 ledger
     arms = [point(0.4), bernoulli(0.3), scaled(0.2, 0.9, 0.5), bernoulli(0.0),
             bernoulli(1.0), scaled(0.1, 0.3, 0.3), bernoulli(0.77)]
     for dense, count in product((False, True), (1, 19, 185, 1_500_000_000_000, 2**62, 2**62 + 1)):
@@ -448,9 +455,9 @@ def test_uniform_sample_draws_what_pull_batch_per_arm_draws(monkeypatch):
             assert vector.total_samples == 0
         else:
             means = vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
-            assert type(means) is (Estimates if dense else dict)
-            assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
-            assert list(means) == sorted(means)
+            assert type(means) is (np.ndarray if dense else dict)
+            assert _means(means) == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
+            assert list(_means(means)) == sorted(_means(means))
         assert vector.pull_counts() == scalar.pull_counts()
         assert vector.total_samples == scalar.total_samples
         # the generator is left where the per-arm draws leave it
@@ -466,9 +473,9 @@ def test_all_bernoulli_uniform_sample_draws_what_pull_batch_per_arm_draws(monkey
         vector = _session(arms, dense, monkeypatch, seed=5)
         scalar = _session(arms, dense, monkeypatch, seed=5)
         means = vector.uniform_sample([9, 3, 0, 1, 2, 4, 5, 6, 7, 8, 3], count)
-        assert type(means) is (Estimates if dense else dict)
-        assert means == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
-        assert list(means) == sorted(means)
+        assert type(means) is (np.ndarray if dense else dict)
+        assert _means(means) == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
+        assert list(_means(means)) == sorted(_means(means))
         assert vector.pull_counts() == scalar.pull_counts() == [count] * len(arms)
         assert vector.total_samples == scalar.total_samples
         assert _next_draws(vector) == _next_draws(scalar)
@@ -506,7 +513,7 @@ def _script(session, n):
     for elements, count in (([5, 3, 3, 0], 7), (range(n), 185), (np.arange(0, n, 3), 1),
                             ({n - 1, 1}, 2**53 + 1), (np.array([4, 2, 9, 4]), 11),
                             (np.array([], dtype=np.int64), 5), ([], 3), (range(n), 2**62)):
-        out.append(dict(session.uniform_sample(elements, count)))
+        out.append(_means(session.uniform_sample(elements, count)))
     out.append(sorted(session.random_subset(np.arange(n), 0.3)))
     out.append(sorted(session.random_subset(range(n), 0.6)))
     with pytest.raises(BudgetError, match="not drawable"):
@@ -519,7 +526,7 @@ def test_dense_session_draws_and_records_what_the_reference_does(arms, monkeypat
     reference = _session(arms, False, monkeypatch)
     dense = _session(arms, True, monkeypatch)
     assert type(reference.uniform_sample([1], 1)) is dict
-    assert type(dense.uniform_sample([1], 1)) is Estimates
+    assert type(dense.uniform_sample([1], 1)) is np.ndarray
     assert _script(dense, len(arms)) == _script(reference, len(arms))
 
 
@@ -537,7 +544,7 @@ def test_non_integer_arm_ids_are_refused_before_any_draw(dense, monkeypatch):
     assert _next_draws(session) == _next_draws(_session(_MIXED, dense, monkeypatch))
     twin = _session(_MIXED, dense, monkeypatch)
     numpy_ids = [np.int64(1), np.int32(4), np.uint8(2)]
-    assert session.uniform_sample(numpy_ids, 3) == twin.uniform_sample([1, 4, 2], 3)
+    assert _means(session.uniform_sample(numpy_ids, 3)) == _means(twin.uniform_sample([1, 4, 2], 3))
     assert session.pull_batch(np.int64(6), 5) == twin.pull_batch(6, 5)
 
 
@@ -551,7 +558,7 @@ def test_sample_ids_take_the_form_of_the_session(n):
     if n >= DENSE_MIN_ARMS:
         assert ids is view.ground_ids
         assert type(rest) is np.ndarray and rest.dtype == np.int64
-        assert type(session.uniform_sample(ids, 3)) is Estimates
+        assert type(session.uniform_sample(ids, 3)) is np.ndarray
     else:
         assert ids is view.ground
         assert isinstance(rest, (set, frozenset))
@@ -569,18 +576,19 @@ def test_only_sampling_names_the_dense_size():
     assert len(re.findall(r"[<>]=?\s*DENSE_MIN_ARMS|DENSE_MIN_ARMS\s*[<>]", source)) == 1
 
 
-def test_estimates_read_like_a_read_only_mapping():
-    est = Estimates(np.array([0.5, np.nan, 0.25]))
-    assert est == {0: 0.5, 2: 0.25} and list(est) == [0, 2] and len(est) == 2
-    for missing in (1, 3, -1, True, 2.0, "a"):
-        assert missing not in est
-        with pytest.raises(KeyError):
-            est[missing]
-    merged = est | Estimates(np.array([np.nan, 0.75, np.nan]))
-    assert merged == {0: 0.5, 1: 0.75, 2: 0.25} and type(merged) is Estimates
-    assert dict(merged) == dict(est) | {1: 0.75}
+def test_a_dense_batch_is_a_read_only_array_over_the_whole_table(monkeypatch):
+    vector = _session(_MIXED, True, monkeypatch, seed=3)
+    scalar = _session(_MIXED, True, monkeypatch, seed=3)
+    batch = [0, 2, 5, 11, 40]
+    means = vector.uniform_sample([40, 5, 0, 11, 2, 5], 17)
+    assert type(means) is np.ndarray and means.dtype == np.float64
+    assert means.shape == (len(_MIXED),) and not means.flags.writeable
     with pytest.raises(ValueError):
-        est.dense[1] = 0.0
+        means[2] = 0.0
+    outside = np.ones(len(_MIXED), dtype=bool)
+    outside[batch] = False
+    assert np.isnan(means[outside]).all()
+    assert means[batch].tolist() == [scalar.pull_batch(e, 17) for e in batch]
 
 
 def test_dense_ledger_stays_exact_past_int64():
@@ -591,7 +599,7 @@ def test_dense_ledger_stays_exact_past_int64():
     for elements, count in ((range(n), 2**54), ([0, 7], 2**62), ([7], 2**70),
                             (np.arange(n), 3)):
         means = session.uniform_sample(elements, count)
-        assert means == {e: arms[e].mean for e in elements}
+        assert _means(means) == {e: arms[e].mean for e in elements}
         for e in elements:
             expected[e] += count
         assert session.pull_counts() == expected
