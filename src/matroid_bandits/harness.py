@@ -18,8 +18,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,28 +96,60 @@ class RunConfig:
             raise ConfigError("delta must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialReport:
+    """One trial's outcome.
+
+    ``pulls`` is the session's per-arm ledger in the session's own form
+    (``SamplingSession.ledger``): on a dense table a read-only int64 array,
+    8 bytes per arm, which pickles as one buffer; otherwise a tuple of
+    Python ints. ``per_arm`` reads either as a tuple of Python ints, and
+    reports compare their ledgers by value.
+    """
+
     index: int
     seed: tuple[int, int]  # (master seed, trial index) fed to the stream
     algo: str
     basis: tuple[int, ...]
     total_samples: int
-    per_arm: tuple[int, ...]
+    pulls: np.ndarray | tuple[int, ...]
     flags: dict[str, bool]
     error: str | None
     wall_time: float
     trace: tuple = field(default_factory=tuple)
     guard: str | None = None  # the BudgetError guard that failed the trial
 
+    def __post_init__(self):
+        if type(self.pulls) is np.ndarray and self.pulls.flags.writeable:
+            pulls = self.pulls.view()
+            pulls.flags.writeable = False
+            object.__setattr__(self, "pulls", pulls)
+
+    def __reduce__(self):
+        # through __init__, so that an unpickled ledger is read-only too
+        return TrialReport, tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        if type(other) is not TrialReport:
+            return NotImplemented
+        return self.per_arm == other.per_arm and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self) if f.name != "pulls")
+
+    @property
+    def per_arm(self) -> tuple[int, ...]:
+        pulls = self.pulls
+        return tuple(pulls.tolist()) if type(pulls) is np.ndarray else pulls
+
     def to_json(self) -> dict:
+        pulls = self.pulls
         return {
             "index": self.index,
             "seed": list(self.seed),
             "algo": self.algo,
             "basis": list(self.basis),
             "total_samples": self.total_samples,
-            "per_arm_samples": list(self.per_arm),
+            "per_arm_samples": pulls.tolist() if type(pulls) is np.ndarray else list(pulls),
             "flags": dict(self.flags),
             "error": self.error,
             "wall_time": self.wall_time,
@@ -160,7 +191,7 @@ def _run_single_trial(config: RunConfig, index: int, opt, means) -> TrialReport:
         algo=config.algo,
         basis=basis,
         total_samples=session.total_samples,
-        per_arm=tuple(session.pull_counts()),
+        pulls=session.ledger(),
         flags=flags,
         error=error,
         wall_time=elapsed,
@@ -220,13 +251,22 @@ def _run_parallel(config: RunConfig, opt) -> list[TrialReport]:
 def binomial_lcb(successes: int, trials: int, confidence: float = 0.95) -> float:
     """Exact one-sided (Clopper-Pearson) lower confidence bound on a rate.
 
-    The p at which P(Binomial(trials, p) >= successes) = 1 - confidence,
-    found by bisection to float resolution. Each tail probability sums the
-    shorter binomial tail in log space.
+    The p at which P(Binomial(trials, p) >= successes) = 1 - confidence.
+    When every trial succeeded that tail is p ** trials, so p has a closed
+    form; otherwise it is found by bisection (``_bisect_lcb``).
     """
     if trials == 0 or successes == 0:
         return 0.0
     alpha = 1.0 - confidence
+    if successes == trials:
+        return alpha ** (1.0 / trials)
+    return _bisect_lcb(successes, trials, alpha)
+
+
+def _bisect_lcb(successes: int, trials: int, alpha: float) -> float:
+    """The p at which P(Binomial(trials, p) >= successes) = alpha, by
+    bisection to float resolution. Each tail probability sums the shorter
+    binomial tail in log space."""
     upper = successes > trials - successes  # the upper tail has fewer terms
     terms = range(successes, trials + 1) if upper else range(successes)
     log_coef = [ln_choose(trials, i) for i in terms]
@@ -283,9 +323,9 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
     failed = [r for r in reports if r.error is not None]
     per_arm_mean: list[float] = []
     if reports:
-        arms = len(reports[0].per_arm)
-        stacked = np.fromiter(chain.from_iterable(r.per_arm for r in reports), np.float64,
-                              trials * arms).reshape(trials, arms)
+        stacked = np.empty((trials, len(reports[0].pulls)))
+        for row, rep in zip(stacked, reports):
+            row[:] = rep.pulls  # int64 or Python ints, each rounded once to float64
         per_arm_mean = stacked.mean(axis=0).tolist()
     summary = {
         "schema_version": 1,

@@ -291,6 +291,13 @@ class SamplingSession:
         pulls = self._pulls
         return pulls.tolist() if type(pulls) is np.ndarray else list(pulls)
 
+    def ledger(self) -> np.ndarray | tuple[int, ...]:
+        """The per-arm pull counts in the session's own form: a dense session's
+        int64 array itself, not a copy; a tuple of Python ints on a small
+        table, and once the total could pass int64 (see ``_add_pulls``)."""
+        pulls = self._pulls
+        return pulls if type(pulls) is np.ndarray else tuple(pulls)
+
     def _check_ends(self, first: int, last: int) -> None:
         """Refuse ids from ``first`` up to ``last`` unless both ends, and so all of them, are arms."""
         if first < 0 or last >= len(self._arms):

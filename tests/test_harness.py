@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from matroid_bandits.matroids import GraphicMatroid, UniformMatroid
 from matroid_bandits.oracle import gap_profile
 from matroid_bandits.pac import DESK, PAPER, ConstantsProfile
 from matroid_bandits.sampling import (
-    BERNOULLI, POINT, SCALED, ArmTable, bernoulli, point, scaled,
+    BERNOULLI, POINT, SCALED, ArmTable, bernoulli, point, sample_size, scaled,
 )
 
 
@@ -444,18 +446,97 @@ def test_sample_extremes_stay_exact_above_two_to_the_53(tmp_path):
 
 
 def test_per_arm_mean_pulls_match_stacking_the_ledgers_as_an_array():
-    config = RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 4, 0, PAPER)
+    config = RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 5, 0, PAPER)
     ledgers = [(3, 0, 7, 1), (2**63 + 1, 5, 0, 2**53 + 1), (2**64 + 12345, 2**70 * 3 + 7, 9, 0),
-               (10**30 + 1, 1, 1, 2**63 - 1)]  # the last three hold Python ints past int64
+               (10**30 + 1, 1, 1, 2**63 - 1),  # these three hold Python ints past int64
+               np.array([2**53 + 1, 2**62 + 3, 2**63 - 1, 5], dtype=np.int64)]  # a dense ledger
     reports = [
-        harness.TrialReport(i, (0, i), "naive1", (0, 1), sum(per_arm), per_arm,
+        harness.TrialReport(i, (0, i), "naive1", (0, 1), sum(map(int, per_arm)), per_arm,
                             dict.fromkeys(harness.FLAGS, True), None, 0.0)
         for i, per_arm in enumerate(ledgers)
     ]
-    for batch in (reports[:1], reports):
+    for batch in (reports[:1], reports[-1:], reports[-2:], reports):
         expected = np.array([r.per_arm for r in batch], dtype=np.float64).mean(axis=0)
         got = harness.summarize(config, batch)["summary"]["per_arm_mean_pulls"]
         assert np.array(got).tobytes() == expected.tobytes()
+
+
+def _points(n: int):
+    """n point-mass arms with distinct means: any pull count takes no draw."""
+    means = [0.05 + 0.9 * (i + 0.5) / n for i in range(n)]
+    return make_instance(f"points{n}", {"family": "uniform", "n": n, "k": 3},
+                         ArmTable.from_columns([POINT] * n, means))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_dense_ledger_past_int64_stays_exact(jobs, tmp_path):
+    # naive1 pulls each of 256 arms `count` times; 256 * count passes 2**63,
+    # so the session's int64 ledger turns into Python ints
+    inst, eps = _points(256), 1e-8
+    count = sample_size(eps / 2.0, 0.1 / 256)
+    assert count < 2**63 <= 256 * count
+    result = run_trials(RunConfig(inst, "naive1", eps, 0.1, 2, 0, DESK, jobs=jobs))
+    for rep in result["reports"]:
+        assert rep.error is None and rep.total_samples == 256 * count
+        assert type(rep.pulls) is tuple and rep.per_arm == (count,) * 256
+    assert result["summary"]["per_arm_mean_pulls"] == [float(count)] * 256
+    out = tmp_path / "report.json"
+    write_report(result, out)
+    trials = json.loads(out.read_text())["trials"]
+    assert [t["per_arm_samples"] for t in trials] == [[count] * 256] * 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("inst, dense", [
+    (builtin("prop1"), False), (big_uniform_instance(300, 5, seed=2), True),
+], ids=["small", "dense"])
+def test_a_report_holds_the_ledger_in_the_sessions_form(inst, dense, jobs):
+    reports = run_trials(RunConfig(inst, "pac", 0.1, 0.1, 3, 1, DESK, jobs=jobs))["reports"]
+    for rep in reports:
+        if dense:
+            assert type(rep.pulls) is np.ndarray and rep.pulls.dtype == np.int64
+            assert rep.pulls.shape == (300,) and not rep.pulls.flags.writeable
+        else:
+            assert type(rep.pulls) is tuple
+        assert type(rep.per_arm) is tuple and {type(c) for c in rep.per_arm} == {int}
+        assert sum(rep.per_arm) == rep.total_samples
+        copy = pickle.loads(pickle.dumps(rep))
+        assert copy == rep and copy.per_arm == rep.per_arm
+        assert type(copy.pulls) is type(rep.pulls)
+        if dense:
+            assert not copy.pulls.flags.writeable
+    rep = reports[0]
+    assert rep != dataclasses.replace(rep, pulls=tuple(c + 1 for c in rep.per_arm))
+
+
+def test_a_report_makes_a_writable_ledger_read_only_without_touching_it():
+    ledger = np.arange(300, dtype=np.int64)
+    rep = harness.TrialReport(0, (0, 0), "naive1", (), int(ledger.sum()), ledger,
+                              dict.fromkeys(harness.FLAGS, False), None, 0.0)
+    with pytest.raises(ValueError):
+        rep.pulls[0] = 7
+    assert ledger.flags.writeable and rep.per_arm == tuple(range(300))
+    assert rep == dataclasses.replace(rep, pulls=tuple(range(300)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_held_reports_of_a_dense_batch_cost_about_eight_bytes_per_arm(jobs):
+    # each held ledger is one int64 array; as Python ints it held about 36 B per arm
+    n, trials = 2000, 8
+    config = RunConfig(big_uniform_instance(n, 5, seed=3), "naive1", 0.1, 0.1, trials, 0, DESK,
+                       jobs=jobs)
+    tracemalloc.start()
+    try:
+        run_trials(config)  # a first batch starts the pool and fills every cache
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        reports = run_trials(config)["reports"]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == trials and all(len(rep.per_arm) == n for rep in reports)
+    assert held / (n * trials) < 12, held
 
 
 @pytest.mark.parametrize("config", [
@@ -498,6 +579,12 @@ def test_binomial_lcb_behaviour():
 ])
 def test_binomial_lcb_exact_values(successes, trials, expected):
     assert binomial_lcb(successes, trials) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_binomial_lcb_of_all_successes_is_the_bisection_within_one_ulp():
+    for n in range(1, 3001):
+        closed, bisected = binomial_lcb(n, n), harness._bisect_lcb(n, n, 1.0 - 0.95)
+        assert abs(closed - bisected) <= np.spacing(bisected), n
 
 
 def test_cli_import_loads_numpy_random_but_not_scipy():
