@@ -63,11 +63,11 @@ def _cmd_run(args) -> int:
         trace=args.trace,
     )
     result = run_trials(config)
-    write_report(result, args.out)
+    pulls_path = write_report(result, args.out)
     summary = result["summary"]
     print(json.dumps(summary["success"], indent=2, sort_keys=True))
     print(f"samples: {summary['samples']}")
-    print(f"report written to {args.out}")
+    print(f"report written to {args.out}, per-arm pulls to {pulls_path}")
     return 0
 
 

@@ -35,6 +35,9 @@ from .pac import ConstantsProfile, PROFILES, PacResult, naive_one, pac_sample_pr
 ALGORITHMS = ("naive1", "naive2", "pac", "exact", "avgpac")
 FLAGS = ("exact", "eps_optimal", "elementwise", "avg")
 
+# ``json.dumps(obj, sort_keys=True)`` without building an encoder per report line
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 def run_algorithm(session, matroid: Matroid, algo: str, eps: float, delta: float,
                   profile: ConstantsProfile) -> PacResult:
@@ -83,6 +86,8 @@ class RunConfig:
     trace: bool = False
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
         if self.trials < 0:
@@ -142,14 +147,13 @@ class TrialReport:
         return tuple(pulls.tolist()) if type(pulls) is np.ndarray else pulls
 
     def to_json(self) -> dict:
-        pulls = self.pulls
+        """The trial's line of the JSON report; its ledger goes to the .pulls.npy sidecar."""
         return {
             "index": self.index,
             "seed": list(self.seed),
             "algo": self.algo,
             "basis": list(self.basis),
             "total_samples": self.total_samples,
-            "per_arm_samples": pulls.tolist() if type(pulls) is np.ndarray else list(pulls),
             "flags": dict(self.flags),
             "error": self.error,
             "wall_time": self.wall_time,
@@ -321,15 +325,10 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
     counts = {name: sum(1 for r in reports if r.flags[name]) for name in FLAGS}
     samples = [r.total_samples for r in reports]
     failed = [r for r in reports if r.error is not None]
-    per_arm_mean: list[float] = []
-    if reports:
-        stacked = np.empty((trials, len(reports[0].pulls)))
-        for row, rep in zip(stacked, reports):
-            row[:] = rep.pulls  # int64 or Python ints, each rounded once to float64
-        per_arm_mean = stacked.mean(axis=0).tolist()
     summary = {
-        "schema_version": 1,
+        "schema_version": 2,
         "instance": config.instance.name,
+        "arms": config.instance.size,
         "algo": config.algo,
         "eps": config.eps,
         "delta": config.delta,
@@ -347,31 +346,54 @@ def summarize(config: RunConfig, reports: list[TrialReport]) -> dict:
             for name in FLAGS
         },
         "samples": _quantiles(samples),
-        "per_arm_mean_pulls": per_arm_mean,
         "wall_time_total": math.fsum(r.wall_time for r in reports),
     }
     return {"summary": summary, "reports": reports, "trace": config.trace}
 
 
-def write_report(result: dict, out_path) -> None:
-    """JSON report plus a CSV summary row; a traced run's records go to a sidecar .jsonl.
+def _pull_matrix(reports: list[TrialReport], arms: int) -> np.ndarray:
+    """Row i is trial i's ledger: int64, or the exact counts as decimal
+    strings once some count does not fit an int64."""
+    try:
+        rows = np.array([rep.pulls for rep in reports], dtype=np.int64)
+    except OverflowError:
+        return np.array([[str(count) for count in rep.per_arm] for rep in reports],
+                        dtype=np.str_)
+    return rows.reshape(len(reports), arms)
+
+
+def load_pulls(path) -> np.ndarray | tuple[tuple[int, ...], ...]:
+    """A report's per-arm ledgers, one row per trial: the int64 array, or a
+    tuple of tuples of Python ints when some count does not fit an int64."""
+    matrix = np.load(path, allow_pickle=False)
+    if matrix.dtype.kind == "U":
+        return tuple(tuple(map(int, row)) for row in matrix.tolist())
+    return matrix
+
+
+def write_report(result: dict, out_path) -> Path:
+    """JSON report, its per-arm pulls, and a CSV summary row; a traced run's
+    records go to a sidecar .jsonl. Returns the path of the pulls file.
 
     The report is one JSON object, ``{"summary": ..., "trials": [...]}``,
     written piece by piece: the summary on the first line, then one trial
-    per line, so that no string of the whole document is ever built.
+    per line, so that no string of the whole document is ever built. The
+    ledgers go to ``.pulls.npy`` beside it, one row per trial (``load_pulls``).
     """
     out_path = Path(out_path)
     summary = result["summary"]
     reports: list[TrialReport] = result["reports"]
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    pulls_path = out_path.with_suffix(".pulls.npy")
+    np.save(pulls_path, _pull_matrix(reports, summary["arms"]), allow_pickle=False)
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write('{"summary": ')
-        handle.write(json.dumps(summary, sort_keys=True))
+        handle.write(_encode(summary))
         handle.write(',\n"trials": [')
         separator = "\n"
         for rep in reports:
             handle.write(separator)
-            handle.write(json.dumps(rep.to_json(), sort_keys=True))
+            handle.write(_encode(rep.to_json()))
             separator = ",\n"
         handle.write("\n]}\n")
 
@@ -394,8 +416,9 @@ def write_report(result: dict, out_path) -> None:
             for rep in reports:
                 for record in rep.trace:
                     line = {"schema_version": 1, "trial": rep.index, **record.to_record()}
-                    handle.write(json.dumps(line, sort_keys=True))
+                    handle.write(_encode(line))
                     handle.write("\n")
+    return pulls_path
 
 
 def profile_by_name(name: str) -> ConstantsProfile:

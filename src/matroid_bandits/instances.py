@@ -59,6 +59,13 @@ def _integers(values, what: str) -> list[int]:
     return [_integer(value, what) for value in values]
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """A generator's stream; a seed that is not a non-negative int is a ``ValidationError``."""
+    if type(seed) is not int or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def matroid_from_config(cfg: dict) -> Matroid:
     with _reading("matroid"):
         family = cfg.get("family")
@@ -259,9 +266,10 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
-    """Write ``inst`` as version 2, encoded in full first: a failed encoding writes nothing."""
+    """Write ``inst`` as version 2 on one line, encoded in full first: a failed
+    encoding writes nothing. Without an indent ``json`` uses its C encoder."""
     with _reading("instance"):
-        text = json.dumps(inst.to_config(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(inst.to_config(), sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
@@ -290,7 +298,7 @@ def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     means = top + bottom
     if min(means) <= 0.0 or max(means) >= 1.0:
         raise ValidationError("eps too large for means to stay inside (0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     assigned = np.empty(n)
     assigned[rng.permutation(n)] = means
     gap_floor = 0.9 * eps if n <= 20 else None
@@ -321,7 +329,7 @@ def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> 
         means.append(0.5 - off + min_gap / 2.0 - j * eta)
     if min(means) <= 0.0 or max(means) >= 1.0:
         raise ValidationError("min_gap too large for this ladder")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     assigned = np.empty(n)
     assigned[rng.permutation(n)] = means
     return make_instance(
@@ -344,7 +352,7 @@ def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) ->
     num_vertices, num_edges = index(num_vertices), index(num_edges)
     if num_edges < 0 or (num_edges > 0 and num_vertices < 2):
         raise ValidationError("need num_edges >= 0, and two vertices for any edge")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     edges = []
     # spanning path first so no vertex is stranded, then random extras
     for v in range(1, min(num_vertices, num_edges + 1)):
@@ -363,7 +371,7 @@ def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) ->
 
 def big_uniform_instance(n: int, k: int, seed: int = 0) -> Instance:
     n, k = index(n), index(k)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     return make_instance(
         name=f"big-uniform-n{n}-k{k}",
         matroid_config={"family": "uniform", "n": n, "k": k},

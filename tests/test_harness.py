@@ -23,6 +23,7 @@ from matroid_bandits.harness import (
     ALGORITHMS,
     RunConfig,
     binomial_lcb,
+    load_pulls,
     profile_by_name,
     run_trials,
     success_flags,
@@ -293,6 +294,36 @@ def test_generators_reject_bad_arguments_before_any_draw(make, monkeypatch):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: uniform_gap_instance(10, 3, 0.1, seed=seed),
+    lambda seed: geometric_ladder_instance(10, 3, 0.05, seed=seed),
+    lambda seed: random_graphic_instance(5, 7, seed=seed),
+    lambda seed: big_uniform_instance(300, 5, seed=seed),
+], ids=["uniform-gap", "ladder", "graphic", "big-uniform"])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+def test_generators_refuse_a_negative_or_non_integer_seed_before_any_draw(make, seed, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the generator drew before checking its seed")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        make(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
+def test_run_config_refuses_a_negative_or_non_integer_seed(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        RunConfig(builtin("prop1"), "pac", 0.1, 0.1, 1, seed, PAPER)
+
+
+def test_cli_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "--instance", "builtin:prop1", "--algo", "pac", "--eps", "0.1",
+                 "--delta", "0.1", "--trials", "2", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
+    assert not out.exists()
+
+
 def test_run_config_validation():
     inst = builtin("prop1")
     with pytest.raises(ConfigError):
@@ -445,22 +476,6 @@ def test_sample_extremes_stay_exact_above_two_to_the_53(tmp_path):
     assert (columns["samples_min"], columns["samples_max"]) == ("7", str(2**60 + 3))
 
 
-def test_per_arm_mean_pulls_match_stacking_the_ledgers_as_an_array():
-    config = RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 5, 0, PAPER)
-    ledgers = [(3, 0, 7, 1), (2**63 + 1, 5, 0, 2**53 + 1), (2**64 + 12345, 2**70 * 3 + 7, 9, 0),
-               (10**30 + 1, 1, 1, 2**63 - 1),  # these three hold Python ints past int64
-               np.array([2**53 + 1, 2**62 + 3, 2**63 - 1, 5], dtype=np.int64)]  # a dense ledger
-    reports = [
-        harness.TrialReport(i, (0, i), "naive1", (0, 1), sum(map(int, per_arm)), per_arm,
-                            dict.fromkeys(harness.FLAGS, True), None, 0.0)
-        for i, per_arm in enumerate(ledgers)
-    ]
-    for batch in (reports[:1], reports[-1:], reports[-2:], reports):
-        expected = np.array([r.per_arm for r in batch], dtype=np.float64).mean(axis=0)
-        got = harness.summarize(config, batch)["summary"]["per_arm_mean_pulls"]
-        assert np.array(got).tobytes() == expected.tobytes()
-
-
 def _points(n: int):
     """n point-mass arms with distinct means: any pull count takes no draw."""
     means = [0.05 + 0.9 * (i + 0.5) / n for i in range(n)]
@@ -479,11 +494,87 @@ def test_a_dense_ledger_past_int64_stays_exact(jobs, tmp_path):
     for rep in result["reports"]:
         assert rep.error is None and rep.total_samples == 256 * count
         assert type(rep.pulls) is tuple and rep.per_arm == (count,) * 256
-    assert result["summary"]["per_arm_mean_pulls"] == [float(count)] * 256
     out = tmp_path / "report.json"
     write_report(result, out)
-    trials = json.loads(out.read_text())["trials"]
-    assert [t["per_arm_samples"] for t in trials] == [[count] * 256] * 2
+    pulls = load_pulls(out.with_suffix(".pulls.npy"))
+    assert pulls.dtype == np.int64 and pulls.tolist() == [[count] * 256] * 2
+
+
+def _sidecar(out: Path):
+    return load_pulls(out.with_suffix(".pulls.npy"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("inst", [builtin("prop1"), big_uniform_instance(300, 5, seed=2)],
+                         ids=["small", "dense"])
+def test_the_pulls_sidecar_holds_one_ledger_per_trial_in_order(inst, jobs, tmp_path):
+    result = run_trials(RunConfig(inst, "pac", 0.1, 0.1, 5, 1, DESK, jobs=jobs))
+    out = tmp_path / "report.json"
+    write_report(result, out)
+    pulls = _sidecar(out)
+    assert type(pulls) is np.ndarray and pulls.dtype == np.int64
+    assert pulls.shape == (5, inst.size) and pulls.flags.c_contiguous
+    assert [tuple(row) for row in pulls.tolist()] == [rep.per_arm for rep in result["reports"]]
+    assert "per_arm_samples" not in out.read_text()
+
+
+@pytest.mark.parametrize("inst", [builtin("prop1"), big_uniform_instance(300, 5, seed=2)],
+                         ids=["small", "dense"])
+def test_a_zero_trial_batch_writes_an_empty_row_per_arm_matrix(inst, tmp_path):
+    out = tmp_path / "report.json"
+    write_report(run_trials(RunConfig(inst, "naive1", 0.1, 0.1, 0, 0, PAPER)), out)
+    pulls = _sidecar(out)
+    assert pulls.dtype == np.int64 and pulls.shape == (0, inst.size)
+    assert json.loads(out.read_text())["summary"]["arms"] == inst.size
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_counts_past_int64_come_back_exact_from_the_sidecar(jobs, tmp_path):
+    # each of 256 point-mass arms is pulled about 1.7e19 times, past 2**63
+    inst, eps = _points(256), 1e-9
+    count = sample_size(eps / 2.0, 0.1 / 256)
+    assert 2**63 < count < 2**64
+    result = run_trials(RunConfig(inst, "naive1", eps, 0.1, 2, 0, DESK, jobs=jobs))
+    assert all(rep.error is None for rep in result["reports"])
+    out = tmp_path / "report.json"
+    write_report(result, out)
+    assert np.load(out.with_suffix(".pulls.npy"), allow_pickle=False).dtype.kind == "U"
+    assert _sidecar(out) == ((count,) * 256,) * 2 == tuple(r.per_arm for r in result["reports"])
+
+
+def test_hand_built_ledgers_round_trip_through_the_sidecar(tmp_path):
+    config = RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 5, 0, PAPER)
+    ledgers = [(3, 0, 7, 1), (2**63 + 1, 5, 0, 2**53 + 1), (2**64 + 12345, 2**70 * 3 + 7, 9, 0),
+               (10**30 + 1, 1, 1, 2**63 - 1),  # these three hold Python ints past int64
+               np.array([2**53 + 1, 2**62 + 3, 2**63 - 1, 5], dtype=np.int64)]  # a dense ledger
+    reports = [
+        harness.TrialReport(i, (0, i), "naive1", (0, 1), sum(map(int, per_arm)), per_arm,
+                            dict.fromkeys(harness.FLAGS, True), None, 0.0)
+        for i, per_arm in enumerate(ledgers)
+    ]
+    out = tmp_path / "report.json"
+    for batch, fits in ((reports[:1], True), (reports[-1:], True), (reports[-2:], False),
+                        (reports, False)):
+        write_report(harness.summarize(config, batch), out)
+        pulls = _sidecar(out)
+        expected = tuple(r.per_arm for r in batch)
+        if fits:
+            assert pulls.dtype == np.int64 and tuple(map(tuple, pulls.tolist())) == expected
+        else:
+            assert pulls == expected and {type(c) for row in pulls for c in row} == {int}
+
+
+def test_report_text_does_not_grow_with_the_arms(tmp_path):
+    inst = big_uniform_instance(5000, 20, seed=0)
+    sidecars = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.json"
+        write_report(run_trials(RunConfig(inst, "pac", 0.1, 0.1, 4, 0, DESK, jobs=jobs)), out)
+        summary, opening, *trials, closing = out.read_text().splitlines()
+        assert len(trials) == 4
+        assert max(len(line.encode()) for line in (summary, *trials)) < 1000
+        sidecars.append(out.with_suffix(".pulls.npy").read_bytes())
+    assert sidecars[0] == sidecars[1]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -617,6 +708,16 @@ def test_cli_run_and_gaps_and_verify(tmp_path, capsys):
     assert main(["gaps", "--instance", "builtin:prop1"]) == 0
     captured = capsys.readouterr()
     assert "gap 0.02" in captured.out
+
+
+def test_cli_run_writes_and_names_the_pulls_sidecar(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", "--instance", "builtin:prop1", "--algo", "naive1", "--eps", "0.2",
+                 "--delta", "0.1", "--trials", "3", "--out", str(out)]) == 0
+    sidecar = out.with_suffix(".pulls.npy")
+    assert load_pulls(sidecar).shape == (3, 4)
+    assert capsys.readouterr().out.endswith(
+        f"report written to {out}, per-arm pulls to {sidecar}\n")
 
 
 def test_cli_trace_writes_round_records(tmp_path):
