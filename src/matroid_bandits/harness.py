@@ -90,10 +90,10 @@ class RunConfig:
             raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
-        if self.trials < 0:
-            raise ConfigError("trials must be >= 0")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        if type(self.trials) is not int or self.trials < 0:
+            raise ConfigError(f"trials must be an integer >= 0, not {self.trials!r}")
+        if type(self.jobs) is not int or self.jobs < 1:
+            raise ConfigError(f"jobs must be an integer >= 1, not {self.jobs!r}")
         if not self.eps > 0:
             raise ConfigError("eps must be > 0 (the exact solver still judges "
                               "eps-optimality flags at this eps)")

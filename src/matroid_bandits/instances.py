@@ -1,11 +1,15 @@
 """Problem instances: a matroid plus arm distributions, with file round-trip.
 
-The on-disk form is JSON with a versioned schema. ``save_instance`` writes
-version 2, which keeps the arms as columns: one ``means`` list, a ``kinds``
-list only when some arm is not Bernoulli, and a ``supports`` list (``null``
-for every arm that is not scaled) only when some arm is scaled. Version 1,
-one ``[kind, mean]`` or ``[kind, mean, [lo, hi]]`` entry per arm under
-``arms``, is still read. Both read into one ``ArmTable.from_columns`` call.
+The on-disk form is JSON with a versioned schema that keeps the arms as
+columns: a ``means`` column, a ``kinds`` list only when some arm is not
+Bernoulli, and a ``supports`` list (``null`` for every arm that is not
+scaled) only when some arm is scaled. ``save_instance`` writes a dense table
+(``ArmTable.dense``) as version 3, whose ``means`` is one base64 string of
+little-endian float64s, so that a large file is read without decoding a
+number per arm; a smaller table as version 2, whose ``means`` is a JSON list.
+Version 1, one ``[kind, mean]`` or ``[kind, mean, [lo, hi]]`` entry per arm
+under ``arms``, is still read. Every version reads into one
+``ArmTable.from_columns`` call.
 Generators cover the worked four-arm example, uniform-gap hard instances,
 geometric gap ladders, random graphic instances and large random uniform
 instances.
@@ -13,6 +17,7 @@ instances.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from contextlib import contextmanager
@@ -32,9 +37,7 @@ from .matroids import (
     TransversalMatroid,
     UniformMatroid,
 )
-from .sampling import BERNOULLI, POINT, SCALED, ArmTable, SamplingSession, trial_seed
-
-SCHEMA_VERSION = 2
+from .sampling import POINT, SCALED, ArmTable, SamplingSession, trial_seed
 
 
 @contextmanager
@@ -106,25 +109,50 @@ def _arms_from_entries(cfg: dict) -> ArmTable:
 
 
 def _bernoulli_arms(means) -> ArmTable:
-    return ArmTable.from_columns((BERNOULLI,) * len(means), means)
+    return ArmTable.from_columns(None, means)
+
+
+def _encoded_means(means) -> str:
+    """Version 3's ``means``: base64 of the means as little-endian float64s."""
+    return base64.b64encode(np.array(means, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decoded_means(text) -> np.ndarray:
+    """Version 3's ``means`` read back; anything but strict base64 of whole float64s is refused."""
+    if not isinstance(text, str):
+        raise ValidationError(
+            f"version-3 means must be a base64 string, not {type(text).__name__}")
+    try:
+        return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+    except ValueError as exc:  # not strict base64, not ASCII, or not whole float64s
+        raise ValidationError(f"version-3 means are not base64 of float64s: {exc}") from None
 
 
 def _arms_from_columns(cfg: dict) -> ArmTable:
-    """Version 2: a ``means`` list, with optional ``kinds`` and ``supports`` beside it."""
+    """Versions 2 and 3: a ``means`` column, with optional ``kinds`` and ``supports`` beside it.
+
+    Version 2's means are a JSON list, version 3's one base64 string; either
+    goes to ``from_columns``, which checks every mean.
+    """
+    version = cfg["schema_version"]
     if "arms" in cfg:
-        raise ValidationError('a version-2 file keeps its arms as columns, not "arms" entries')
+        raise ValidationError(
+            f'a version-{version} file keeps its arms as columns, not "arms" entries')
     means = cfg["means"]
+    if version == 3:
+        means = _decoded_means(means)
+    elif not isinstance(means, list):
+        raise ValidationError(f"means must be a list, not {type(means).__name__}")
     columns = {name: cfg[name] for name in ("kinds", "supports") if name in cfg}
-    for name, column in [("means", means), *columns.items()]:
+    for name, column in columns.items():
         if not isinstance(column, list):
             raise ValidationError(f"{name} must be a list, not {type(column).__name__}")
         if len(column) != len(means):
             raise ValidationError(f"{len(column)} {name} for {len(means)} means")
-    kinds = columns.get("kinds", (BERNOULLI,) * len(means))
-    return ArmTable.from_columns(kinds, means, columns.get("supports"))
+    return ArmTable.from_columns(columns.get("kinds"), means, columns.get("supports"))
 
 
-_ARM_READERS = {1: _arms_from_entries, 2: _arms_from_columns}
+_ARM_READERS = {1: _arms_from_entries, 2: _arms_from_columns, 3: _arms_from_columns}
 
 
 @dataclass(frozen=True)
@@ -159,11 +187,13 @@ class Instance:
                        arms=ArmTable.from_columns((POINT,) * len(means), means))
 
     def to_config(self) -> dict:
+        """The file form: version 3 for a dense table, version 2 for a smaller one."""
+        dense = self.arms.dense
         cfg = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": 3 if dense else 2,
             "name": self.name,
             "matroid": self.matroid_config,
-            "means": list(self.arms.means),
+            "means": _encoded_means(self.arms.means) if dense else list(self.arms.means),
         }
         if not self.arms.all_bernoulli:
             cfg["kinds"] = list(self.arms.kinds)
@@ -266,8 +296,9 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
-    """Write ``inst`` as version 2 on one line, encoded in full first: a failed
-    encoding writes nothing. Without an indent ``json`` uses its C encoder."""
+    """Write ``inst`` (see :meth:`Instance.to_config`) on one line, encoded in
+    full first: a failed encoding writes nothing. Without an indent ``json``
+    uses its C encoder."""
     with _reading("instance"):
         text = json.dumps(inst.to_config(), sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as handle:

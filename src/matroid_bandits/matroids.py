@@ -35,6 +35,21 @@ ElementSet = frozenset[int]
 # past either end, is a missing weight.
 Weights = Mapping[int, float] | Sequence[float] | np.ndarray
 
+# A DomainError names at most this many of the elements outside a ground set.
+_NAMED_OUTSIDE = 10
+
+
+def _outside_ground(bad: Collection) -> DomainError:
+    """The error for ``bad`` elements outside a ground: the first few, sorted, and the count."""
+    try:
+        bad = sorted(bad)
+    except TypeError:  # elements that do not compare, such as a string and a number
+        bad = sorted(bad, key=repr)
+    named = ", ".join(map(repr, bad[:_NAMED_OUTSIDE]))
+    if len(bad) > _NAMED_OUTSIDE:
+        named += f", ... ({len(bad)} in all)"
+    return DomainError(f"elements [{named}] outside ground set")
+
 
 class IndependentSet:
     """An independent set grown one element at a time; see :meth:`Matroid.growing`.
@@ -87,9 +102,14 @@ class Matroid:
     _full_rank: int | None
 
     def _init_ground(self, ground: Iterable[int]) -> None:
-        """Set the ground from ``ground``; a frozenset is kept as it is, not copied."""
-        self._ground_set = frozenset(ground)
-        self._ground = tuple(sorted(self._ground_set))
+        """Set the ground from ``ground``; a frozenset is kept as it is, not copied,
+        and a step-1 range, already sorted and distinct, is not sorted."""
+        if type(ground) is range and ground.step == 1:
+            self._ground = tuple(ground)
+            self._ground_set = frozenset(self._ground)  # shares the tuple's int objects
+        else:
+            self._ground_set = frozenset(ground)
+            self._ground = tuple(sorted(self._ground_set))
         self._ground_ids = None
         self._full_rank = None
 
@@ -124,8 +144,7 @@ class Matroid:
     def _as_subset(self, elements: Iterable[int]) -> ElementSet:
         subset = frozenset(elements)
         if not subset <= self._ground_set:
-            bad = sorted(subset - self._ground_set)
-            raise DomainError(f"elements {bad} outside ground set")
+            raise _outside_ground(subset - self._ground_set)
         return subset
 
     def rank(self, elements: Iterable[int]) -> int:
@@ -592,7 +611,7 @@ def _split_array(m: Matroid, thresholds: np.ndarray, floor: float) -> tuple[list
         lo, hi = np.searchsorted(ids, (0, n))  # a negative id would clear an entry from the end
         outside[ids[lo:hi]] = False
         if outside.any():
-            raise DomainError(f"elements {np.flatnonzero(outside).tolist()} outside ground set")
+            raise _outside_ground(np.flatnonzero(outside).tolist())
     high = np.flatnonzero(thresholds > floor)
     high = high[np.argsort(-thresholds[high], kind="stable")]
     return high.tolist(), _Marked(thresholds <= floor)

@@ -122,23 +122,27 @@ class ArmTable:
     @classmethod
     def from_columns(
         cls,
-        kinds: Sequence[str],
+        kinds: Sequence[str] | None,
         means: Sequence[float] | np.ndarray,
         supports: Sequence[tuple[float, float] | None] | None = None,
     ) -> "ArmTable":
         """A table from one kind, mean and support (or None) per arm.
 
         Refuses with ``ValidationError`` every row that :class:`Arm` refuses,
-        checking each column in vector form; ``supports=None`` gives no arm a
-        support. Kinds map onto the module constants, so that a table shares
-        one string per kind however its kinds were read, and a scaled arm's
-        support is stored as a pair of floats.
+        checking each column in vector form; ``kinds=None`` makes every arm
+        Bernoulli and ``supports=None`` gives no arm a support. Kinds map onto
+        the module constants, so that a table shares one string per kind
+        however its kinds were read, and a scaled arm's support is stored as a
+        pair of floats.
         """
-        try:
-            kinds = tuple(map(_KINDS.__getitem__, kinds))
-        except (KeyError, TypeError):
-            bad = next(k for k in kinds if not (isinstance(k, str) and k in _KINDS))
-            raise ValidationError(f"unknown arm kind {bad!r}") from None
+        if kinds is None:  # the constant repeated: no lookup per arm
+            kinds = (BERNOULLI,) * len(means)
+        else:
+            try:
+                kinds = tuple(map(_KINDS.__getitem__, kinds))
+            except (KeyError, TypeError):
+                bad = next(k for k in kinds if not (isinstance(k, str) and k in _KINDS))
+                raise ValidationError(f"unknown arm kind {bad!r}") from None
         n = len(kinds)
         q = _numbers(means, (n,), "arm means")  # a Bernoulli arm's q is its mean
         inside = (q >= 0.0) & (q <= 1.0)  # False for NaN

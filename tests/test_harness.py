@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import gc
 import json
@@ -46,7 +47,7 @@ from matroid_bandits.matroids import GraphicMatroid, UniformMatroid
 from matroid_bandits.oracle import gap_profile
 from matroid_bandits.pac import DESK, PAPER, ConstantsProfile
 from matroid_bandits.sampling import (
-    BERNOULLI, POINT, SCALED, ArmTable, bernoulli, point, sample_size, scaled,
+    BERNOULLI, DENSE_MIN_ARMS, POINT, SCALED, ArmTable, bernoulli, point, sample_size, scaled,
 )
 
 
@@ -108,7 +109,15 @@ _TWO_ARMS = {"schema_version": 1, "matroid": {"family": "uniform", "n": 2, "k": 
              "arms": [["bernoulli", 0.4], ["bernoulli", 0.6]]}
 _TWO_MEANS = {"schema_version": 2, "matroid": {"family": "uniform", "n": 2, "k": 1},
               "means": [0.4, 0.6]}
-# Header fields of the wrong JSON type, refused in both schema versions.
+
+
+def _binary(*means) -> str:
+    """Version 3's ``means``: base64 of little-endian float64s."""
+    return base64.b64encode(np.array(means, dtype="<f8").tobytes()).decode("ascii")
+
+
+_TWO_BINARY = dict(_TWO_MEANS, schema_version=3, means=_binary(0.4, 0.6))
+# Header fields of the wrong JSON type, refused in every schema version.
 _LOOSE_HEADERS = {
     "allow-ties-a-string": {"allow_ties": "false"},
     "k-a-float": {"matroid": {"family": "uniform", "n": 2, "k": 1.9}},
@@ -138,13 +147,27 @@ _COLUMN_CASES = {
     "v2-scaled-without-support": dict(_TWO_MEANS, kinds=["scaled", "bernoulli"]),
     "v2-unknown-kind": dict(_TWO_MEANS, kinds=["gaussian", "bernoulli"]),
     "v2-mean-not-a-number": dict(_TWO_MEANS, means=["abc", 0.6]),
-    "version-3": dict(_TWO_MEANS, schema_version=3),
+    "v3-means-a-list": dict(_TWO_MEANS, schema_version=3),
+    "v3-means-a-number": dict(_TWO_BINARY, means=0.4),
+    # a lenient decoder would skip the "*" and read the two means
+    "v3-means-not-base64": dict(_TWO_BINARY, means="*" + _TWO_BINARY["means"]),
+    "v3-means-not-ascii": dict(_TWO_BINARY, means="\u00e9" * 4),
+    "v3-means-a-partial-float64": dict(_TWO_BINARY, means=base64.b64encode(bytes(12)).decode()),
+    "v3-three-means-for-two-arms": dict(_TWO_BINARY, means=_binary(0.4, 0.6, 0.5)),
+    "v3-kinds-too-short": dict(_TWO_BINARY, kinds=["point"]),
+    "v3-supports-too-long": dict(_TWO_BINARY, kinds=["scaled", "bernoulli"],
+                                 supports=[[0.1, 0.9], None, None]),
+    "v3-with-arms": dict(_TWO_BINARY, arms=_TWO_ARMS["arms"]),
+    "v3-nan-mean": dict(_TWO_BINARY, means=_binary(float("nan"), 0.6)),
+    "v3-mean-past-one": dict(_TWO_BINARY, means=_binary(1.5, 0.6)),
+    "version-4": dict(_TWO_MEANS, schema_version=4),
     "version-true": dict(_TWO_ARMS, schema_version=True),
     "v1-tied-means-allow-ties-a-string": dict(
         _TWO_ARMS, allow_ties="false", arms=[["bernoulli", 0.5], ["bernoulli", 0.5]]),
 }
 _HEADER_CASES = {f"v{base['schema_version']}-{name}": dict(base, **fields)
-                 for base in (_TWO_ARMS, _TWO_MEANS) for name, fields in _LOOSE_HEADERS.items()}
+                 for base in (_TWO_ARMS, _TWO_MEANS, _TWO_BINARY)
+                 for name, fields in _LOOSE_HEADERS.items()}
 
 
 @pytest.mark.parametrize("cfg", [*_HEADER_CASES.values(), *_COLUMN_CASES.values(),
@@ -217,6 +240,48 @@ def test_a_version_1_file_loads_as_its_version_2_twin(tmp_path):
     resaved = tmp_path / "resaved.json"
     save_instance(old, resaved)  # a version-1 file re-saves as version 2
     assert resaved.read_bytes() == (DATA / "instance_v2.json").read_bytes()
+
+
+def _dense_instances() -> dict[str, Instance]:
+    n = DENSE_MIN_ARMS
+    # means with no short decimal, which only a bit-exact encoding keeps
+    means = np.nextafter(0.1 + 0.8 * np.arange(n) / n, 1.0)
+    matroid = {"family": "uniform", "n": n, "k": 5}
+    plain = make_instance("dense", matroid, ArmTable.from_columns(None, means))
+    kinds = [(BERNOULLI, POINT, SCALED)[e % 3] for e in range(n)]
+    supports = [(0.05, 0.95) if kind == SCALED else None for kind in kinds]
+    mixed = make_instance("dense-mixed", matroid, ArmTable.from_columns(kinds, means, supports))
+    return {"bernoulli": plain, "point": plain.with_point_mass_arms(), "mixed": mixed}
+
+
+@pytest.mark.parametrize("arms", ["bernoulli", "point", "mixed"])
+def test_a_dense_instance_saves_as_version_3_and_loads_bit_for_bit(arms, tmp_path):
+    inst = _dense_instances()[arms]
+    path, again = tmp_path / "inst.json", tmp_path / "again.json"
+    save_instance(inst, path)
+    cfg = json.loads(path.read_text())
+    assert cfg["schema_version"] == 3
+    assert base64.b64decode(cfg["means"]) == np.array(inst.true_means, dtype="<f8").tobytes()
+    assert ("kinds" in cfg, "supports" in cfg) == {"bernoulli": (False, False),
+                                                   "point": (True, False),
+                                                   "mixed": (True, True)}[arms]
+    loaded = load_instance(path)
+    assert loaded.arms == inst.arms and loaded.arms.q.tobytes() == inst.arms.q.tobytes()
+    assert all(a is b for a, b in zip(loaded.arms.kinds, inst.arms.kinds))
+    save_instance(loaded, again)  # a loaded instance saves the same bytes
+    assert again.read_bytes() == path.read_bytes()
+    # the same table as version-2 text loads to an equal instance, which saves as version 3
+    twin = instance_from_config(dict(cfg, schema_version=2, means=list(inst.true_means)))
+    assert twin.arms == loaded.arms and twin.arms.q.tobytes() == loaded.arms.q.tobytes()
+    assert twin.to_config() == cfg
+
+
+def test_a_table_below_the_dense_size_saves_as_version_2_text():
+    small, dense = (big_uniform_instance(n, 5).to_config()
+                    for n in (DENSE_MIN_ARMS - 1, DENSE_MIN_ARMS))
+    assert small["schema_version"] == 2 and len(small["means"]) == DENSE_MIN_ARMS - 1
+    assert all(type(mean) is float for mean in small["means"])
+    assert dense["schema_version"] == 3 and type(dense["means"]) is str
 
 
 def test_the_readme_instance_example_loads_and_saves_as_written():
@@ -322,6 +387,16 @@ def test_cli_refuses_a_negative_seed(tmp_path, capsys):
                  "--delta", "0.1", "--trials", "2", "--seed", "-1", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True), ("trials", "2"),
+                                          ("jobs", 1.5), ("jobs", True), ("jobs", "2")])
+def test_run_config_refuses_a_trial_or_job_count_that_is_not_an_int(field, value):
+    # a float count used to pass the range check and fail in run_trials with a TypeError
+    config = dict(trials=1, jobs=1)
+    config[field] = value
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        RunConfig(builtin("prop1"), "pac", 0.1, 0.1, seed=0, profile=PAPER, **config)
 
 
 def test_run_config_validation():

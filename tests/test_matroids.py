@@ -105,6 +105,22 @@ def test_outside_ground_raises():
         m.blocks({0}, 9)
 
 
+def test_an_outside_ground_error_names_the_first_ten_elements_and_the_count():
+    m = UniformMatroid(5, 2)
+    thresholds = np.full(100100, 0.5)
+    thresholds[:100] = np.nan
+    for check in (lambda: m.rank(range(100, 100100)),
+                  lambda: unblocked(m, (), [], thresholds)):
+        with pytest.raises(DomainError) as raised:
+            check()
+        message = str(raised.value)
+        assert len(message) < 300
+        assert "[100, 101, 102, 103, 104, 105, 106, 107, 108, 109, ..." in message
+        assert "100000" in message
+    with pytest.raises(DomainError, match=r"\['a', 1\.5\]"):  # elements that do not compare
+        m.rank(["a", 1.5])
+
+
 def test_restriction_examples():
     m = UniformMatroid(4, 2)
     view = m.restrict({0, 1})
