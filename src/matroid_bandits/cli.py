@@ -38,7 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="JSON report path")
     run_p.add_argument("--trace", action="store_true",
                        help="also write line-delimited round records")
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="run the trials in N processes: this one and N-1 workers "
+                            "(default 1); results do not depend on N")
 
     verify_p = sub.add_parser("verify", help="run the oracle suite on one instance")
     verify_p.add_argument("--instance", required=True)

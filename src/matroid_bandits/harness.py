@@ -4,8 +4,10 @@ Success flags are judged from the true means and the returned basis only.
 Trials are embarrassingly parallel with per-trial derived seeds, so results
 are independent of the worker count. A trial fails only by exhausting a
 budget (``BudgetError``); every other error is a bug and aborts the batch.
-Parallel batches share one worker pool per process, started by the first
-and kept for the next.
+A batch at ``jobs = N`` runs in N processes: the caller runs one share of
+the trials itself and N - 1 worker processes run the others, each fed over a
+pipe. The workers are started by the first parallel batch and kept for the
+next ones with the same N.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
+import signal
 import threading
 import time
+import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
@@ -210,46 +216,113 @@ def _run_chunk(config: RunConfig, opt, indices: range) -> list[TrialReport]:
     return [_run_single_trial(config, index, opt, means) for index in indices]
 
 
-# The process's trial workers: (jobs, pool), started by the first parallel
-# batch and reused by the next ones that ask for the same ``jobs``.
-_pool: tuple[int, ProcessPoolExecutor] | None = None
+# A trial worker: its process and the caller's end of its pipe.
+_Worker = tuple[BaseProcess, Connection]
+
+# The process's trial workers: (jobs, the jobs - 1 workers), started by the
+# first parallel batch and reused by the next ones that ask for the same
+# ``jobs``; _pool_lock is held for a whole parallel batch.
+_pool: tuple[int, list[_Worker]] | None = None
 _pool_lock = threading.Lock()
+_STOP_TIMEOUT_S = 5.0  # how long idle workers get to exit before they are killed
 
 
-def _worker_pool(jobs: int) -> ProcessPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is not None and _pool[0] != jobs:
-            # shut down first, so that no executor thread is alive when the
-            # next pool forks its workers
-            _pool[1].shutdown()
-            _pool = None
-        if _pool is None:
-            _pool = (jobs, ProcessPoolExecutor(max_workers=jobs))
-        return _pool[1]
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a trial worker, as its text."""
+
+    def __str__(self):
+        return self.args[0]
 
 
-def _drop_pool(pool: ProcessPoolExecutor) -> None:
-    """Forget a broken pool, so that the next parallel batch starts a fresh one."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None and _pool[1] is pool:
-            _pool = None
-    pool.shutdown()
+def _serve(conn: Connection, inherited: tuple[Connection, ...]) -> None:
+    """A worker's loop: one share of a batch in, its reports or its error out.
+
+    A forked worker first closes the caller's ends of the pipes that it
+    inherited, its own included, so that it sees EOF once the caller is gone.
+    Ctrl-C is left to the caller, which stops the workers.
+    """
+    for end in inherited:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            config, opt, indices = conn.recv()
+            try:
+                reply = _run_chunk(config, opt, indices)
+            except Exception as exc:
+                reply = (exc, traceback.format_exc())
+            conn.send(reply)
+    except (EOFError, OSError):  # the caller closed its end, or died
+        return
+
+
+def _start_workers(count: int) -> list[_Worker]:
+    """``count`` daemonic workers of the default start method, each idle on its pipe."""
+    context = multiprocessing.get_context()
+    forked = context.get_start_method() == "fork"
+    workers: list[_Worker] = []
+    try:
+        for _ in range(count):
+            ours, theirs = context.Pipe()
+            # a forked worker holds copies of our ends, which it must close
+            inherited = (*(conn for _, conn in workers), ours) if forked else ()
+            process = context.Process(target=_serve, args=(theirs, inherited), daemon=True)
+            process.start()
+            theirs.close()
+            workers.append((process, ours))
+    except BaseException:
+        _stop_workers(workers, 0.0)
+        raise
+    return workers
+
+
+def _stop_workers(workers: list[_Worker], timeout: float) -> None:
+    """Close the workers' pipes and join them, killing any still alive after ``timeout``."""
+    for _, conn in workers:
+        conn.close()
+    deadline = time.monotonic() + timeout
+    for process, _ in workers:
+        process.join(max(0.0, deadline - time.monotonic()))
+        if process.is_alive():
+            process.kill()
+            process.join()
 
 
 def _run_parallel(config: RunConfig, opt) -> list[TrialReport]:
-    """One task per worker: the batch and its interleaved share of the indices."""
-    jobs = config.jobs
-    pool = _worker_pool(jobs)
-    try:
-        futures = [pool.submit(_run_chunk, config, opt, range(w, config.trials, jobs))
-                   for w in range(min(jobs, config.trials))]
-        wait(futures)  # the pool is idle again before any error propagates
-        return [rep for future in futures for rep in future.result()]
-    except BrokenProcessPool:
-        _drop_pool(pool)
-        raise
+    """Share w of the batch is every ``jobs``-th index from w: the caller runs
+    share 0 and worker w - 1 share w, one message each way."""
+    global _pool
+    jobs, trials = config.jobs, config.trials
+    with _pool_lock:
+        if _pool is not None and _pool[0] != jobs:
+            _stop_workers(_pool[1], _STOP_TIMEOUT_S)
+            _pool = None
+        if _pool is None:
+            _pool = (jobs, _start_workers(jobs - 1))
+        workers = _pool[1]
+        busy = [conn for _, conn in workers[:min(jobs, trials) - 1]]
+        try:
+            for w, conn in enumerate(busy, 1):
+                conn.send((config, opt, range(w, trials, jobs)))
+            try:
+                replies = [_run_chunk(config, opt, range(0, trials, jobs))]
+            except Exception as exc:
+                replies = [exc]
+            # every reply is in before any error propagates, so the pool is idle again
+            replies += [conn.recv() for conn in busy]
+        except BaseException as exc:
+            _stop_workers(workers, 0.0)
+            _pool = None
+            if isinstance(exc, (EOFError, OSError)):
+                raise BrokenProcessPool("a trial worker died during the batch") from exc
+            raise
+    for reply in replies:
+        if isinstance(reply, Exception):
+            raise reply
+        if isinstance(reply, tuple):
+            error, text = reply
+            raise error from _WorkerTraceback(text)
+    return [rep for reply in replies for rep in reply]
 
 
 def binomial_lcb(successes: int, trials: int, confidence: float = 0.95) -> float:
@@ -306,10 +379,13 @@ def _quantiles(values: list[int]) -> dict:
 def run_trials(config: RunConfig) -> dict:
     """Execute the trial batch and aggregate. Budget errors count as failures.
 
-    With ``jobs > 1`` each worker of the process's pool receives one task:
-    the config, the optimum and every ``jobs``-th trial index. A worker that
-    died makes the batch raise ``BrokenProcessPool``; the next parallel
-    batch starts a fresh pool.
+    With ``jobs > 1`` the trials are split into ``jobs`` interleaved shares
+    (every ``jobs``-th index): the caller runs the first, and each of the
+    process's ``jobs - 1`` workers receives one message (the config, the
+    optimum and its share) and sends back one (its reports, or the error it
+    raised, re-raised here with its own type). A worker that died makes the
+    batch raise ``BrokenProcessPool``; the next parallel batch starts fresh
+    workers.
     """
     opt = greedy_max_basis(config.instance.matroid, _true_weights(config.instance))
     if config.jobs > 1 and config.trials > 1:

@@ -51,6 +51,17 @@ def _outside_ground(bad: Collection) -> DomainError:
     return DomainError(f"elements [{named}] outside ground set")
 
 
+def _unhashable(e) -> DomainError | None:
+    """The error for an element that cannot be hashed, so lies in no ground
+    set; None when ``e`` can be hashed."""
+    try:
+        hash(e)
+    except TypeError:
+        return DomainError(f"element {e!r} outside ground set: "
+                           f"{type(e).__name__} is unhashable")
+    return None
+
+
 class IndependentSet:
     """An independent set grown one element at a time; see :meth:`Matroid.growing`.
 
@@ -73,8 +84,14 @@ class IndependentSet:
         return e in kept or self._m.rank(kept | {e}) == len(kept)
 
     def add(self, e: int) -> bool:
-        if self.spans(e):
-            return False
+        try:
+            if self.spans(e):
+                return False
+        except TypeError:
+            error = _unhashable(e)
+            if error is None:
+                raise
+            raise error from None
         self._keep(e)
         self._kept.add(e)
         return True
@@ -142,7 +159,14 @@ class Matroid:
         return self._full_rank
 
     def _as_subset(self, elements: Iterable[int]) -> ElementSet:
-        subset = frozenset(elements)
+        try:
+            subset = frozenset(elements)
+        except TypeError:
+            if not isinstance(elements, Iterable):
+                raise DomainError(f"expected an iterable of elements, not {elements!r}") from None
+            # an iterator has passed the element that failed; name it when it can be found
+            errors = filter(None, map(_unhashable, elements))
+            raise next(errors, DomainError("an unhashable element is outside ground set")) from None
         if not subset <= self._ground_set:
             raise _outside_ground(subset - self._ground_set)
         return subset
@@ -169,7 +193,11 @@ class Matroid:
     def blocks(self, elements: Iterable[int], e: int) -> bool:
         """True iff adding ``e`` to ``elements`` does not raise the rank."""
         subset = self._as_subset(elements)
-        if e in subset:
+        try:
+            inside = e in subset
+        except TypeError:
+            raise _unhashable(e) from None
+        if inside:
             raise DomainError(f"element {e} is inside the blocking set")
         if e not in self._ground_set:
             raise DomainError(f"element {e} outside ground set")

@@ -911,19 +911,24 @@ def test_pool_serves_back_to_back_batches_like_the_serial_path():
     assert parallel == serial
 
 
+def _worker_pids() -> list[int]:
+    return [process.pid for process, _ in harness._pool[1]]
+
+
 def test_pool_is_reused_and_replaced_when_jobs_changes():
     config = RunConfig(builtin("partition6"), "pac", 0.1, 0.1, 5, 8, DESK)
     for jobs in (2, 3, 2):
         serial, parallel = _serial_and_parallel(config, jobs)
         assert parallel == serial
-        jobs_now, pool = harness._pool
-        assert jobs_now == jobs
+        jobs_now, workers = harness._pool
+        assert jobs_now == jobs and len(workers) == jobs - 1  # the caller runs a share too
+        pids = _worker_pids()
         serial, parallel = _serial_and_parallel(config, jobs)
         assert parallel == serial
-        assert harness._pool[1] is pool  # the same jobs keeps the pool
+        assert _worker_pids() == pids  # the same jobs keeps the workers
     run_trials(dataclasses.replace(config, jobs=3))
-    with pytest.raises(RuntimeError, match="shutdown"):  # the replaced pool was shut down
-        pool.submit(os.getpid)
+    for process, _ in workers:  # the replaced workers were stopped
+        assert process.exitcode is not None
 
 
 @pytest.mark.parametrize("trials, jobs", [(2, 3), (1, 2)])
@@ -932,6 +937,45 @@ def test_parallel_batches_smaller_than_the_pool(trials, jobs):
     serial, parallel = _serial_and_parallel(config, jobs)
     assert parallel == serial
     assert len(json.loads(parallel)["trials"]) == trials
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+def test_a_batch_of_fewer_trials_than_jobs_matches_serial(trials):
+    config = RunConfig(builtin("prop1"), "pac", 0.1, 0.1, trials, 6, DESK)
+    serial, parallel = _serial_and_parallel(config, 3)
+    assert parallel == serial
+    assert len(json.loads(parallel)["trials"]) == trials
+
+
+@dataclasses.dataclass(frozen=True)
+class _BrokenTrial(Instance):
+    """An instance whose trial ``broken`` raises InvariantError, in whichever process runs it."""
+
+    broken: int = -1
+
+    def trial_session(self, master_seed, trial_index, max_pulls=None):
+        if trial_index == self.broken:
+            raise InvariantError(f"trial {trial_index} is broken")
+        return super().trial_session(master_seed, trial_index, max_pulls)
+
+
+@pytest.mark.parametrize("broken, runs_it", [(1, "a worker"), (2, "the caller")])
+def test_an_error_in_any_share_keeps_its_type_and_the_workers_serve_the_next_batch(
+        broken, runs_it):
+    base = builtin("ladder10")
+    fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+    config = RunConfig(_BrokenTrial(**fields, broken=broken), "pac", 0.1, 0.1, 6, 2, DESK)
+    serial, parallel = _serial_and_parallel(RunConfig(base, "pac", 0.1, 0.1, 6, 2, DESK), 2)
+    pids = _worker_pids()
+    # at jobs 2 the caller runs the even indices and the worker the odd ones
+    with pytest.raises(InvariantError, match=f"trial {broken} is broken") as raised:
+        run_trials(dataclasses.replace(config, jobs=2))
+    if runs_it == "a worker":  # the worker's traceback comes along as the cause
+        assert "in trial_session" in str(raised.value.__cause__)
+    assert _worker_pids() == pids
+    after = _body(run_trials(dataclasses.replace(config, instance=base, jobs=2)))
+    assert after == parallel == serial
+    assert _worker_pids() == pids
 
 
 def _wait_until_dead(pid: int, timeout: float = 10.0) -> None:
@@ -953,7 +997,7 @@ def test_killed_worker_breaks_one_batch_and_the_next_starts_a_fresh_pool():
     config = RunConfig(builtin("ladder10"), "pac", 0.1, 0.1, 6, 1, DESK)
     serial, parallel = _serial_and_parallel(config, 2)
     assert parallel == serial
-    pid = harness._pool[1].submit(os.getpid).result(timeout=30)
+    [pid] = _worker_pids()
     os.kill(pid, signal.SIGKILL)
     _wait_until_dead(pid)
     with pytest.raises(BrokenProcessPool):
@@ -961,3 +1005,33 @@ def test_killed_worker_breaks_one_batch_and_the_next_starts_a_fresh_pool():
     assert harness._pool is None
     serial, parallel = _serial_and_parallel(config, 2)
     assert parallel == serial
+
+
+_ORPHANED_WORKERS = """
+import sys, time
+from matroid_bandits import harness
+from matroid_bandits.harness import RunConfig, run_trials
+from matroid_bandits.instances import builtin
+from matroid_bandits.pac import DESK
+run_trials(RunConfig(builtin("prop1"), "pac", 0.1, 0.1, 4, 0, DESK, jobs=2))
+print(*[process.pid for process, _ in harness._pool[1]], flush=True)
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+def test_workers_exit_when_their_caller_is_killed():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    caller = subprocess.Popen([sys.executable, "-c", _ORPHANED_WORKERS], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        pids = [int(pid) for pid in caller.stdout.readline().split()]
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+    assert len(pids) == 1
+    for pid in pids:
+        _wait_until_dead(pid)

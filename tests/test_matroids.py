@@ -121,6 +121,24 @@ def test_an_outside_ground_error_names_the_first_ten_elements_and_the_count():
         m.rank(["a", 1.5])
 
 
+@pytest.mark.parametrize("m", [
+    UniformMatroid(3, 2),
+    PartitionMatroid([({0, 1}, 1), ({2}, 1)]),
+    GraphicMatroid(3, [(0, 1), (1, 2)]),
+    TransversalMatroid(2, [[0], [1]]),
+    UniformMatroid(4, 2).restrict({0, 1, 2}),
+], ids=["uniform", "partition", "graphic", "transversal", "view"])
+def test_an_unhashable_element_is_a_domain_error_that_names_it(m):
+    for check in (lambda: m.rank([[1]]), lambda: m.is_basis([0, [1]]),
+                  lambda: m.growing().add([1]), lambda: m.blocks({0}, [1])):
+        with pytest.raises(DomainError, match=r"element \[1\] outside ground set"):
+            check()
+    with pytest.raises(DomainError, match="an iterable of elements, not 5"):
+        m.rank(5)
+    with pytest.raises(DomainError, match="unhashable"):  # a one-shot iterator
+        m.rank(iter([0, {1}]))
+
+
 def test_restriction_examples():
     m = UniformMatroid(4, 2)
     view = m.restrict({0, 1})
