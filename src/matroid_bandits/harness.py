@@ -325,16 +325,16 @@ def _run_parallel(config: RunConfig, opt) -> list[TrialReport]:
     return [rep for reply in replies for rep in reply]
 
 
-def binomial_lcb(successes: int, trials: int, confidence: float = 0.95) -> float:
-    """Exact one-sided (Clopper-Pearson) lower confidence bound on a rate.
+def binomial_lcb(successes: int, trials: int) -> float:
+    """Exact one-sided (Clopper-Pearson) 95% lower confidence bound on a rate.
 
-    The p at which P(Binomial(trials, p) >= successes) = 1 - confidence.
+    The p at which P(Binomial(trials, p) >= successes) = 1 - 0.95.
     When every trial succeeded that tail is p ** trials, so p has a closed
     form; otherwise it is found by bisection (``_bisect_lcb``).
     """
     if trials == 0 or successes == 0:
         return 0.0
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.95
     if successes == trials:
         return alpha ** (1.0 / trials)
     return _bisect_lcb(successes, trials, alpha)

@@ -20,9 +20,9 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from numbers import Real
 from operator import index, itemgetter
 from pathlib import Path
 
@@ -51,17 +51,6 @@ def _reading(what: str):
         raise ValidationError(f"malformed {what}: {type(exc).__name__} {exc}") from None
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a bool, float or string is refused."""
-    if type(value) is not int:
-        raise ValidationError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
-def _integers(values, what: str) -> list[int]:
-    return [_integer(value, what) for value in values]
-
-
 def _seeded_rng(seed) -> np.random.Generator:
     """A generator's stream; a seed that is not a non-negative int is a ``ValidationError``."""
     if type(seed) is not int or seed < 0:
@@ -70,24 +59,19 @@ def _seeded_rng(seed) -> np.random.Generator:
 
 
 def matroid_from_config(cfg: dict) -> Matroid:
+    """The matroid that ``cfg`` describes; its constructor checks every value."""
     with _reading("matroid"):
         family = cfg.get("family")
         if family == "uniform":
-            return UniformMatroid(_integer(cfg["n"], "n"), _integer(cfg["k"], "k"))
+            return UniformMatroid(cfg["n"], cfg["k"])
         if family == "partition":
-            groups = [(_integers(g["members"], "a member"), _integer(g["capacity"], "a capacity"))
-                      for g in cfg["groups"]]
-            return PartitionMatroid(groups)
+            return PartitionMatroid([(g["members"], g["capacity"]) for g in cfg["groups"]])
         if family == "laminar":
-            sets = [(_integers(s["members"], "a member"), _integer(s["capacity"], "a capacity"))
-                    for s in cfg["sets"]]
-            return LaminarMatroid(_integer(cfg["n"], "n"), sets)
+            return LaminarMatroid(cfg["n"], [(s["members"], s["capacity"]) for s in cfg["sets"]])
         if family == "graphic":
-            edges = [tuple(_integers(e, "an endpoint")) for e in cfg["edges"]]
-            return GraphicMatroid(_integer(cfg["num_vertices"], "num_vertices"), edges)
+            return GraphicMatroid(cfg["num_vertices"], cfg["edges"])
         if family == "transversal":
-            workers = [_integers(tasks, "a task") for tasks in cfg["workers"]]
-            return TransversalMatroid(_integer(cfg["n"], "n"), workers)
+            return TransversalMatroid(cfg["n"], cfg["workers"])
     raise ValidationError(f"unknown matroid family {family!r}")
 
 
@@ -132,7 +116,7 @@ def _arms_from_columns(cfg: dict) -> ArmTable:
     """Versions 2 and 3: a ``means`` column, with optional ``kinds`` and ``supports`` beside it.
 
     Version 2's means are a JSON list, version 3's one base64 string; either
-    goes to ``from_columns``, which checks every mean.
+    goes to ``from_columns``, which checks every mean and each column's length.
     """
     version = cfg["schema_version"]
     if "arms" in cfg:
@@ -147,8 +131,6 @@ def _arms_from_columns(cfg: dict) -> ArmTable:
     for name, column in columns.items():
         if not isinstance(column, list):
             raise ValidationError(f"{name} must be a list, not {type(column).__name__}")
-        if len(column) != len(means):
-            raise ValidationError(f"{len(column)} {name} for {len(means)} means")
     return ArmTable.from_columns(columns.get("kinds"), means, columns.get("supports"))
 
 
@@ -217,13 +199,18 @@ def make_instance(
     gap_floor: float | None = None,
     allow_ties: bool = False,
 ) -> Instance:
-    """An instance over ``arms``: an :class:`ArmTable`, or ``Arm`` records."""
+    """An instance over ``arms`` (an :class:`ArmTable`, or ``Arm`` records); a
+    ``gap_floor`` is a finite int or float, not a bool, and is kept as a float."""
     if not (isinstance(name, str) and isinstance(notes, str)):
         raise ValidationError(f"name and notes must be strings; got {name!r} and {notes!r}")
     if type(allow_ties) is not bool:
         raise ValidationError(f"allow_ties must be true or false, not {allow_ties!r}")
-    if gap_floor is not None and not (isinstance(gap_floor, Real) and math.isfinite(gap_floor)):
-        raise ValidationError(f"gap_floor must be a finite number, not {gap_floor!r}")
+    if gap_floor is not None:
+        number = isinstance(gap_floor, (int, float)) and not isinstance(gap_floor, bool)
+        # finite; an int past the float range fails too, where math.isfinite would raise
+        if not (number and -sys.float_info.max <= gap_floor <= sys.float_info.max):
+            raise ValidationError(f"gap_floor must be a finite int or float, not {gap_floor!r}")
+        gap_floor = float(gap_floor)
     matroid = matroid_from_config(matroid_config)
     if not isinstance(arms, ArmTable):
         arms = ArmTable.from_arms(arms)
@@ -269,11 +256,6 @@ def instance_from_config(cfg: dict) -> Instance:
         if read_arms is None:
             raise ValidationError(f"unsupported schema_version {version!r}")
         matroid_config = cfg["matroid"]
-    gap_floor = cfg.get("gap_floor")
-    if gap_floor is not None:
-        if type(gap_floor) not in (int, float):
-            raise ValidationError(f"gap_floor must be a number, not {gap_floor!r}")
-        gap_floor = float(gap_floor)
     with _reading("arms"):
         arms = read_arms(cfg)
     return make_instance(
@@ -281,7 +263,7 @@ def instance_from_config(cfg: dict) -> Instance:
         matroid_config=matroid_config,
         arms=arms,
         notes=cfg.get("notes", ""),
-        gap_floor=gap_floor,
+        gap_floor=cfg.get("gap_floor"),
         allow_ties=cfg.get("allow_ties", False),
     )
 
@@ -326,20 +308,9 @@ def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     eta = eps / (20.0 * n)
     top = [0.5 + eps / 2.0 + i * eta for i in range(1, k + 1)]
     bottom = [0.5 - eps / 2.0 - j * eta for j in range(1, n - k + 1)]
-    means = top + bottom
-    if min(means) <= 0.0 or max(means) >= 1.0:
-        raise ValidationError("eps too large for means to stay inside (0, 1)")
-    rng = _seeded_rng(seed)
-    assigned = np.empty(n)
-    assigned[rng.permutation(n)] = means
-    gap_floor = 0.9 * eps if n <= 20 else None
-    return make_instance(
-        name=f"uniform-gap-n{n}-k{k}",
-        matroid_config={"family": "uniform", "n": n, "k": k},
-        arms=_bernoulli_arms(assigned),
-        notes=f"all gaps within ~10% of {eps}",
-        gap_floor=gap_floor,
-    )
+    return _shuffled_uniform(f"uniform-gap-n{n}-k{k}", k, top + bottom, seed,
+                             notes=f"all gaps within ~10% of {eps}",
+                             gap_floor=0.9 * eps if n <= 20 else None)
 
 
 def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> Instance:
@@ -358,23 +329,25 @@ def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> 
     for j in range(n - k):
         off = min_gap * 2.0 ** (j % strata)
         means.append(0.5 - off + min_gap / 2.0 - j * eta)
-    if min(means) <= 0.0 or max(means) >= 1.0:
-        raise ValidationError("min_gap too large for this ladder")
-    rng = _seeded_rng(seed)
+    return _shuffled_uniform(f"ladder-n{n}-k{k}", k, means, seed,
+                             notes=f"geometric gap ladder, minimum gap ~{min_gap}")
+
+
+def _shuffled_uniform(name: str, k: int, means: list[float], seed, notes: str,
+                      gap_floor: float | None = None) -> Instance:
+    """A uniform instance over ``len(means)`` arms, which take ``means`` in a
+    seeded random order; ``make_instance`` checks that they lie in (0, 1)."""
+    n = len(means)
     assigned = np.empty(n)
-    assigned[rng.permutation(n)] = means
-    return make_instance(
-        name=f"ladder-n{n}-k{k}",
-        matroid_config={"family": "uniform", "n": n, "k": k},
-        arms=_bernoulli_arms(assigned),
-        notes=f"geometric gap ladder, minimum gap ~{min_gap}",
-    )
+    assigned[_seeded_rng(seed).permutation(n)] = means
+    return make_instance(name, {"family": "uniform", "n": n, "k": k}, _bernoulli_arms(assigned),
+                         notes=notes, gap_floor=gap_floor)
 
 
-def random_means(rng: np.random.Generator, n: int, lo: float = 0.05, hi: float = 0.95):
-    """Distinct means, comfortably inside (0, 1), as one float64 array."""
+def random_means(rng: np.random.Generator, n: int):
+    """Distinct means in [0.05, 0.95), comfortably inside (0, 1), as one float64 array."""
     while True:
-        means = lo + (hi - lo) * rng.random(n)
+        means = 0.05 + (0.95 - 0.05) * rng.random(n)
         if len(np.unique(means)) == n:
             return means
 

@@ -8,20 +8,21 @@ eps-optimality checkers.
 Element ids are stable across views: a view exposes a subset of its parent's
 ids and never renumbers.
 
-Greedy, the pruning sweep and the eps-optimality check read weights in
-vector form when they come as a float array indexed by element id, which is
-what a dense sampling session returns; mappings and sequences keep the
-per-element reference code, which tests pin the vector form against. Both
-refuse a missing or NaN weight, and a negative id, which an array or a
-sequence would read from its end. The form is the caller's: :mod:`.sampling`
-decides a table's, and its sessions hand algorithms their ids
-(``sample_ids``).
+Greedy, the pruning sweep's candidates and the eps-optimality check read
+weights in vector form when they come as a float array indexed by element
+id, which is what a dense sampling session returns; mappings and sequences
+keep the per-element reference code, which tests pin the vector form
+against. Both refuse a missing or NaN weight, and a negative id, which an
+array or a sequence would read from its end. The form is the caller's:
+:mod:`.sampling` decides a table's, and its sessions hand algorithms their
+ids (``sample_ids``).
 """
 
 from __future__ import annotations
 
 import math
 from itertools import filterfalse
+from numbers import Integral
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,6 +50,16 @@ def _outside_ground(bad: Collection) -> DomainError:
     if len(bad) > _NAMED_OUTSIDE:
         named += f", ... ({len(bad)} in all)"
     return DomainError(f"elements [{named}] outside ground set")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int when it is an integer, numpy's included; a bool,
+    a float or a string is a ``ValidationError``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValidationError(f"{what} must be an integer, not {value!r}")
+        value = int(value)
+    return value
 
 
 def _unhashable(e) -> DomainError | None:
@@ -233,6 +244,7 @@ class UniformMatroid(Matroid):
     """Independent sets are all subsets of size at most ``k``."""
 
     def __init__(self, n: int, k: int):
+        n, k = _integer(n, "n"), _integer(k, "k")
         if n < 0 or k < 0:
             raise ValidationError("uniform matroid needs n >= 0 and k >= 0")
         self._init_ground(range(n))
@@ -271,7 +283,8 @@ class PartitionMatroid(Matroid):
         caps = []
         seen: set[int] = set()
         for members, cap in groups:
-            mset = frozenset(members)
+            mset = frozenset([_integer(e, "a member") for e in members])
+            cap = _integer(cap, "a capacity")
             if cap < 0:
                 raise ValidationError("group capacity must be >= 0")
             if mset & seen:
@@ -298,15 +311,17 @@ class LaminarMatroid(Matroid):
     """
 
     def __init__(self, n: int, sets: Sequence[tuple[Iterable[int], int]]):
+        n = _integer(n, "n")
         if n < 0:
             raise ValidationError("laminar matroid needs n >= 0")
         self._init_ground(range(n))
         family = []
         caps = []
         for members, cap in sets:
-            mset = frozenset(members)
+            mset = frozenset([_integer(e, "a member") for e in members])
             if not mset <= self._ground_set:
                 raise ValidationError("laminar set contains unknown elements")
+            cap = _integer(cap, "a capacity")
             if cap < 0:
                 raise ValidationError("laminar capacity must be >= 0")
             family.append(mset)
@@ -361,13 +376,21 @@ class GraphicMatroid(Matroid):
     """
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
+        num_vertices = _integer(num_vertices, "num_vertices")
         if num_vertices < 0:
             raise ValidationError("graphic matroid needs num_vertices >= 0")
-        for u, v in edges:
+        checked = []
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {edge!r} is not a pair of endpoints") from None
+            u, v = _integer(u, "an endpoint"), _integer(v, "an endpoint")
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValidationError(f"edge ({u}, {v}) has an unknown endpoint")
+            checked.append((u, v))
         self.num_vertices = num_vertices
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
+        self.edges = tuple(checked)
         touched: dict[int, int] = {}
         self._ends = tuple(
             (touched.setdefault(u, len(touched)), touched.setdefault(v, len(touched)))
@@ -419,17 +442,19 @@ class TransversalMatroid(Matroid):
     """
 
     def __init__(self, n: int, workers: Sequence[Iterable[int]]):
+        n = _integer(n, "n")
         if n < 0:
             raise ValidationError("transversal matroid needs n >= 0")
         self._init_ground(range(n))
+        self.workers = tuple(tuple(sorted({_integer(t, "a task") for t in tasks}))
+                             for tasks in workers)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for wi, tasks in enumerate(workers):
+        for wi, tasks in enumerate(self.workers):
             for t in tasks:
                 if not 0 <= t < n:
                     raise ValidationError(f"worker {wi} references unknown task {t}")
                 adj[t].append(wi)
-        self.workers = tuple(tuple(sorted(set(ts))) for ts in workers)
-        self._task_adj = tuple(tuple(sorted(set(ws))) for ws in adj)
+        self._task_adj = tuple(map(tuple, adj))
 
     def rank(self, elements: Iterable[int]) -> int:
         subset = self._as_subset(elements)
@@ -496,7 +521,7 @@ class _ContractionView(Matroid):
     """
 
     def __init__(self, parent: Matroid, committed: ElementSet):
-        committed = parent._as_subset(committed)
+        """``committed`` is a subset of ``parent``'s ground, which every caller has checked."""
         if not parent.is_independent(committed):
             raise PreconditionError("can only contract an independent set")
         self._parent = parent
@@ -521,8 +546,7 @@ class _ContractionView(Matroid):
         extra = self._as_subset(committed)
         if not extra:
             return self
-        if not self.is_independent(extra):
-            raise PreconditionError("can only contract an independent set")
+        # extra is independent here iff committed | extra is in the parent: the constructor's check
         return _ContractionView(self._parent, self._committed | extra)
 
     def restrict(self, keep: Iterable[int]) -> Matroid:
@@ -665,14 +689,12 @@ def unblocked(
 
     ``thresholds`` may also be a float array indexed by element id, NaN for
     an element that is no candidate: one mask splits its candidates at the
-    pool's lightest weight, and a stable argsort orders the high ones.
+    pool's lightest weight, and a stable argsort orders the high ones. The
+    pool's weights are read one element at a time in either form: every pool
+    holds about rank(m) elements (an inner solution, or a basis to judge).
     """
     pool = m._as_subset(pool)
-    if type(weights) is not np.ndarray:
-        pending = sorted((_weight(weights, a), a) for a in pool)  # the heaviest last
-    else:
-        members = np.fromiter(pool, np.int64, len(pool))
-        pending = sorted(zip(_read(weights, members).tolist(), members.tolist()))
+    pending = sorted((_weight(weights, a), a) for a in pool)  # the heaviest last
     floor = pending[0][0] if pending else math.inf
     if type(thresholds) is np.ndarray:
         high, low = _split_array(m, thresholds, floor)

@@ -10,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,7 @@ _LOOSE_HEADERS = {
     "gap-floor-nan": {"gap_floor": float("nan")},
     "gap-floor-infinite": {"gap_floor": float("inf")},
     "gap-floor-minus-infinity": {"gap_floor": -float("inf")},
+    "gap-floor-an-int-past-float": {"gap_floor": 10**400},
 }
 _COLUMN_CASES = {
     "v2-with-arms": dict(_TWO_MEANS, arms=_TWO_ARMS["arms"]),
@@ -320,6 +322,34 @@ def test_gap_floor_above_the_enumeration_guard_is_a_capacity_error(tmp_path, cap
     path.write_text(json.dumps(cfg))
     assert main(["verify", "--instance", str(path)]) == 1
     assert "limited to 20 elements" in capsys.readouterr().err
+
+
+_ALL_COLOOPS = {"family": "uniform", "n": 3, "k": 3}  # every gap is infinite
+
+
+@pytest.mark.parametrize("gap_floor", [False, True, Fraction(1, 10), "0.1", float("nan"),
+                                       float("inf"), 10**400, -(10**400)],
+                         ids=["false", "true", "fraction", "string", "nan", "inf",
+                              "int-past-float", "negative-int-past-float"])
+def test_make_instance_refuses_a_gap_floor_that_is_not_a_finite_int_or_float(gap_floor):
+    with pytest.raises(ValidationError, match="gap_floor"):
+        make_instance("x", _ALL_COLOOPS, [bernoulli(0.2), bernoulli(0.4), bernoulli(0.6)],
+                      gap_floor=gap_floor)
+
+
+@pytest.mark.parametrize("gap_floor", [1, 0.05, np.float64(0.05)],
+                         ids=["int", "float", "numpy-float"])
+def test_a_gap_floor_is_kept_as_a_float_and_loads_back_equal(gap_floor, tmp_path):
+    inst = make_instance("x", _ALL_COLOOPS, [bernoulli(0.2), bernoulli(0.4), bernoulli(0.6)],
+                         gap_floor=gap_floor)
+    assert type(inst.gap_floor) is float and inst.gap_floor == gap_floor
+    path = tmp_path / "floor.json"
+    save_instance(inst, path)
+    assert json.loads(path.read_text())["gap_floor"] == float(gap_floor)
+    back = load_instance(path)
+    assert type(back.gap_floor) is float and back.to_config() == inst.to_config()
+    save_instance(back, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_uniform_gap_generator_hits_target_band():

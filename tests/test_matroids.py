@@ -849,3 +849,51 @@ def test_family_validation_errors():
         GraphicMatroid(2, [(0, 5)])
     with pytest.raises(ValidationError):
         TransversalMatroid(2, [[0, 7]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UniformMatroid(5, 2.5),
+    lambda: UniformMatroid(5, True),
+    lambda: PartitionMatroid([([0, 1, 2], 1.5)]),
+    lambda: PartitionMatroid([([0, 1.0], 2)]),
+    lambda: LaminarMatroid(2.5, []),
+    lambda: LaminarMatroid(3, [([0, "1"], 1)]),
+    lambda: GraphicMatroid(3.5, [(0, 1)]),
+    lambda: GraphicMatroid(3, [(0, 1.5)]),
+    lambda: GraphicMatroid(3, [(0, 1, 2)]),
+    lambda: GraphicMatroid(3, [(0,)]),
+    lambda: GraphicMatroid(3, [5]),
+    lambda: TransversalMatroid(3.0, [[0]]),
+    lambda: TransversalMatroid(3, [[1.0]]),
+    lambda: TransversalMatroid(3, [[np.bool_(True)]]),
+], ids=["uniform-k-float", "uniform-k-bool", "partition-capacity-float",
+        "partition-member-float", "laminar-n-float", "laminar-member-string",
+        "graphic-vertices-float", "graphic-endpoint-float", "graphic-edge-a-triple",
+        "graphic-edge-a-single", "graphic-edge-a-number", "transversal-n-float",
+        "transversal-task-float", "transversal-task-numpy-bool"])
+def test_constructors_refuse_a_value_that_is_not_an_integer(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_constructors_take_numpy_integers_as_python_ints():
+    i = np.int64
+    built = [UniformMatroid(i(5), np.int32(2)),
+             PartitionMatroid([([i(0), i(1)], i(1)), ([2], 1)]),
+             LaminarMatroid(i(3), [([i(0), i(1)], i(1))]),
+             GraphicMatroid(i(3), [(i(0), i(1)), (1, i(2))]),
+             TransversalMatroid(i(3), [[i(2), 0, i(2)], [1]])]
+    assert [m.full_rank for m in built] == [2, 2, 2, 2, 2]
+    for m in built:
+        assert all(type(e) is int for e in m.ground)
+    assert built[0].k == 2 and type(built[0].k) is int
+    assert built[3].edges == ((0, 1), (1, 2)) and all(type(u) is int for u, _ in built[3].edges)
+    assert built[4].workers == ((0, 2), (1,))
+    assert all(type(t) is int for tasks in built[4].workers for t in tasks)
+
+
+def test_a_contraction_view_refuses_a_dependent_extra_with_the_same_message():
+    view = triangle().contract({0})  # edges 1 and 2 become parallel
+    with pytest.raises(PreconditionError, match="can only contract an independent set"):
+        view.contract({1, 2})
+    assert view.contract({1}).ground == ()
