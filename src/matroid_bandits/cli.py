@@ -13,7 +13,7 @@ import sys
 from .errors import CapacityError, ConfigError, PreconditionError, ValidationError
 from .harness import ALGORITHMS, RunConfig, profile_by_name, run_trials, write_report
 from .instances import resolve_instance
-from .oracle import brute_force_opt, gap, verify_instance
+from .oracle import gap_profile, verify_instance
 from .pac import PROFILES
 
 
@@ -89,12 +89,12 @@ def _cmd_gaps(args) -> int:
     instance = resolve_instance(args.instance)
     m = instance.matroid
     means = instance.true_means
-    opt = brute_force_opt(m, means)
+    profile = gap_profile(m, means)
     print(f"instance {instance.name}: rank {m.full_rank}, {m.size} arms")
     for e in m.ground:
-        value = gap(m, e, means)
+        value = profile.gaps[e]
         shown = "inf" if math.isinf(value) else f"{value:.6g}"
-        member = "optimal" if e in opt else "suboptimal"
+        member = "optimal" if e in profile.optimal else "suboptimal"
         print(f"arm {e}: mean {means[e]:.6g}  gap {shown}  ({member})")
     return 0
 

@@ -21,9 +21,8 @@ import base64
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from operator import index, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,19 +35,10 @@ from .matroids import (
     PartitionMatroid,
     TransversalMatroid,
     UniformMatroid,
+    _integer,
+    _reading,
 )
 from .sampling import POINT, SCALED, ArmTable, SamplingSession, trial_seed
-
-
-@contextmanager
-def _reading(what: str):
-    """Raise a missing or malformed field of ``what`` as a ``ValidationError``."""
-    try:
-        yield
-    except ValidationError:
-        raise
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {what}: {type(exc).__name__} {exc}") from None
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -277,12 +267,19 @@ def load_instance(path) -> Instance:
     return instance_from_config(cfg)
 
 
+def _plain(value):
+    """A numpy scalar, such as an integer a constructor took, as a Python one for ``json``."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def save_instance(inst: Instance, path) -> None:
     """Write ``inst`` (see :meth:`Instance.to_config`) on one line, encoded in
     full first: a failed encoding writes nothing. Without an indent ``json``
     uses its C encoder."""
     with _reading("instance"):
-        text = json.dumps(inst.to_config(), sort_keys=True) + "\n"
+        text = json.dumps(inst.to_config(), sort_keys=True, default=_plain) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
@@ -300,7 +297,7 @@ def resolve_instance(ref: str) -> Instance:
 
 def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     """Top-k instance where every arm's gap is eps up to a small jitter."""
-    n, k = index(n), index(k)
+    n, k = _integer(n, "n"), _integer(k, "k")
     if not 0 < k < n:
         raise ValidationError("need 0 < k < n")
     if not eps > 0:
@@ -315,7 +312,7 @@ def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
 
 def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> Instance:
     """Gaps grow geometrically from ``min_gap``, cycling to stay inside (0, 1)."""
-    n, k = index(n), index(k)
+    n, k = _integer(n, "n"), _integer(k, "k")
     if not 0 < k < n:
         raise ValidationError("need 0 < k < n")
     if not 0 < min_gap < 1:
@@ -353,7 +350,8 @@ def random_means(rng: np.random.Generator, n: int):
 
 
 def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) -> Instance:
-    num_vertices, num_edges = index(num_vertices), index(num_edges)
+    num_vertices = _integer(num_vertices, "num_vertices")
+    num_edges = _integer(num_edges, "num_edges")
     if num_edges < 0 or (num_edges > 0 and num_vertices < 2):
         raise ValidationError("need num_edges >= 0, and two vertices for any edge")
     rng = _seeded_rng(seed)
@@ -374,7 +372,7 @@ def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) ->
 
 
 def big_uniform_instance(n: int, k: int, seed: int = 0) -> Instance:
-    n, k = index(n), index(k)
+    n, k = _integer(n, "n"), _integer(k, "k")
     rng = _seeded_rng(seed)
     return make_instance(
         name=f"big-uniform-n{n}-k{k}",

@@ -21,7 +21,8 @@ ids (``sample_ids``).
 from __future__ import annotations
 
 import math
-from itertools import filterfalse
+from contextlib import contextmanager
+from itertools import combinations, filterfalse
 from numbers import Integral
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -60,6 +61,30 @@ def _integer(value, what: str) -> int:
             raise ValidationError(f"{what} must be an integer, not {value!r}")
         value = int(value)
     return value
+
+
+@contextmanager
+def _reading(what: str):
+    """Raise a missing or malformed field or container of ``what`` as a ``ValidationError``."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {type(exc).__name__} {exc}") from None
+
+
+def _capped_sets(pairs, owner: str) -> tuple[list[ElementSet], list[int]]:
+    """Member sets and capacities from the ``(members, capacity)`` pairs of partition
+    groups or laminar sets; ``owner`` names a set in the negative-capacity error."""
+    sets, caps = [], []
+    with _reading("(members, capacity) pairs"):
+        for members, cap in pairs:
+            sets.append(frozenset([_integer(e, "a member") for e in members]))
+            caps.append(_integer(cap, "a capacity"))
+    if min(caps, default=0) < 0:
+        raise ValidationError(f"{owner} capacity must be >= 0")
+    return sets, caps
 
 
 def _unhashable(e) -> DomainError | None:
@@ -279,20 +304,11 @@ class PartitionMatroid(Matroid):
     """Disjoint groups covering the ground set, each with a capacity."""
 
     def __init__(self, groups: Sequence[tuple[Iterable[int], int]]):
-        members_by_group = []
-        caps = []
-        seen: set[int] = set()
-        for members, cap in groups:
-            mset = frozenset([_integer(e, "a member") for e in members])
-            cap = _integer(cap, "a capacity")
-            if cap < 0:
-                raise ValidationError("group capacity must be >= 0")
-            if mset & seen:
-                raise ValidationError("partition groups must be disjoint")
-            seen |= mset
-            members_by_group.append(mset)
-            caps.append(cap)
-        self._init_ground(seen)
+        members_by_group, caps = _capped_sets(groups, "group")
+        ground = frozenset().union(*members_by_group)
+        if len(ground) != sum(map(len, members_by_group)):
+            raise ValidationError("partition groups must be disjoint")
+        self._init_ground(ground)
         self._caps = tuple(caps)
         self._covers = {e: (gi,) for gi, mset in enumerate(members_by_group) for e in mset}
         self._groups = tuple(members_by_group)
@@ -315,22 +331,12 @@ class LaminarMatroid(Matroid):
         if n < 0:
             raise ValidationError("laminar matroid needs n >= 0")
         self._init_ground(range(n))
-        family = []
-        caps = []
-        for members, cap in sets:
-            mset = frozenset([_integer(e, "a member") for e in members])
-            if not mset <= self._ground_set:
-                raise ValidationError("laminar set contains unknown elements")
-            cap = _integer(cap, "a capacity")
-            if cap < 0:
-                raise ValidationError("laminar capacity must be >= 0")
-            family.append(mset)
-            caps.append(cap)
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                a, b = family[i], family[j]
-                if a & b and not (a <= b or b <= a):
-                    raise ValidationError("laminar family must be nested")
+        family, caps = _capped_sets(sets, "laminar")
+        if not all(mset <= self._ground_set for mset in family):
+            raise ValidationError("laminar set contains unknown elements")
+        for a, b in combinations(family, 2):
+            if a & b and not (a <= b or b <= a):
+                raise ValidationError("laminar family must be nested")
         self._family = tuple(family)
         self._caps = tuple(caps)
         self._covers = {
@@ -380,15 +386,12 @@ class GraphicMatroid(Matroid):
         if num_vertices < 0:
             raise ValidationError("graphic matroid needs num_vertices >= 0")
         checked = []
-        for edge in edges:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge {edge!r} is not a pair of endpoints") from None
-            u, v = _integer(u, "an endpoint"), _integer(v, "an endpoint")
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValidationError(f"edge ({u}, {v}) has an unknown endpoint")
-            checked.append((u, v))
+        with _reading("edges, which must be pairs of endpoints"):
+            for u, v in edges:
+                u, v = _integer(u, "an endpoint"), _integer(v, "an endpoint")
+                if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                    raise ValidationError(f"edge ({u}, {v}) has an unknown endpoint")
+                checked.append((u, v))
         self.num_vertices = num_vertices
         self.edges = tuple(checked)
         touched: dict[int, int] = {}
@@ -446,8 +449,9 @@ class TransversalMatroid(Matroid):
         if n < 0:
             raise ValidationError("transversal matroid needs n >= 0")
         self._init_ground(range(n))
-        self.workers = tuple(tuple(sorted({_integer(t, "a task") for t in tasks}))
-                             for tasks in workers)
+        with _reading("workers, which must be lists of tasks"):
+            self.workers = tuple(tuple(sorted({_integer(t, "a task") for t in tasks}))
+                                 for tasks in workers)
         adj: list[list[int]] = [[] for _ in range(n)]
         for wi, tasks in enumerate(self.workers):
             for t in tasks:

@@ -110,17 +110,22 @@ def brute_force_opt_weight(m: Matroid, weights: Weights) -> float:
     return basis_weight(brute_force_opt(m, weights), weights)
 
 
-def gap(m: Matroid, e: int, weights: Weights) -> float:
-    """Weight lost by excluding ``e`` (if optimal) or forcing it in (if not).
-
-    Isolated elements get +inf. Loops have no defined gap.
-    """
+def _check_gap_args(m: Matroid, e: int, weights: Weights) -> None:
+    """Both gap formulas' checks: size guard, distinct weights, ``e`` in the ground, no loop."""
     _guard(m.size, ENUMERATION_GUARD, "gap computation")
     _require_distinct(m, weights)
     if e not in m.ground_set:
         raise DomainError(f"element {e} outside ground set")
     if m.rank({e}) == 0:
         raise DomainError(f"element {e} is a loop; its gap is undefined")
+
+
+def gap(m: Matroid, e: int, weights: Weights) -> float:
+    """Weight lost by excluding ``e`` (if optimal) or forcing it in (if not).
+
+    Isolated elements get +inf. Loops have no defined gap.
+    """
+    _check_gap_args(m, e, weights)
     total = m.full_rank
     if m.rank(m.ground_set - {e}) < total:
         return math.inf
@@ -138,12 +143,7 @@ def gap_alt(m: Matroid, e: int, weights: Weights) -> float:
     Blocking status only changes at weight differences, so the sweep visits
     exactly those candidates.
     """
-    _guard(m.size, ENUMERATION_GUARD, "gap computation")
-    _require_distinct(m, weights)
-    if e not in m.ground_set:
-        raise DomainError(f"element {e} outside ground set")
-    if m.rank({e}) == 0:
-        raise DomainError(f"element {e} is a loop; its gap is undefined")
+    _check_gap_args(m, e, weights)
     we = _weight(weights, e)
     others = [a for a in m.ground if a != e]
     opt = brute_force_opt(m, weights)

@@ -21,7 +21,9 @@ forms draw the same numbers and record the same pulls.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from decimal import Decimal
+from itertools import chain, compress
+from numbers import Real
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
@@ -50,9 +52,9 @@ DENSE_MIN_ARMS = 256
 class Arm:
     """One reward source: Bernoulli, two-point scaled Bernoulli, or point mass.
 
-    The validated record for code that builds arms one at a time. Instances
-    and sessions hold their arms as an :class:`ArmTable`, which instance
-    files and generators build from columns, with no record per arm.
+    The record for code that builds arms one at a time, checked when built by
+    :meth:`ArmTable.from_columns`, which holds every arm rule. Instances and
+    sessions hold an :class:`ArmTable`, built from columns with no record per arm.
     """
 
     kind: str
@@ -60,23 +62,7 @@ class Arm:
     support: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.kind not in (BERNOULLI, SCALED, POINT):
-            raise ValidationError(f"unknown arm kind {self.kind!r}")
-        if not 0.0 <= self.mean <= 1.0:
-            raise ValidationError(f"arm mean {self.mean} outside [0, 1]")
-        if self.kind == SCALED:
-            if self.support is None:
-                raise ValidationError("scaled arm needs a (lo, hi) support")
-            try:
-                lo, hi = self.support
-            except (TypeError, ValueError):
-                raise ValidationError(f"scaled support {self.support!r} is not a pair") from None
-            if not (0.0 <= lo < hi <= 1.0):
-                raise ValidationError(f"scaled support {self.support} invalid")
-            if not lo <= self.mean <= hi:
-                raise ValidationError("scaled arm mean outside its support")
-        elif self.support is not None:
-            raise ValidationError(f"{self.kind} arm takes no support")
+        ArmTable.from_columns([self.kind], [self.mean], [self.support])
 
 
 def bernoulli(mean: float) -> Arm:
@@ -92,11 +78,20 @@ def scaled(lo: float, hi: float, mean: float) -> Arm:
 
 
 def _numbers(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """``values`` as a new float64 array of ``shape``; anything else is a ``ValidationError``."""
+    """``values`` as a new float64 array of ``shape``, each a real number and not
+    a bool, as a numeric array's dtype or else the types of its (rows') elements
+    show: no string is parsed. Anything else is a ``ValidationError``."""
     try:
-        array = np.array(values, dtype=np.float64)
+        if isinstance(values, np.ndarray) and values.dtype != object:
+            types = {values.dtype.type}
+        else:
+            types = set(map(type, chain.from_iterable(values) if len(shape) > 1 else values))
+        bad = next((t for t in types if t is bool or not issubclass(t, (Real, Decimal))), None)
+        array = None if bad else np.array(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} are not numbers: {exc}") from None
+    if bad:
+        raise ValidationError(f"{what} must be real numbers, not {bad.__name__}")
     if array.shape != shape:
         raise ValidationError(f"{what} have shape {array.shape}, not {shape}")
     return array
@@ -128,12 +123,12 @@ class ArmTable:
     ) -> "ArmTable":
         """A table from one kind, mean and support (or None) per arm.
 
-        Refuses with ``ValidationError`` every row that :class:`Arm` refuses,
-        checking each column in vector form; ``kinds=None`` makes every arm
-        Bernoulli and ``supports=None`` gives no arm a support. Kinds map onto
-        the module constants, so that a table shares one string per kind
-        however its kinds were read, and a scaled arm's support is stored as a
-        pair of floats.
+        The one checker of the arm rules, :class:`Arm` records included: it
+        refuses each invalid row with ``ValidationError``, checking each column
+        in vector form; ``kinds=None`` makes every arm Bernoulli and
+        ``supports=None`` gives no arm a support. Kinds map onto the module
+        constants, so that a table shares one string per kind however its kinds
+        were read, and a scaled arm's support is stored as a pair of floats.
         """
         if kinds is None:  # the constant repeated: no lookup per arm
             kinds = (BERNOULLI,) * len(means)

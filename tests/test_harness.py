@@ -149,6 +149,8 @@ _COLUMN_CASES = {
     "v2-scaled-without-support": dict(_TWO_MEANS, kinds=["scaled", "bernoulli"]),
     "v2-unknown-kind": dict(_TWO_MEANS, kinds=["gaussian", "bernoulli"]),
     "v2-mean-not-a-number": dict(_TWO_MEANS, means=["abc", 0.6]),
+    "v2-means-strings": dict(_TWO_MEANS, means=["0.4", "0.6"]),
+    "v1-mean-a-string": dict(_TWO_ARMS, arms=[["bernoulli", "0.4"], ["bernoulli", 0.6]]),
     "v3-means-a-list": dict(_TWO_MEANS, schema_version=3),
     "v3-means-a-number": dict(_TWO_BINARY, means=0.4),
     # a lenient decoder would skip the "*" and read the two means
@@ -304,14 +306,27 @@ def test_generators_store_python_ints_and_a_failed_save_leaves_no_file(tmp_path)
         path = tmp_path / f"{inst.name}.json"
         save_instance(inst, path)
         assert load_instance(path).to_config() == inst.to_config()
-    bad = dataclasses.replace(made[0], matroid_config=dict(made[0].matroid_config,
-                                                           n=np.int64(300)))
+    # a set is the one value here that JSON cannot encode
+    bad = dataclasses.replace(made[0], matroid_config=dict(made[0].matroid_config, n={300}))
     fresh, old = tmp_path / "fresh.json", tmp_path / f"{made[0].name}.json"
     before = old.read_bytes()
     for path in (fresh, old):
-        with pytest.raises(ValidationError, match="int64"):
+        with pytest.raises(ValidationError, match="set is not JSON serializable"):
             save_instance(bad, path)
     assert not fresh.exists() and old.read_bytes() == before
+
+
+def test_an_instance_with_numpy_integers_in_its_config_saves_and_loads_back(tmp_path):
+    i = np.int64
+    configs = [{"family": "uniform", "n": i(3), "k": i(2)},
+               {"family": "partition", "groups": [{"members": [i(0), 1], "capacity": i(1)},
+                                                  {"members": [2], "capacity": 1}]},
+               {"family": "graphic", "num_vertices": i(4), "edges": [[0, i(1)], [1, 2], [2, 3]]}]
+    for cfg in configs:
+        inst = make_instance("numpy-ints", cfg, [bernoulli(0.2), bernoulli(0.5), bernoulli(0.7)])
+        path = tmp_path / f"{cfg['family']}.json"
+        save_instance(inst, path)
+        assert load_instance(path).to_config() == inst.to_config()
 
 
 def test_gap_floor_above_the_enumeration_guard_is_a_capacity_error(tmp_path, capsys):
@@ -379,6 +394,12 @@ def test_generators_are_reproducible():
     lambda: geometric_ladder_instance(10, 3, float("inf")),
     lambda: uniform_gap_instance(10, 3, -0.1),
     lambda: uniform_gap_instance(10, 3, float("nan")),
+    # sizes follow the matroid constructors' integer rule
+    lambda: big_uniform_instance(300.0, 5),
+    lambda: uniform_gap_instance(12, 3.0, 0.1),
+    lambda: big_uniform_instance(True, 1),
+    lambda: geometric_ladder_instance(12, "3", 0.05),
+    lambda: random_graphic_instance(5, 7.0),
 ])
 def test_generators_reject_bad_arguments_before_any_draw(make, monkeypatch):
     def no_draw(*args, **kwargs):

@@ -876,6 +876,20 @@ def test_constructors_refuse_a_value_that_is_not_an_integer(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PartitionMatroid([5]),
+    lambda: LaminarMatroid(3, [([0], 1, 2)]),
+    lambda: GraphicMatroid(3, None),
+    lambda: TransversalMatroid(3, [5]),
+    lambda: PartitionMatroid([(5, 1)]),
+    lambda: LaminarMatroid(3, [(None, 1)]),
+], ids=["partition-group-a-number", "laminar-set-a-triple", "graphic-edges-none",
+        "transversal-worker-a-number", "partition-members-a-number", "laminar-members-none"])
+def test_constructors_refuse_a_malformed_container(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 def test_constructors_take_numpy_integers_as_python_ints():
     i = np.int64
     built = [UniformMatroid(i(5), np.int32(2)),

@@ -2,6 +2,8 @@ import io
 import math
 import pickle
 import re
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -171,6 +173,11 @@ _INVALID_ROWS = {
     "mean-outside-support": ("scaled", 0.5, (0.2, 0.4)),
     "point-with-support": ("point", 0.5, (0.1, 0.9)),
     "bernoulli-with-support": ("bernoulli", 0.5, (0.1, 0.9)),
+    # each is a number only when parsed or cast, so each is refused
+    "string-mean": ("bernoulli", "0.5", None),
+    "bool-mean": ("point", True, None),
+    "string-support-bound": ("scaled", 0.5, ("0.2", 0.9)),
+    "bool-support-bound": ("scaled", 0.5, (0.2, True)),
 }
 
 
@@ -232,6 +239,34 @@ def test_columns_and_records_make_the_same_table(rows, inserted):
 @pytest.mark.parametrize("row", list(_INVALID_ROWS.values()), ids=list(_INVALID_ROWS))
 def test_columns_and_records_refuse_each_invalid_row(row):
     assert _rows_both_ways([*_VALID_ROWS[:4], row, *_VALID_ROWS[4:]]) == (None, None)
+
+
+@pytest.mark.parametrize("value", ["0.5", True, np.bool_(False), None],
+                         ids=["string", "bool", "numpy-bool", "none"])
+def test_each_arm_route_refuses_a_mean_or_bound_that_is_not_a_real_number(value):
+    routes = [lambda: bernoulli(value), lambda: point(value), lambda: scaled(value, 0.9, 0.5),
+              lambda: scaled(0.1, value, 0.5), lambda: scaled(0.1, 0.9, value),
+              lambda: ArmTable.from_columns(None, [0.5, value]),
+              lambda: ArmTable.from_columns(None, np.array([0.5, value], dtype=object)),
+              lambda: ArmTable.from_columns(["scaled"], [0.5], [(0.1, value)])]
+    for route in routes:
+        with pytest.raises(ValidationError):
+            route()
+
+
+def test_arrays_of_strings_or_bools_are_refused_by_their_dtype():
+    for means in (np.array(["0.25", "0.75"]), np.array([False, True]),
+                  np.array([0.5 + 0j, 0.25 + 0j])):
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            ArmTable.from_columns(None, means)
+
+
+def test_any_real_number_is_a_mean_or_bound():
+    for value in (1, np.int64(0), 0.5, np.float32(0.5), Fraction(1, 2), Decimal("0.5")):
+        table = ArmTable.from_arms([bernoulli(value), point(value), scaled(0, 1, value)])
+        assert table.means == (float(value),) * 3 and table.supports[2] == (0.0, 1.0)
+    for means in (np.array([0, 1]), np.array([0.5], dtype=np.float32), [np.float64(0.5), 1]):
+        assert ArmTable.from_columns(None, means).means == tuple(map(float, means))
 
 
 def test_point_mass_instance_draws_nothing():
