@@ -38,6 +38,7 @@ from .matroids import (
     _integer,
     _reading,
 )
+from .oracle import gap_profile
 from .sampling import POINT, SCALED, ArmTable, SamplingSession, trial_seed
 
 
@@ -229,8 +230,6 @@ def make_instance(
 
 
 def _check_gap_floor(inst: Instance) -> None:
-    from .oracle import gap_profile  # deferred: oracle imports matroids too
-
     profile = gap_profile(inst.matroid, inst.true_means)
     floor = profile.min_gap()
     if floor < inst.gap_floor - 1e-9:

@@ -102,13 +102,13 @@ class IndependentSet:
     """An independent set grown one element at a time; see :meth:`Matroid.growing`.
 
     ``add(e)`` keeps ``e`` iff that raises the rank and says whether it did;
-    ``spans(e)`` says whether ``e`` lies in the closure of the kept elements,
-    and ``spans_all()`` is a cheap sufficient test that every element does.
+    ``spans(e)`` says whether ``e`` lies in the closure of the kept elements.
+    Once it keeps ``full_rank`` elements it spans every element: greedy and
+    :func:`unblocked` stop on that count and ask the set nothing more.
     Elements must lie in the matroid's ground set; callers check that once.
-    This generic version asks ``rank`` once per query and never claims
-    ``spans_all``. A family may subclass it with a test that needs no
-    ``rank`` call (a count or a union-find), updating its state in ``_keep``,
-    and count its rank with it.
+    This generic version asks ``rank`` once per query. A family may subclass
+    it with a test that needs no ``rank`` call (a count or a union-find),
+    updating its state in ``_keep``, and count its rank with it.
     """
 
     def __init__(self, m: "Matroid"):
@@ -134,9 +134,6 @@ class IndependentSet:
 
     def _keep(self, e: int) -> None:
         pass
-
-    def spans_all(self) -> bool:
-        return False
 
 
 class Matroid:
@@ -295,9 +292,6 @@ class _UniformSet(IndependentSet):
 
     def spans(self, e: int) -> bool:
         return len(self._kept) >= self._m.k or e in self._kept
-
-    def spans_all(self) -> bool:
-        return len(self._kept) >= self._m.k
 
 
 class PartitionMatroid(Matroid):
@@ -623,13 +617,14 @@ def greedy_max_basis(m: Matroid, weights: Weights) -> ElementSet:
     else:
         ids = m.ground_ids
         order = ids[np.lexsort((ids, -_read(weights, ids)))].tolist()
+    k = m.full_rank
     grown = m.growing()
     basis = []
     for e in order:
+        if len(basis) == k:  # a basis spans every later element
+            break
         if grown.add(e):
             basis.append(e)
-            if grown.spans_all():  # every later element would be refused
-                break
     return frozenset(basis)
 
 
@@ -689,7 +684,8 @@ def unblocked(
 
     Only candidates above the pool's lightest weight are sorted and swept.
     Every other one faces the whole pool, so the set takes in the rest of the
-    pool first; once it ``spans_all``, only the members it kept need an answer.
+    pool first. When it then holds ``full_rank`` members it spans every
+    element, so only the members it kept need an answer.
 
     ``thresholds`` may also be a float array indexed by element id, NaN for
     an element that is no candidate: one mask splits its candidates at the
@@ -723,7 +719,7 @@ def unblocked(
     for _, a in reversed(pending):  # every other candidate faces the whole pool
         if grown.add(a):
             taken.add(a)
-    if not grown.spans_all():
+    if len(taken) < m.full_rank:
         kept.update(filterfalse(grown.spans, low.difference(taken)))
     for e in low.intersection(taken):
         if not m.blocks(pool - {e}, e):
@@ -770,26 +766,16 @@ def is_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: floa
 
     Checked through the blocking characterization: every excluded element
     must be blocked by basis elements of weight >= (its own weight - eps).
-    Comparisons are exact float comparisons. Monotone in ``eps``. A basis
-    spans every element, so only an element whose threshold clears the
-    lightest basis weight can go unblocked.
+    Comparisons are exact float comparisons. Monotone in ``eps``.
     """
     bset = _checked_basis(m, basis, eps)
     if type(weights) is not np.ndarray:
-        floor = min((_weight(weights, a) for a in bset), default=math.inf)
-        thresholds = {
-            e: t for e in m.ground
-            if e not in bset and (t := _weight(weights, e) - eps) > floor
-        }
+        thresholds = {e: _weight(weights, e) - eps for e in m.ground if e not in bset}
     else:
         ids = m.ground_ids
-        shifted = _read(weights, ids) - eps
-        members = np.fromiter(bset, np.int64, len(bset))
-        floor = float(_read(weights, members).min()) if len(members) else math.inf
-        above = shifted > floor
         thresholds = np.full(len(weights), np.nan)
-        thresholds[ids[above]] = shifted[above]
-        thresholds[members] = np.nan
+        thresholds[ids] = _read(weights, ids) - eps
+        thresholds[np.fromiter(bset, np.int64, len(bset))] = np.nan
     return not unblocked(m, bset, weights, thresholds)
 
 

@@ -7,6 +7,7 @@ functions serve tests and the harness; the algorithms never call them.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,12 +17,14 @@ from .matroids import (
     Matroid,
     Weights,
     _checked_basis,
+    _unhashable,
     _weight,
     avg_within_eps,
     basis_weight,
     elementwise_within_eps,
     greedy_max_basis,
     is_eps_optimal,
+    is_eps_optimal_modified_cost,
     unblocked,
 )
 
@@ -114,7 +117,11 @@ def _check_gap_args(m: Matroid, e: int, weights: Weights) -> None:
     """Both gap formulas' checks: size guard, distinct weights, ``e`` in the ground, no loop."""
     _guard(m.size, ENUMERATION_GUARD, "gap computation")
     _require_distinct(m, weights)
-    if e not in m.ground_set:
+    try:
+        inside = e in m.ground_set
+    except TypeError:
+        raise _unhashable(e) from None
+    if not inside:
         raise DomainError(f"element {e} outside ground set")
     if m.rank({e}) == 0:
         raise DomainError(f"element {e} is a loop; its gap is undefined")
@@ -251,8 +258,6 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
         ind = set(sets)
         ok = all(frozenset(s - {e}) in ind for s in sets for e in s)
         if len(sets) > 300:  # keep the pairwise exchange check affordable
-            import random
-
             sets = random.Random(0).sample(sets, 300)
         for a in sets:
             for b in sets:
@@ -274,8 +279,6 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
         if instance.gap_floor is not None:
             floor = min(a for a, _ in gaps)
             add("gap_floor", floor >= instance.gap_floor - 1e-9, f"min gap {floor}")
-        from .matroids import is_eps_optimal_modified_cost
-
         basis = greedy
         routes = all(
             is_eps_optimal(m, basis, means, e) == is_eps_optimal_modified_cost(m, basis, means, e)

@@ -539,6 +539,7 @@ def test_fast_families_prune_and_greedy_without_rank(family, monkeypatch):
                 if not view.blocks(frozenset(a for a in pool if w[a] >= t), e)
             )
             cases.append((view, pool, w, thresholds, direct, _reference_greedy(view, w)))
+            view.full_rank  # cached once per matroid: the queries below read it, never rank
 
     def no_rank(self, elements):
         raise AssertionError("the fast path called rank")
@@ -569,7 +570,8 @@ def test_split_sweep_matches_per_element_blocks_at_size():
     rng = np.random.default_rng(61)
     narrow = UniformMatroid(300, 50).restrict(rng.choice(300, size=30, replace=False).tolist())
     cases = [UniformMatroid(300, k) for k in (1, 3, 8)]  # the set saturates
-    cases += [narrow, narrow.contract(narrow.ground[:4])]  # |ground| < k: it never does
+    # |ground| < k: the set stops at the view's own full_rank, not at the parent's k
+    cases += [narrow, narrow.contract(narrow.ground[:4])]
     for family in FAMILY_NAMES:
         m = random_matroid(rng, family, 40 if family == "transversal" else 150, allow_loops=True)
         cases += [view for view, _, _ in _kernel_views(rng, m)]
@@ -583,7 +585,7 @@ def test_split_sweep_matches_per_element_blocks_at_size():
         judged = {e: w[e] - shift for e in ground - basis}
         queries = [
             (inner, {e: w[e] - shift for e in ground - inner}),  # a pac level
-            (basis, judged),  # the judge, before its own filter
+            (basis, judged),  # the judge's one call
             (ground, {e: w[e] - shift for e in ground}),  # exact's selection round
         ]
         for pool, thresholds in queries:
@@ -642,16 +644,67 @@ def test_pruning_and_judge_work_is_bounded_by_the_candidates_above_the_pool(monk
     assert is_eps_optimal(m, opt, estimates, 0.1)
     assert len(read) <= len(opt)
 
-    handed = []
-    real_unblocked = matroids.unblocked
+    # the judge hands unblocked every excluded element; a basis spans those at or below its floor
+    floor = min(means[a] for a in opt)
+    judged_above = sum(means[e] - 0.1 > floor for e in m.ground if e not in opt)
+    for weights in (means, estimates):
+        asked.clear()
+        assert is_eps_optimal(m, opt, weights, 0.1)
+        assert sum(e not in opt for e in asked) <= judged_above
 
-    def counted_unblocked(m, pool, weights, thresholds):
-        handed.append(len(thresholds))
-        return real_unblocked(m, pool, weights, thresholds)
 
-    monkeypatch.setattr(matroids, "unblocked", counted_unblocked)
-    assert is_eps_optimal(m, opt, means, 0.1)
-    assert len(handed) == 1 and handed[0] < m.k
+def test_greedy_adds_nothing_after_the_last_element_of_its_basis(monkeypatch):
+    rng = np.random.default_rng(71)
+    added = []
+    real_add = matroids.IndependentSet.add
+
+    def counted_add(self, e):
+        added.append(e)
+        return real_add(self, e)
+
+    monkeypatch.setattr(matroids.IndependentSet, "add", counted_add)
+    for family in FAMILY_NAMES:
+        views = [view for view, _, _ in _kernel_views(rng, random_matroid(rng, family, 12))]
+        assert any(isinstance(v, matroids._RestrictionView) for v in views)
+        assert any(isinstance(v, matroids._ContractionView) for v in views)
+        for view in views:
+            w = rng.random(12).tolist()
+            view.full_rank  # cached once per matroid, as every caller of greedy has it
+            added.clear()
+            basis = greedy_max_basis(view, w)
+            # a contraction's set is seeded with the committed elements first
+            assert added[-1] in basis if basis else not set(added) & view.ground_set
+            assert basis == _reference_greedy(view, w)
+
+
+def test_pruning_asks_no_spans_at_or_below_the_floor_of_a_full_rank_pool(monkeypatch):
+    rng = np.random.default_rng(73)
+    asked = []
+    for cls in (matroids.IndependentSet, _UniformSet, matroids._CappedSet, matroids._Forest):
+        def counted_spans(self, e, real=vars(cls)["spans"]):
+            asked.append(e)
+            return real(self, e)
+
+        monkeypatch.setattr(cls, "spans", counted_spans)
+    for family in FAMILY_NAMES:
+        m = random_matroid(rng, family, 40)
+        low_seen = 0
+        for view, _, _ in _kernel_views(rng, m):
+            w = rng.random(40).tolist()
+            pool = greedy_max_basis(view, w)  # full rank: it holds a basis
+            floor = min((w[a] for a in pool), default=math.inf)
+            pool |= {e for e in view.ground if w[e] > floor and rng.random() < 0.3}
+            thresholds = {e: w[e] - 0.1 for e in view.ground_set - pool}
+            low = {e for e, t in thresholds.items() if t <= floor}
+            low_seen += len(low)
+            direct = _blocked_one_by_one(view, pool, w, thresholds)
+            dense_thresholds = np.full(40, np.nan)
+            dense_thresholds[list(thresholds)] = list(thresholds.values())
+            for weights, candidates in ((w, thresholds), (np.array(w), dense_thresholds)):
+                asked.clear()
+                assert unblocked(view, pool, weights, candidates) == direct
+                assert not low.intersection(asked)
+        assert low_seen, family
 
 
 def _array_forms(w, size):

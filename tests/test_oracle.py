@@ -85,6 +85,12 @@ def test_gap_rejects_loops():
         gap(g, 0, [0.3, 0.6])
 
 
+@pytest.mark.parametrize("formula", [gap, gap_alt])
+def test_gap_formulas_refuse_an_unhashable_element_as_outside_the_ground(formula):
+    with pytest.raises(DomainError, match="list is unhashable"):
+        formula(UniformMatroid(3, 1), [0], [0.1, 0.2, 0.3])
+
+
 def test_gap_equals_gap_alt_random():
     rng = np.random.default_rng(7)
     checked = 0
