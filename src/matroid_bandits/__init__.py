@@ -5,7 +5,7 @@ environment, PAC / exact / average-eps identification algorithms, brute-force
 verification oracles, and a seeded Monte Carlo harness with a CLI.
 """
 
-from .avg import avg_pac_recur_elim, elimination, naive_two, val
+from .avg import avg_pac_recur_elim, elimination, naive_two
 from .exact import exact_exp_gap, round_schedule
 from .instances import (
     Instance,
@@ -65,5 +65,4 @@ __all__ = [
     "sample_size",
     "save_instance",
     "scaled",
-    "val",
 ]

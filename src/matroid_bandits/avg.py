@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError, PreconditionError
 from .matroids import (
-    ElementSet, Matroid, Weights, basis_weight, greedy_max_basis, shifted_thresholds, unblocked,
+    ElementSet, Matroid, greedy_max_basis, shifted_thresholds, unblocked,
 )
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
 from .sampling import SamplingSession, _validate, ceil_pulls, sample_size
@@ -157,18 +157,3 @@ def avg_pac_recur_elim(
     res = naive_two(session, m.restrict(current), eps / 2.0, delta / 2.0)
     return PacResult(res.basis, tuple(transcript))
 
-
-def val(m: Matroid, subset, weights: Weights) -> float | None:
-    """Average value of the best basis inside ``subset``.
-
-    Returns ``None`` when the subset cannot span a full-rank basis (the
-    conceptual minus-infinity case); callers must handle it explicitly.
-    """
-    chosen = m._as_subset(subset)
-    k = m.full_rank
-    if m.rank(chosen) < k:
-        return None
-    if k == 0:
-        return 0.0
-    best = greedy_max_basis(m.restrict(chosen), weights)
-    return basis_weight(best, weights) / k

@@ -11,7 +11,9 @@ import math
 import sys
 
 from .errors import CapacityError, ConfigError, PreconditionError, ValidationError
-from .harness import ALGORITHMS, RunConfig, profile_by_name, run_trials, write_report
+from .harness import (
+    ALGORITHMS, RunConfig, profile_by_name, report_path, run_trials, write_report,
+)
 from .instances import resolve_instance
 from .oracle import gap_profile, verify_instance
 from .pac import PROFILES
@@ -52,6 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    report_path(args.out)  # refused before any trial runs, not after
     instance = resolve_instance(args.instance)
     config = RunConfig(
         instance=instance,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import BudgetError, DomainError, InvariantError
 from .matroids import Matroid, shifted_thresholds, unblocked
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
-from .sampling import SamplingSession, sample_size
+from .sampling import SamplingSession, _check_drawable, sample_size
 
 ELIMINATION = "elimination"
 SELECTION = "selection"
@@ -41,12 +41,15 @@ class ExactRound:
 
 
 def round_schedule(r: int, delta: float) -> tuple[float, float]:
-    """Accuracy/confidence pair used in round ``r`` (halving / cubic decay)."""
+    """Accuracy/confidence pair used in round ``r`` (halving / cubic decay);
+    a round confidence that underflows to 0.0 is not drawable."""
     if not isinstance(r, int) or r < 1:
         raise DomainError("round index must be an integer >= 1")
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
-    return 2.0**-r / 4.0, delta / (100.0 * r**3)
+    delta_r = delta / (100.0 * r**3)
+    _check_drawable(delta_r)
+    return 2.0**-r / 4.0, delta_r
 
 
 def _assert_no_loops(m: Matroid) -> None:

@@ -447,6 +447,16 @@ def load_pulls(path) -> np.ndarray | tuple[tuple[int, ...], ...]:
     return matrix
 
 
+def report_path(out_path) -> Path:
+    """``out_path`` as a ``Path``; one ending in ``.csv`` is a ``ConfigError``,
+    because the CSV summary row goes to the report's path with that suffix."""
+    out_path = Path(out_path)
+    if out_path.suffix == ".csv":
+        raise ConfigError(f"report path {out_path} ends in .csv, where the CSV summary goes; "
+                          "choose another suffix, such as .json")
+    return out_path
+
+
 def write_report(result: dict, out_path) -> Path:
     """JSON report, its per-arm pulls, and a CSV summary row; a traced run's
     records go to a sidecar .jsonl. Returns the path of the pulls file.
@@ -455,8 +465,9 @@ def write_report(result: dict, out_path) -> Path:
     written piece by piece: the summary on the first line, then one trial
     per line, so that no string of the whole document is ever built. The
     ledgers go to ``.pulls.npy`` beside it, one row per trial (``load_pulls``).
+    A ``.csv`` report path is refused before anything is written (``report_path``).
     """
-    out_path = Path(out_path)
+    out_path = report_path(out_path)
     summary = result["summary"]
     reports: list[TrialReport] = result["reports"]
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -11,19 +11,18 @@ Version 1, one ``[kind, mean]`` or ``[kind, mean, [lo, hi]]`` entry per arm
 under ``arms``, is still read. Every version reads into one
 ``ArmTable.from_columns`` call.
 Generators cover the worked four-arm example, uniform-gap hard instances,
-geometric gap ladders, random graphic instances and large random uniform
-instances.
+random graphic instances and large random uniform instances.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .matroids import (
     _reading,
 )
 from .oracle import gap_profile
-from .sampling import POINT, SCALED, ArmTable, SamplingSession, trial_seed
+from .sampling import SCALED, ArmTable, SamplingSession, trial_seed
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -64,6 +63,30 @@ def matroid_from_config(cfg: dict) -> Matroid:
         if family == "transversal":
             return TransversalMatroid(cfg["n"], cfg["workers"])
     raise ValidationError(f"unknown matroid family {family!r}")
+
+
+# Partition's group members are the deepest container of any family's config.
+_CONFIG_DEPTH = 3
+_SCALARS = frozenset({int, float, str, bool, type(None)})  # kept without a call
+
+
+def _listed(value, where: str, depth: int = 0):
+    """``value`` with each tuple made a list, the form in which a saved config
+    loads back. A set, a generator or any other iterable but a list, a tuple,
+    a dict or a string is a ``ValidationError`` that names ``where``. Values
+    deeper than any family keeps a container are left for its constructor."""
+    if depth > _CONFIG_DEPTH:
+        return value
+    if isinstance(value, dict):
+        return {key: item if type(item) in _SCALARS else _listed(item, f"{where}.{key}", depth + 1)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [item if type(item) in _SCALARS else _listed(item, where, depth + 1)
+                for item in value]
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        return value
+    raise ValidationError(f"a {type(value).__name__} at {where}: "
+                          "a matroid config keeps its containers as lists")
 
 
 def _arms_from_entries(cfg: dict) -> ArmTable:
@@ -154,11 +177,6 @@ class Instance:
             self.arms, trial_seed(master_seed, trial_index), max_pulls=max_pulls
         )
 
-    def with_point_mass_arms(self) -> "Instance":
-        means = self.arms.means
-        return replace(self, name=f"{self.name}-pointmass",
-                       arms=ArmTable.from_columns((POINT,) * len(means), means))
-
     def to_config(self) -> dict:
         """The file form: version 3 for a dense table, version 2 for a smaller one."""
         dense = self.arms.dense
@@ -191,7 +209,9 @@ def make_instance(
     allow_ties: bool = False,
 ) -> Instance:
     """An instance over ``arms`` (an :class:`ArmTable`, or ``Arm`` records); a
-    ``gap_floor`` is a finite int or float, not a bool, and is kept as a float."""
+    ``gap_floor`` is a finite int or float, not a bool, and is kept as a float.
+    ``matroid_config`` is kept with its tuples as lists, so that it saves and
+    loads back unchanged; a set or a generator in it is refused (``_listed``)."""
     if not (isinstance(name, str) and isinstance(notes, str)):
         raise ValidationError(f"name and notes must be strings; got {name!r} and {notes!r}")
     if type(allow_ties) is not bool:
@@ -202,6 +222,7 @@ def make_instance(
         if not (number and -sys.float_info.max <= gap_floor <= sys.float_info.max):
             raise ValidationError(f"gap_floor must be a finite int or float, not {gap_floor!r}")
         gap_floor = float(gap_floor)
+    matroid_config = _listed(matroid_config, "matroid")
     matroid = matroid_from_config(matroid_config)
     if not isinstance(arms, ArmTable):
         arms = ArmTable.from_arms(arms)
@@ -223,7 +244,7 @@ def make_instance(
     loops = matroid.loops()
     if loops:
         raise ValidationError(f"instance matroid has loops: {sorted(loops)}")
-    inst = Instance(name, matroid, arms, dict(matroid_config), notes, gap_floor, allow_ties)
+    inst = Instance(name, matroid, arms, matroid_config, notes, gap_floor, allow_ties)
     if gap_floor is not None:
         _check_gap_floor(inst)
     return inst
@@ -307,26 +328,6 @@ def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     return _shuffled_uniform(f"uniform-gap-n{n}-k{k}", k, top + bottom, seed,
                              notes=f"all gaps within ~10% of {eps}",
                              gap_floor=0.9 * eps if n <= 20 else None)
-
-
-def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> Instance:
-    """Gaps grow geometrically from ``min_gap``, cycling to stay inside (0, 1)."""
-    n, k = _integer(n, "n"), _integer(k, "k")
-    if not 0 < k < n:
-        raise ValidationError("need 0 < k < n")
-    if not 0 < min_gap < 1:
-        raise ValidationError(f"min_gap must lie in (0, 1); got {min_gap}")
-    strata = max(1, int(math.floor(math.log2(0.8 / min_gap))))
-    eta = min_gap / (64.0 * n)
-    means = []
-    for i in range(k):
-        off = min_gap * 2.0 ** (i % strata)
-        means.append(0.5 + off - min_gap / 2.0 + i * eta)
-    for j in range(n - k):
-        off = min_gap * 2.0 ** (j % strata)
-        means.append(0.5 - off + min_gap / 2.0 - j * eta)
-    return _shuffled_uniform(f"ladder-n{n}-k{k}", k, means, seed,
-                             notes=f"geometric gap ladder, minimum gap ~{min_gap}")
 
 
 def _shuffled_uniform(name: str, k: int, means: list[float], seed, notes: str,

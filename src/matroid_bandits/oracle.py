@@ -1,7 +1,9 @@
 """Brute-force ground-truth oracles over true weights.
 
 Everything here enumerates, so hard guards cap the instance sizes. These
-functions serve tests and the harness; the algorithms never call them.
+functions serve the CLI's ``verify`` and ``gaps``, the gap-floor check of
+``make_instance``, and tests; the algorithms never call them. The
+references that only tests use live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -9,27 +11,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import CapacityError, DomainError, PreconditionError
 from .matroids import (
     ElementSet,
     Matroid,
     Weights,
-    _checked_basis,
     _unhashable,
     _weight,
-    avg_within_eps,
     basis_weight,
-    elementwise_within_eps,
     greedy_max_basis,
     is_eps_optimal,
     is_eps_optimal_modified_cost,
-    unblocked,
 )
 
 ENUMERATION_GUARD = 20
-APPROX_SUBSET_GUARD = 14
 
 
 def _guard(n: int, limit: int, what: str) -> None:
@@ -58,13 +54,6 @@ def iter_independent_sets(m: Matroid):
                 current.remove(e)
 
     yield from walk(0, set())
-
-
-def iter_bases(m: Matroid):
-    k = m.full_rank
-    for ind in iter_independent_sets(m):
-        if len(ind) == k:
-            yield ind
 
 
 def brute_force_opt(m: Matroid, weights: Weights, prune: bool = True) -> ElementSet:
@@ -185,54 +174,6 @@ class GapProfile:
 def gap_profile(m: Matroid, weights: Weights) -> GapProfile:
     opt = brute_force_opt(m, weights)
     return GapProfile({e: gap(m, e, weights) for e in m.ground}, opt)
-
-
-def is_elementwise_eps_optimal(
-    m: Matroid, basis: Iterable[int], weights: Weights, eps: float
-) -> bool:
-    """Sorted position-by-position comparison against the true optimum."""
-    bset = _checked_basis(m, basis, eps)
-    return elementwise_within_eps(bset, brute_force_opt(m, weights), weights, eps)
-
-
-def is_avg_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: float) -> bool:
-    """Mean weight within ``eps`` of the optimal mean weight."""
-    bset = _checked_basis(m, basis, eps)
-    return avg_within_eps(bset, brute_force_opt(m, weights), weights, eps)
-
-
-def is_eps_approx_subset(
-    m: Matroid, inner: Iterable[int], outer: Iterable[int], weights: Weights, eps: float
-) -> bool:
-    """True iff some independent subset of ``inner`` is eps-optimal for ``outer``."""
-    if not eps >= 0:  # NaN too
-        raise DomainError("eps must be >= 0")
-    inner_set = m._as_subset(inner)
-    outer_set = m._as_subset(outer)
-    if not inner_set <= outer_set:
-        raise DomainError("inner set must be contained in the outer set")
-    _guard(len(outer_set), APPROX_SUBSET_GUARD, "approximate-subset test")
-    m_outer = m.restrict(outer_set)
-    k = m_outer.full_rank
-    if m_outer.rank(inner_set) < k:
-        return False
-    inner_view = m_outer.restrict(inner_set) if inner_set != outer_set else m_outer
-    for candidate in iter_independent_sets(inner_view):
-        if len(candidate) == k and is_eps_optimal(m_outer, candidate, weights, eps):
-            return True
-    return False
-
-
-def count_F_good(m: Matroid, sampled: Iterable[int], weights: Weights) -> int:
-    """Number of elements not blocked by the strictly-heavier part of ``sampled``.
-
-    Weights must be distinct, so for ``a != e`` "at least as heavy" is
-    "strictly heavier".
-    """
-    _require_distinct(m, weights)
-    f_set = m._as_subset(sampled)
-    thresholds = {e: _weight(weights, e) for e in m.ground}
-    return len(unblocked(m, f_set, weights, thresholds))
 
 
 def verify_instance(instance) -> list[tuple[str, bool, str]]:

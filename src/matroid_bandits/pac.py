@@ -16,7 +16,7 @@ from .errors import BudgetError, InvariantError
 from .matroids import (
     ElementSet, Matroid, greedy_max_basis, shifted_thresholds, unblocked,
 )
-from .sampling import SamplingSession, _validate, sample_size
+from .sampling import SamplingSession, _check_drawable, _validate, sample_size
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,7 @@ def _sample_prune(
     depth: int,
     transcript: list[PruneLevel],
 ) -> ElementSet:
+    _check_drawable(delta)  # delta / 8 and delta / 4 underflow at the smallest confidences
     if depth > profile.max_depth:
         raise BudgetError(f"recursion depth guard {profile.max_depth} exceeded", "depth")
     ground = m.ground

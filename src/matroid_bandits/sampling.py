@@ -243,6 +243,12 @@ def _validate(eps: float, delta: float) -> None:
         raise DomainError("delta must lie in (0, 1)")
 
 
+def _check_drawable(delta: float) -> None:
+    """A derived confidence that underflowed to 0.0 asks for endless pulls: not drawable."""
+    if delta == 0.0:
+        raise BudgetError("confidence underflows to 0; the batch is not drawable", "drawability")
+
+
 def ceil_pulls(formula: Callable[[], float]) -> int:
     """``formula()`` pulls per arm, ceiled, minimum one; a float overflow is not drawable."""
     try:
@@ -253,7 +259,9 @@ def ceil_pulls(formula: Callable[[], float]) -> int:
 
 
 def sample_size(eps: float, delta: float) -> int:
-    """Per-arm pull count guaranteeing |empirical - true| < eps w.p. 1 - delta."""
+    """Per-arm pull count guaranteeing |empirical - true| < eps w.p. 1 - delta;
+    a ``delta`` of 0.0, which a quotient of a tiny confidence gives, is not drawable."""
+    _check_drawable(delta)
     _validate(eps, delta)
     return ceil_pulls(lambda: eps**-2 * math.log(2.0 / delta) / 2.0)
 
@@ -285,10 +293,6 @@ class SamplingSession:
     @property
     def total_samples(self) -> int:
         return self._total
-
-    def pull_counts(self) -> list[int]:
-        pulls = self._pulls
-        return pulls.tolist() if type(pulls) is np.ndarray else list(pulls)
 
     def ledger(self) -> np.ndarray | tuple[int, ...]:
         """The per-arm pull counts in the session's own form: a dense session's

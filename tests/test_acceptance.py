@@ -31,14 +31,12 @@ from matroid_bandits.matroids import (
 from matroid_bandits.oracle import (
     brute_force_opt,
     brute_force_opt_weight,
-    count_F_good,
     gap,
     gap_alt,
-    is_elementwise_eps_optimal,
-    iter_bases,
 )
 from matroid_bandits.pac import DESK, PAPER, naive_one, pac_sample_prune
 from matroid_bandits.sampling import bernoulli, point
+from reference import count_F_good, is_elementwise_eps_optimal, iter_bases, point_mass
 
 PROP1_MEANS = (0.91, 0.9, 0.89, 0.875)
 
@@ -312,7 +310,7 @@ def test_criterion_10_noiseless_end_to_end():
     algos = ("naive1", "naive2", "pac", "exact", "avgpac")
     failures = []
     for name in sorted(BUILTINS):
-        inst = builtin(name).with_point_mass_arms()
+        inst = point_mass(builtin(name))
         opt = greedy_max_basis(inst.matroid, inst.true_means)
         for algo in algos:
             config = RunConfig(inst, algo, 0.1, 0.1, 3, 10, DESK)

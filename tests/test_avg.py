@@ -18,7 +18,6 @@ from matroid_bandits.avg import (
     naive_two,
     naive_two_pull_count,
     recur_break_bound,
-    val,
 )
 from matroid_bandits.errors import DomainError, InvariantError, PreconditionError
 from matroid_bandits.harness import success_flags
@@ -27,6 +26,7 @@ from matroid_bandits.matroids import GraphicMatroid, UniformMatroid, greedy_max_
 from matroid_bandits.oracle import brute_force_opt_weight
 from matroid_bandits.pac import DESK, PAPER, PacResult
 from matroid_bandits.sampling import SamplingSession, bernoulli, point, trial_seed
+from reference import point_mass, pull_counts, val
 
 
 def test_ln_choose_matches_exact_values():
@@ -54,7 +54,7 @@ def test_naive_two_count_monotonicity(k, delta):
 
 
 def test_naive_two_point_mass_exact_and_degenerate():
-    inst = builtin("laminar6").with_point_mass_arms()
+    inst = point_mass(builtin("laminar6"))
     session = inst.trial_session(0, 0)
     res = naive_two(session, inst.matroid, 0.2, 0.1)
     assert res.basis == greedy_max_basis(inst.matroid, inst.true_means)
@@ -123,7 +123,7 @@ def test_elimination_precondition_enforced():
 
 
 def test_elimination_noiseless_preserves_value():
-    inst = big_uniform_instance(1200, 3, seed=9).with_point_mass_arms()
+    inst = point_mass(big_uniform_instance(1200, 3, seed=9))
     m = inst.matroid
     w = inst.true_means
     session = inst.trial_session(5, 0)
@@ -160,13 +160,13 @@ def test_recur_elim_base_case_is_naive_two():
     res_rec = avg_pac_recur_elim(a, inst.matroid, 0.2, 0.1, PAPER)
     res_naive = naive_two(b, inst.matroid, 0.2, 0.1)
     assert res_rec.basis == res_naive.basis
-    assert a.pull_counts() == b.pull_counts()
+    assert pull_counts(a) == pull_counts(b)
 
 
 def test_recur_elim_noiseless_value_chain():
     # dense near-substitute means: identity of the optimum is not preserved
     # by pruning, but the value chain is
-    inst = big_uniform_instance(2000, 3, seed=23).with_point_mass_arms()
+    inst = point_mass(big_uniform_instance(2000, 3, seed=23))
     m = inst.matroid
     w = inst.true_means
     session = inst.trial_session(0, 0)
@@ -237,7 +237,7 @@ def test_recur_elim_fixed_seed_output_through_elimination():
     assert [(rec.r, rec.size_before, rec.size_after) for rec in res.transcript] == [(1, 1000, 251)]
     assert sorted(res.basis) == [186, 932]
     assert session.total_samples == 95_495_200_445
-    assert _sha256(session.pull_counts()) == (
+    assert _sha256(pull_counts(session)) == (
         "f6d07f4e0430adc571ec5627f8eee7dd6f4c7d1340165a452402e3a132774cf4")
     assert len(session.draws) == 2270
     assert _sha256(session.draws) == (

@@ -9,9 +9,10 @@ from matroid_bandits.errors import BudgetError, DomainError, InvariantError
 from matroid_bandits.exact import ELIMINATION, FINAL_SELECT, SELECTION, exact_exp_gap, round_schedule
 from matroid_bandits.instances import builtin, make_instance
 from matroid_bandits.matroids import GraphicMatroid, UniformMatroid, greedy_max_basis
-from matroid_bandits.oracle import brute_force_opt, gap, iter_bases
+from matroid_bandits.oracle import brute_force_opt, gap
 from matroid_bandits.pac import DESK, PAPER
 from matroid_bandits.sampling import SamplingSession, bernoulli, point
+from reference import point_mass
 
 
 def test_round_schedule_values():
@@ -29,7 +30,7 @@ def test_round_schedule_union_bound_partial_sum():
 
 
 def test_noiseless_four_arm_trace():
-    inst = builtin("prop1").with_point_mass_arms()
+    inst = point_mass(builtin("prop1"))
     session = inst.trial_session(0, 0)
     res = exact_exp_gap(session, inst.matroid, 0.1, PAPER)
     assert res.basis == {0, 1}
@@ -41,7 +42,7 @@ def test_noiseless_four_arm_trace():
 
 def test_noiseless_rounds_are_sound_across_builtins():
     for name in ("prop1", "ladder10", "graphic_k4", "transversal5", "laminar6", "partition6"):
-        inst = builtin(name).with_point_mass_arms()
+        inst = point_mass(builtin(name))
         opt = greedy_max_basis(inst.matroid, inst.true_means)
         session = inst.trial_session(1, 0)
         res = exact_exp_gap(session, inst.matroid, 0.1, DESK)
@@ -127,12 +128,12 @@ def test_bridges_have_infinite_gap_and_are_selected():
 
 def test_isolated_elements_appearing_mid_run_are_fine():
     # one bad arm plus a bridge: the bridge is isolated from the start
-    inst = make_instance(
+    inst = point_mass(make_instance(
         "bridge-plus",
         {"family": "graphic", "num_vertices": 3,
          "edges": [[0, 1], [1, 2], [1, 2]]},
         [bernoulli(0.8), bernoulli(0.6), bernoulli(0.3)],
-    ).with_point_mass_arms()
+    ))
     session = inst.trial_session(0, 0)
     res = exact_exp_gap(session, inst.matroid, 0.1, PAPER)
     assert res.basis == {0, 1}

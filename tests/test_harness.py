@@ -35,7 +35,6 @@ from matroid_bandits.instances import (
     Instance,
     big_uniform_instance,
     builtin,
-    geometric_ladder_instance,
     instance_from_config,
     load_instance,
     make_instance,
@@ -50,6 +49,7 @@ from matroid_bandits.pac import DESK, PAPER, ConstantsProfile
 from matroid_bandits.sampling import (
     BERNOULLI, DENSE_MIN_ARMS, POINT, SCALED, ArmTable, bernoulli, point, sample_size, scaled,
 )
+from reference import geometric_ladder_instance, point_mass
 
 
 def test_builtin_prop1_values():
@@ -71,7 +71,7 @@ def test_instance_file_round_trip(tmp_path):
     assert "arms" not in cfg
     # the optional columns are left out when every arm is Bernoulli or none is scaled
     assert builtin("graphic_k4").to_config().keys().isdisjoint({"kinds", "supports"})
-    assert "supports" not in mixed.with_point_mass_arms().to_config()
+    assert "supports" not in point_mass(mixed).to_config()
     for inst in (builtin("graphic_k4"), mixed):
         path, again = tmp_path / "inst.json", tmp_path / "again.json"
         save_instance(inst, path)
@@ -255,7 +255,7 @@ def _dense_instances() -> dict[str, Instance]:
     kinds = [(BERNOULLI, POINT, SCALED)[e % 3] for e in range(n)]
     supports = [(0.05, 0.95) if kind == SCALED else None for kind in kinds]
     mixed = make_instance("dense-mixed", matroid, ArmTable.from_columns(kinds, means, supports))
-    return {"bernoulli": plain, "point": plain.with_point_mass_arms(), "mixed": mixed}
+    return {"bernoulli": plain, "point": point_mass(plain), "mixed": mixed}
 
 
 @pytest.mark.parametrize("arms", ["bernoulli", "point", "mixed"])
@@ -327,6 +327,29 @@ def test_an_instance_with_numpy_integers_in_its_config_saves_and_loads_back(tmp_
         path = tmp_path / f"{cfg['family']}.json"
         save_instance(inst, path)
         assert load_instance(path).to_config() == inst.to_config()
+
+
+def test_make_instance_keeps_only_containers_that_load_back(tmp_path):
+    arms = [bernoulli(0.2), bernoulli(0.5), bernoulli(0.7)]
+    partition = {"family": "partition", "groups": [{"members": {0, 1}, "capacity": 1},
+                                                   {"members": [2], "capacity": 1}]}
+    with pytest.raises(ValidationError, match="a set at matroid.groups.members"):
+        make_instance("set", partition, arms)
+    edges = [(0, 1), (1, 2), (2, 3)]
+    generated = {"family": "graphic", "num_vertices": 4, "edges": (e for e in edges)}
+    with pytest.raises(ValidationError, match="a generator at matroid.edges"):
+        make_instance("generator", generated, arms)
+    inst = make_instance("tuples", {"family": "graphic", "num_vertices": 4, "edges": tuple(edges)},
+                         arms)
+    assert inst.matroid_config["edges"] == [[0, 1], [1, 2], [2, 3]]
+    path = tmp_path / "tuples.json"
+    save_instance(inst, path)
+    assert load_instance(path).to_config() == inst.to_config()
+    nested = []
+    for _ in range(980):  # as deep as a JSON file loads; the walk stops where no family nests
+        nested = [nested]
+    with pytest.raises(ValidationError, match="malformed edges"):
+        make_instance("deep", {"family": "graphic", "num_vertices": 4, "edges": nested}, arms)
 
 
 def test_gap_floor_above_the_enumeration_guard_is_a_capacity_error(tmp_path, capsys):
@@ -472,7 +495,9 @@ def test_extreme_eps_and_delta_are_typed_errors(tmp_path, capsys):
     # pull counts too large for a float fail each trial with BudgetError
     for algo, eps, delta in [("naive1", "1e-200", "0.1"), ("naive2", "1e-200", "0.1"),
                              ("pac", "1e-200", "0.1"), ("avgpac", "1e-200", "0.1"),
-                             *((algo, "0.1", "1e-320") for algo in ALGORITHMS)]:
+                             *((algo, "0.1", "1e-320") for algo in ALGORITHMS),
+                             # the smallest delta: a derived confidence underflows to 0.0
+                             *((algo, "0.1", "5e-324") for algo in ALGORITHMS)]:
         assert run(algo, eps, delta) == 0
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["summary"]["failures"] == 2, (algo, eps, delta)
@@ -488,7 +513,7 @@ def test_zero_trials_is_a_valid_batch():
 
 
 def test_point_mass_runs_succeed_everywhere():
-    inst = builtin("partition6").with_point_mass_arms()
+    inst = point_mass(builtin("partition6"))
     config = RunConfig(inst, "naive1", 0.1, 0.1, 5, 3, PAPER)
     result = run_trials(config)
     assert result["summary"]["success"]["exact"]["rate"] == 1.0
@@ -780,6 +805,17 @@ def test_report_is_the_summary_and_one_trial_per_line(config, tmp_path):
     assert parsed["summary"]["failures_by_guard"] == ({"budget": 3} if starved else {})
 
 
+def test_a_csv_report_path_is_refused_before_anything_runs_or_is_written(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["run", "--instance", "builtin:prop1", "--algo", "pac", "--eps", "0.1",
+                 "--delta", "0.1", "--trials", "2", "--out", str(out)]) == 1
+    assert "ends in .csv" in capsys.readouterr().err
+    result = run_trials(RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 2, 0, PAPER))
+    with pytest.raises(ConfigError, match="ends in .csv"):
+        write_report(result, out)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_binomial_lcb_behaviour():
     assert binomial_lcb(0, 100) == 0.0
     assert binomial_lcb(0, 0) == 0.0
@@ -849,7 +885,7 @@ def test_cli_run_writes_and_names_the_pulls_sidecar(tmp_path, capsys):
 def test_cli_trace_writes_round_records(tmp_path):
     # n/k must exceed 10 and the break bound for an avgpac elimination round to run
     big = tmp_path / "big.json"
-    save_instance(big_uniform_instance(2000, 3, seed=23).with_point_mass_arms(), big)
+    save_instance(point_mass(big_uniform_instance(2000, 3, seed=23)), big)
     cases = {
         "exact": ("builtin:prop1",
                   {"schema_version", "trial", "kind", "r", "size", "n_opt", "n_bad", "changed",
@@ -921,7 +957,7 @@ _NEEDLE_TRIPLE = ({"family": "uniform", "n": 3, "k": 2}, [0.5, 0.5 + 1e-7, 0.5 +
     ("budget", builtin("prop1"), "exact", 0.1, dataclasses.replace(PAPER, pull_budget=10)),
     ("drawability", builtin("prop1"), "naive1", 1e-200, PAPER),  # the count overflows a float
     ("drawability", builtin("prop1"), "naive1", 1e-10, PAPER),  # more than 2**62 pulls
-    ("depth", builtin("prop1").with_point_mass_arms(), "pac", 0.1,
+    ("depth", point_mass(builtin("prop1")), "pac", 0.1,
      ConstantsProfile("tiny", sample_prob=0.5, base_mult=0.0, base_log_coef=1.0, max_depth=3)),
     ("elimination_round", make_instance("needle", _NEEDLE_PAIR[0], map(point, _NEEDLE_PAIR[1])),
      "exact", 0.1, dataclasses.replace(DESK, round_guard=5)),

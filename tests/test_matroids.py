@@ -27,7 +27,8 @@ from matroid_bandits.matroids import (
     shifted_thresholds,
     unblocked,
 )
-from matroid_bandits.oracle import iter_bases, iter_independent_sets
+from matroid_bandits.oracle import iter_independent_sets
+from reference import iter_bases
 
 PROP1_MEANS = (0.91, 0.9, 0.89, 0.875)
 
@@ -194,6 +195,9 @@ def test_view_composition_collapses():
     doubly = m.restrict(range(6)).restrict(range(4))
     assert doubly.ground == (0, 1, 2, 3)
     assert doubly._parent is m  # restrict(restrict(...)) keeps one layer
+    contracted = m.contract({0}).contract({1, 2})
+    assert contracted._parent is m  # contract(contract(...)) keeps one layer too
+    assert contracted._committed == {0, 1, 2}
 
     nested = m.restrict(range(7)).contract({0}).restrict({1, 2, 3}).contract({1})
     assert nested.ground == (2, 3)

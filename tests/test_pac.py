@@ -11,9 +11,9 @@ from matroid_bandits.instances import (
     big_uniform_instance, builtin, random_means, uniform_gap_instance,
 )
 from matroid_bandits.matroids import UniformMatroid, greedy_max_basis
-from matroid_bandits.oracle import count_F_good, iter_bases
 from matroid_bandits.pac import DESK, PAPER, ConstantsProfile, naive_one, pac_sample_prune
 from matroid_bandits.sampling import SamplingSession, point, trial_seed
+from reference import count_F_good, iter_bases, point_mass, pull_counts
 
 
 def point_session(means, seed=0):
@@ -68,12 +68,12 @@ def test_paper_profile_base_case_matches_naive_one():
     res_naive = naive_one(b, inst.matroid, 0.1, 0.1)
     assert res_pac.basis == res_naive.basis
     assert a.total_samples == b.total_samples
-    assert a.pull_counts() == b.pull_counts()
+    assert pull_counts(a) == pull_counts(b)
     assert len(res_pac.transcript) == 1 and res_pac.transcript[0].base_case
 
 
 def test_desk_recursion_noiseless_keeps_optimum_each_level():
-    inst = uniform_gap_instance(60, 5, 0.1, seed=2).with_point_mass_arms()
+    inst = point_mass(uniform_gap_instance(60, 5, 0.1, seed=2))
     session = inst.trial_session(3, 0)
     opt = greedy_max_basis(inst.matroid, inst.true_means)
     res = pac_sample_prune(session, inst.matroid, 0.15, 0.1, DESK)
@@ -167,7 +167,7 @@ def test_sample_scaling_quarter_eps():
 def test_depth_guard_raises_budget_error():
     profile = ConstantsProfile("tiny", sample_prob=0.5, base_mult=0.0,
                                base_log_coef=1.0, max_depth=3)
-    inst = builtin("prop1").with_point_mass_arms()
+    inst = point_mass(builtin("prop1"))
     session = inst.trial_session(1, 0)
     with pytest.raises(BudgetError):
         pac_sample_prune(session, inst.matroid, 0.1, 0.1, profile)

@@ -29,6 +29,7 @@ from matroid_bandits.sampling import (
     scaled,
     trial_seed,
 )
+from reference import point_mass, pull_counts
 
 
 def _means(batch):
@@ -270,7 +271,7 @@ def test_any_real_number_is_a_mean_or_bound():
 
 
 def test_point_mass_instance_draws_nothing():
-    inst = builtin("ladder10").with_point_mass_arms()
+    inst = point_mass(builtin("ladder10"))
     assert set(inst.arms.kinds) == {"point"} and not inst.arms.q.any()
     session = inst.trial_session(0, 0)
     assert session.uniform_sample(range(10), 10**6) == dict(enumerate(inst.true_means))
@@ -282,7 +283,7 @@ def test_point_mass_pull_is_exact():
     assert all(session.uniform_sample({0}, 1) == {0: 0.5} for _ in range(10))
     assert session.uniform_sample({0}, 1000) == {0: 0.5}
     assert session.pull_batch(0, 1000) == 0.5
-    assert session.pull_counts() == [2010]
+    assert pull_counts(session) == [2010]
 
 
 def test_bernoulli_extremes():
@@ -350,7 +351,7 @@ def test_uniform_sample_counts_and_total():
     session = SamplingSession([point(0.2), point(0.4), point(0.6), point(0.8)], seed=0)
     means = session.uniform_sample({0, 1, 2}, 185)
     assert means == {0: 0.2, 1: 0.4, 2: 0.6}
-    assert session.pull_counts() == [185, 185, 185, 0]
+    assert pull_counts(session) == [185, 185, 185, 0]
     assert session.total_samples == 555
     session.uniform_sample({3}, 185)
     assert session.total_samples == 555 + 185  # ledger additivity
@@ -361,7 +362,7 @@ def test_uniform_sample_fresh_batches():
     reference = SamplingSession([bernoulli(0.5)], seed=5)
     first = session.uniform_sample({0}, 1000)[0]
     second = session.uniform_sample({0}, 1)[0]
-    assert session.pull_counts() == [1001]
+    assert pull_counts(session) == [1001]
     assert 0.4 < first < 0.6
     # the returned mean is computed from this batch's single pull only
     assert second in (0.0, 1.0)
@@ -426,7 +427,7 @@ def test_budget_is_checked_before_drawing():
     with pytest.raises(BudgetError):
         session.pull_batch(0, 60)
     assert session.total_samples == 60
-    assert session.pull_counts() == [60]
+    assert pull_counts(session) == [60]
 
 
 def _next_draws(session):
@@ -440,7 +441,7 @@ def test_uniform_sample_over_budget_draws_nothing():
     session.uniform_sample([1], count)
     with pytest.raises(BudgetError, match="exhausted"):
         session.uniform_sample([4, 2, 0, 3], count)  # one pull over the budget
-    assert session.pull_counts() == [0, count, 0, 0, 0]
+    assert pull_counts(session) == [0, count, 0, 0, 0]
     assert session.total_samples == count
     # the refused batch took no draw from the generator
     reference = SamplingSession([bernoulli(0.5)] * 5, seed=3)
@@ -448,7 +449,7 @@ def test_uniform_sample_over_budget_draws_nothing():
     assert _next_draws(session) == _next_draws(reference)
     # a batch that exactly fits what is left is drawn
     assert len(session.uniform_sample([4, 2, 0], count)) == 3
-    assert session.pull_counts() == [count, count, count, 0, count]
+    assert pull_counts(session) == [count, count, count, 0, count]
     assert session.total_samples == 4 * count
 
 
@@ -458,12 +459,12 @@ def test_uniform_sample_refuses_an_undrawable_batch_whole():
     session = SamplingSession([point(0.2), point(0.4), bernoulli(0.5), point(0.6)], seed=0)
     with pytest.raises(BudgetError, match="not drawable"):
         session.uniform_sample(range(4), count)
-    assert session.pull_counts() == [0, 0, 0, 0]
+    assert pull_counts(session) == [0, 0, 0, 0]
     assert session.total_samples == 0
     assert _next_draws(session) == _next_draws(SamplingSession([point(0.2)], seed=0))
     # point arms alone take no draw, so any count is drawable
     assert session.uniform_sample([0, 1, 3], count) == {0: 0.2, 1: 0.4, 3: 0.6}
-    assert session.pull_counts() == [count, count, 0, count]
+    assert pull_counts(session) == [count, count, 0, count]
 
 
 def _session(arms, dense, monkeypatch, seed=13, max_pulls=None):
@@ -486,14 +487,14 @@ def test_uniform_sample_draws_what_pull_batch_per_arm_draws(monkeypatch):
                 vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
             with pytest.raises(BudgetError, match="not drawable"):
                 scalar.pull_batch(1, count)
-            assert vector.pull_counts() == [0] * len(arms)
+            assert pull_counts(vector) == [0] * len(arms)
             assert vector.total_samples == 0
         else:
             means = vector.uniform_sample([6, 0, 2, 1, 3, 4, 5, 2], count)
             assert type(means) is (np.ndarray if dense else dict)
             assert _means(means) == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
             assert list(_means(means)) == sorted(_means(means))
-        assert vector.pull_counts() == scalar.pull_counts()
+        assert pull_counts(vector) == pull_counts(scalar)
         assert vector.total_samples == scalar.total_samples
         # the generator is left where the per-arm draws leave it
         assert _next_draws(vector) == _next_draws(scalar)
@@ -511,7 +512,7 @@ def test_all_bernoulli_uniform_sample_draws_what_pull_batch_per_arm_draws(monkey
         assert type(means) is (np.ndarray if dense else dict)
         assert _means(means) == {e: scalar.pull_batch(e, count) for e in range(len(arms))}
         assert list(_means(means)) == sorted(_means(means))
-        assert vector.pull_counts() == scalar.pull_counts() == [count] * len(arms)
+        assert pull_counts(vector) == pull_counts(scalar) == [count] * len(arms)
         assert vector.total_samples == scalar.total_samples
         assert _next_draws(vector) == _next_draws(scalar)
 
@@ -553,7 +554,7 @@ def _script(session, n):
     out.append(sorted(session.random_subset(range(n), 0.6)))
     with pytest.raises(BudgetError, match="not drawable"):
         session.uniform_sample([0, 1, 2], 2**62 + 1)
-    return out, session.pull_counts(), session.total_samples, _next_draws(session)
+    return out, pull_counts(session), session.total_samples, _next_draws(session)
 
 
 @pytest.mark.parametrize("arms", [_MIXED, _BERNOULLI], ids=["mixed", "bernoulli"])
@@ -575,7 +576,7 @@ def test_non_integer_arm_ids_are_refused_before_any_draw(dense, monkeypatch):
     for bad in (1.5, 1.0, "a", True, np.bool_(True)):
         with pytest.raises(DomainError):
             session.pull_batch(bad, 3)
-    assert session.total_samples == 0 and not any(session.pull_counts())
+    assert session.total_samples == 0 and not any(pull_counts(session))
     assert _next_draws(session) == _next_draws(_session(_MIXED, dense, monkeypatch))
     twin = _session(_MIXED, dense, monkeypatch)
     numpy_ids = [np.int64(1), np.int32(4), np.uint8(2)]
@@ -637,10 +638,10 @@ def test_dense_ledger_stays_exact_past_int64():
         assert _means(means) == {e: arms[e].mean for e in elements}
         for e in elements:
             expected[e] += count
-        assert session.pull_counts() == expected
+        assert pull_counts(session) == expected
     assert session.pull_batch(9, 2**64) == arms[9].mean
     expected[9] += 2**64
-    counts = session.pull_counts()
+    counts = pull_counts(session)
     assert counts == expected and all(type(c) is int for c in counts)
     assert session.total_samples == sum(expected) > 2**64
     assert type(session.total_samples) is int
