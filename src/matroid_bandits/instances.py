@@ -251,8 +251,7 @@ def make_instance(
 
 
 def _check_gap_floor(inst: Instance) -> None:
-    profile = gap_profile(inst.matroid, inst.true_means)
-    floor = profile.min_gap()
+    floor = gap_profile(inst.matroid, inst.true_means).min_gap()
     if floor < inst.gap_floor - 1e-9:
         raise ValidationError(
             f"declared gap floor {inst.gap_floor} but actual minimum gap is {floor}"
@@ -284,6 +283,8 @@ def load_instance(path) -> Instance:
             cfg = json.load(handle)
         except ValueError as exc:  # not UTF-8 (UnicodeDecodeError), or not JSON
             raise ValidationError(f"instance file is not UTF-8 JSON: {exc}") from None
+        except RecursionError:  # json decodes nested arrays and objects recursively
+            raise ValidationError("instance file nests too deeply to decode") from None
     return instance_from_config(cfg)
 
 
@@ -327,7 +328,7 @@ def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     bottom = [0.5 - eps / 2.0 - j * eta for j in range(1, n - k + 1)]
     return _shuffled_uniform(f"uniform-gap-n{n}-k{k}", k, top + bottom, seed,
                              notes=f"all gaps within ~10% of {eps}",
-                             gap_floor=0.9 * eps if n <= 20 else None)
+                             gap_floor=0.9 * eps)
 
 
 def _shuffled_uniform(name: str, k: int, means: list[float], seed, notes: str,

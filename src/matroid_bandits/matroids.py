@@ -2,8 +2,8 @@
 
 Five concrete families (uniform, partition, laminar, graphic, transversal),
 lazy restriction/contraction views, incremental independent sets, the
-blocking predicate, greedy maximum weight basis, and optimality /
-eps-optimality checkers.
+blocking predicate, greedy maximum weight basis, per-element gaps, and
+optimality / eps-optimality checkers.
 
 Element ids are stable across views: a view exposes a subset of its parent's
 ids and never renumbers.
@@ -623,6 +623,46 @@ def greedy_max_basis(m: Matroid, weights: Weights) -> ElementSet:
 
 def basis_weight(basis: Iterable[int], weights: Weights) -> float:
     return math.fsum(_weight(weights, e) for e in basis)
+
+
+def _distinct_weights(m: Matroid, weights: Weights) -> dict[int, float]:
+    """Each element's weight, once no two of them are equal (a ``PreconditionError``)."""
+    values = {e: _weight(weights, e) for e in m.ground}
+    if len(set(values.values())) != len(values):
+        raise PreconditionError("weights must be pairwise distinct")
+    return values
+
+
+def gaps(m: Matroid, weights: Weights) -> dict[int, float]:
+    """Each element's gap, by the exchange property, with OPT the greedy basis.
+
+    e outside OPT costs w(f) - w(e), f the lightest element of e's circuit in
+    OPT + e: the one whose ``add`` first spans e as OPT grows heaviest first.
+    e in OPT costs w(e) - w(g), g the heaviest element that OPT - e does not
+    span; +inf if there is none. Ties and loops are refused as by
+    :func:`.oracle.gap`, the enumerating reference that tests pin this to.
+    """
+    w = _distinct_weights(m, weights)
+    if loops := m.loops():
+        raise DomainError(f"element {min(loops)} is a loop; its gap is undefined")
+    opt = greedy_max_basis(m, w)
+    inside = sorted(opt, key=w.__getitem__, reverse=True)  # heaviest first
+    outside = sorted(m.ground_set - opt, key=w.__getitem__, reverse=True)
+    result = dict.fromkeys(m.ground, math.inf)
+    grown, pending = m.growing(), outside
+    for f in inside:
+        grown.add(f)
+        spanned = set(filter(grown.spans, pending))
+        result.update((e, w[f] - w[e]) for e in spanned)
+        pending = [e for e in pending if e not in spanned]
+    for e in inside:
+        grown = m.growing()
+        for a in filter(e.__ne__, inside):
+            grown.add(a)
+        g = next(filterfalse(grown.spans, outside), None)
+        if g is not None:
+            result[e] = w[e] - w[g]
+    return result
 
 
 class _Marked:

@@ -1,9 +1,9 @@
-"""Brute-force ground-truth oracles over true weights.
+"""Ground-truth oracles over true weights.
 
-Everything here enumerates, so hard guards cap the instance sizes. These
-functions serve the CLI's ``verify`` and ``gaps``, the gap-floor check of
-``make_instance``, and tests; the algorithms never call them. The
-references that only tests use live in ``tests/reference.py``.
+The gap profile rests on :func:`.matroids.gaps`; everything else here
+enumerates, so hard guards cap its sizes. These serve the CLI's ``verify``
+and ``gaps``, the gap-floor check of ``make_instance``, and tests; the
+algorithms never call them. Test-only references live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -12,14 +12,16 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import CapacityError, DomainError, PreconditionError
+from .errors import CapacityError, DomainError
 from .matroids import (
     ElementSet,
     Matroid,
     Weights,
+    _distinct_weights,
     _unhashable,
     _weight,
     basis_weight,
+    gaps,
     greedy_max_basis,
     is_eps_optimal,
     is_eps_optimal_modified_cost,
@@ -31,12 +33,6 @@ ENUMERATION_GUARD = 20
 def _guard(n: int, limit: int, what: str) -> None:
     if n > limit:
         raise CapacityError(f"{what} limited to {limit} elements, got {n}")
-
-
-def _require_distinct(m: Matroid, weights: Weights) -> None:
-    values = [_weight(weights, e) for e in m.ground]
-    if len(set(values)) != len(values):
-        raise PreconditionError("weights must be pairwise distinct")
 
 
 def iter_independent_sets(m: Matroid):
@@ -105,7 +101,7 @@ def brute_force_opt_weight(m: Matroid, weights: Weights) -> float:
 def _check_gap_args(m: Matroid, e: int, weights: Weights) -> None:
     """Both gap formulas' checks: size guard, distinct weights, ``e`` in the ground, no loop."""
     _guard(m.size, ENUMERATION_GUARD, "gap computation")
-    _require_distinct(m, weights)
+    _distinct_weights(m, weights)
     try:
         inside = e in m.ground_set
     except TypeError:
@@ -168,19 +164,21 @@ class GapProfile:
     optimal: ElementSet
 
     def min_gap(self) -> float:
-        return min(self.gaps.values())
+        """The smallest gap; +inf on an empty ground, where any floor holds."""
+        return min(self.gaps.values(), default=math.inf)
 
 
 def gap_profile(m: Matroid, weights: Weights) -> GapProfile:
-    opt = brute_force_opt(m, weights)
-    return GapProfile({e: gap(m, e, weights) for e in m.ground}, opt)
+    """:func:`.matroids.gaps` and the greedy optimum; nothing is enumerated."""
+    return GapProfile(gaps(m, weights), greedy_max_basis(m, weights))
 
 
 def verify_instance(instance) -> list[tuple[str, bool, str]]:
     """Run the oracle suite on one instance; returns (check, ok, detail) rows.
 
     Enumeration-backed checks are skipped (reported as passed with a note)
-    when the instance exceeds the relevant guard.
+    when the instance exceeds the relevant guard; the gap floor is checked
+    on :func:`.matroids.gaps` above it.
     """
     m = instance.matroid
     means = instance.true_means
@@ -188,6 +186,11 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
 
     def add(name: str, ok: bool, detail: str = "") -> None:
         results.append((name, ok, detail))
+
+    def add_gap_floor(by_element: dict[int, float]) -> None:
+        if instance.gap_floor is not None:
+            floor = min(by_element.values(), default=math.inf)
+            add("gap_floor", floor >= instance.gap_floor - 1e-9, f"min gap {floor}")
 
     loops = m.loops()
     add("no_loops", not loops, f"loops={sorted(loops)}" if loops else "")
@@ -214,12 +217,12 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
         greedy = greedy_max_basis(m, means)
         brute = brute_force_opt(m, means)
         add("greedy_equals_brute_force", greedy == brute, "")
-        gaps = [(gap(m, e, means), gap_alt(m, e, means)) for e in m.ground]
-        dual = all(math.isclose(a, b, rel_tol=0, abs_tol=1e-12) for a, b in gaps)
+        kernel = gaps(m, means)
+        exact = {e: gap(m, e, means) for e in m.ground}
+        dual = all(math.isclose(exact[e], other, rel_tol=0, abs_tol=1e-12)
+                   for e in m.ground for other in (gap_alt(m, e, means), kernel[e]))
         add("gap_duality", dual, "")
-        if instance.gap_floor is not None:
-            floor = min(a for a, _ in gaps)
-            add("gap_floor", floor >= instance.gap_floor - 1e-9, f"min gap {floor}")
+        add_gap_floor(exact)
         basis = greedy
         routes = all(
             is_eps_optimal(m, basis, means, e) == is_eps_optimal_modified_cost(m, basis, means, e)
@@ -229,4 +232,6 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
     else:
         why = "instance above guard" if distinct else "means tie"
         add("greedy_equals_brute_force", True, f"skipped ({why})")
+        if distinct:
+            add_gap_floor(gaps(m, means))
     return results

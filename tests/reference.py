@@ -20,6 +20,7 @@ from matroid_bandits.matroids import (
     Matroid,
     Weights,
     _checked_basis,
+    _distinct_weights,
     _integer,
     _weight,
     avg_within_eps,
@@ -29,7 +30,7 @@ from matroid_bandits.matroids import (
     is_eps_optimal,
     unblocked,
 )
-from matroid_bandits.oracle import _guard, _require_distinct, brute_force_opt, iter_independent_sets
+from matroid_bandits.oracle import _guard, brute_force_opt, iter_independent_sets
 from matroid_bandits.sampling import POINT, ArmTable, SamplingSession
 
 APPROX_SUBSET_GUARD = 14
@@ -84,7 +85,7 @@ def count_F_good(m: Matroid, sampled: Iterable[int], weights: Weights) -> int:
     Weights must be distinct, so for ``a != e`` "at least as heavy" is
     "strictly heavier".
     """
-    _require_distinct(m, weights)
+    _distinct_weights(m, weights)
     f_set = m._as_subset(sampled)
     thresholds = {e: _weight(weights, e) for e in m.ground}
     return len(unblocked(m, f_set, weights, thresholds))

@@ -19,7 +19,7 @@ import pytest
 from matroid_bandits import harness
 from matroid_bandits.cli import main
 from matroid_bandits.errors import (
-    BudgetError, CapacityError, ConfigError, InvariantError, ValidationError,
+    BudgetError, ConfigError, InvariantError, ValidationError,
 )
 from matroid_bandits.harness import (
     ALGORITHMS,
@@ -213,6 +213,19 @@ def test_malformed_instance_files_are_validation_errors(cfg, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_a_file_nested_too_deeply_to_decode_is_a_validation_error(tmp_path, capsys):
+    deep = "[" * 5000 + "]" * 5000  # json decodes nesting recursively
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(_TWO_MEANS, notes="NOTES")).replace('"NOTES"', deep))
+    with pytest.raises(ValidationError, match="nests too deeply"):
+        load_instance(path)
+    for command in (["verify"], ["gaps"], ["run", "--algo", "naive1", "--eps", "0.1",
+                                          "--delta", "0.1", "--trials", "1",
+                                          "--out", str(tmp_path / "report.json")]):
+        assert main([*command, "--instance", str(path)]) == 1
+        assert capsys.readouterr().err == "error: instance file nests too deeply to decode\n"
+
+
 def test_a_file_that_is_not_utf8_json_is_a_validation_error(tmp_path, capsys):
     text = json.dumps(_TWO_MEANS)
     for name, data in (("utf16", text.encode("utf-16")), ("cut", text[:-1].encode())):
@@ -352,14 +365,34 @@ def test_make_instance_keeps_only_containers_that_load_back(tmp_path):
         make_instance("deep", {"family": "graphic", "num_vertices": 4, "edges": nested}, arms)
 
 
-def test_gap_floor_above_the_enumeration_guard_is_a_capacity_error(tmp_path, capsys):
-    cfg = dict(big_uniform_instance(21, 3, seed=4).to_config(), gap_floor=0.001)
-    with pytest.raises(CapacityError):
-        instance_from_config(cfg)
-    path = tmp_path / "gap21.json"
+@pytest.mark.parametrize("n", [21, 1000])
+def test_gap_floor_is_checked_above_the_enumeration_guard(n, tmp_path, capsys):
+    inst = big_uniform_instance(n, 3, seed=4)
+    cfg = inst.to_config()
+    top = sorted(inst.true_means, reverse=True)
+    floor = top[2] - top[3]  # pick 3: the least gap is the 3rd mean less the 4th
+    with pytest.raises(ValidationError, match="actual minimum gap"):
+        instance_from_config(dict(cfg, gap_floor=floor + 1e-6))
+    cfg["gap_floor"] = floor
+    assert instance_from_config(cfg).gap_floor == floor
+    path = tmp_path / f"gap{n}.json"
     path.write_text(json.dumps(cfg))
-    assert main(["verify", "--instance", str(path)]) == 1
-    assert "limited to 20 elements" in capsys.readouterr().err
+    assert main(["verify", "--instance", str(path)]) == 0
+    assert f"PASS gap_floor (min gap {floor})" in capsys.readouterr().out
+    assert main(["gaps", "--instance", str(path)]) == 0
+    arms = [line for line in capsys.readouterr().out.splitlines() if line.startswith("arm ")]
+    assert [line.split(":")[0] for line in arms] == [f"arm {e}" for e in range(n)]
+
+
+def test_an_empty_instance_holds_any_gap_floor(tmp_path, capsys):
+    inst = make_instance("empty", {"family": "uniform", "n": 0, "k": 0}, [], gap_floor=0.1)
+    assert gap_profile(inst.matroid, inst.true_means).min_gap() == float("inf")
+    path = tmp_path / "empty.json"
+    save_instance(inst, path)
+    assert main(["gaps", "--instance", str(path)]) == 0
+    assert capsys.readouterr().out == "instance empty: rank 0, 0 arms\n"
+    assert main(["verify", "--instance", str(path)]) == 0
+    assert "PASS gap_floor (min gap inf)" in capsys.readouterr().out
 
 
 _ALL_COLOOPS = {"family": "uniform", "n": 3, "k": 3}  # every gap is infinite

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import FAMILY_NAMES, loop_free, random_distinct_weights, random_matroid
+from matroid_bandits import oracle
 from matroid_bandits.errors import CapacityError, DomainError, PreconditionError
-from matroid_bandits.instances import builtin
+from matroid_bandits.instances import builtin, make_instance
 from matroid_bandits.matroids import (
     GraphicMatroid,
     UniformMatroid,
+    gaps,
     greedy_max_basis,
     is_eps_optimal,
     is_eps_optimal_modified_cost,
@@ -20,6 +22,7 @@ from matroid_bandits.oracle import (
     gap_profile,
     verify_instance,
 )
+from matroid_bandits.sampling import bernoulli
 from reference import (
     count_F_good,
     is_avg_eps_optimal,
@@ -109,6 +112,86 @@ def test_gap_equals_gap_alt_random():
                 assert (a == b == math.inf) or abs(a - b) <= 1e-12
                 checked += 1
     assert checked > 300
+
+
+def _matroids_and_views(rng, family: str, n: int, allow_loops: bool = False):
+    """A random matroid of ``family``, a restriction of it and a contraction of it."""
+    m = random_matroid(rng, family, n, allow_loops=allow_loops)
+    keep = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+    basis = sorted(greedy_max_basis(m, random_distinct_weights(rng, n)))
+    committed = basis[: int(rng.integers(1, len(basis) + 1))] if basis else []
+    return {"matroid": m, "restriction": m.restrict(keep), "contraction": m.contract(committed)}
+
+
+def test_gaps_equal_both_enumerating_formulas_on_every_family_and_view():
+    rng = np.random.default_rng(29)
+    checked = {}
+    for family in FAMILY_NAMES:
+        for _ in range(40):
+            n = int(rng.integers(3, 11))
+            w = random_distinct_weights(rng, n)
+            for form, m in _matroids_and_views(rng, family, n).items():
+                if not loop_free(m):
+                    continue
+                kernel = gaps(m, w)
+                assert list(kernel) == list(m.ground)
+                for e in m.ground:
+                    assert kernel[e] == gap_alt(m, e, w), (family, form, e)
+                    assert math.isclose(kernel[e], gap(m, e, w), rel_tol=0, abs_tol=1e-12)
+                checked[family, form] = checked.get((family, form), 0) + m.size
+    assert len(checked) == 15 and sum(checked.values()) > 2000
+    assert min(checked.values()) > 20
+
+
+def test_gaps_refuse_loops_and_ties_as_the_enumerating_gap_does():
+    rng = np.random.default_rng(31)
+    refused = {DomainError: 0, PreconditionError: 0}
+    for family in FAMILY_NAMES:
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            w = random_distinct_weights(rng, n)
+            tied = [*w[:-1], w[0]]
+            for m in _matroids_and_views(rng, family, n, allow_loops=True).values():
+                for weights, error in ((w, DomainError), (tied, PreconditionError)):
+                    if error is DomainError and loop_free(m):
+                        continue
+                    if error is PreconditionError and not {0, n - 1} <= m.ground_set:
+                        continue
+                    with pytest.raises(error) as kernel:
+                        gaps(m, weights)
+                    with pytest.raises(error) as reference:
+                        gap(m, m.ground[0] if error is PreconditionError else min(m.loops()),
+                            weights)
+                    assert str(kernel.value) == str(reference.value)
+                    refused[error] += 1
+    assert min(refused.values()) >= 30
+
+
+def test_gaps_of_a_large_uniform_matroid_are_the_pick_k_differences():
+    rng = np.random.default_rng(37)
+    n, k = 5000, 20
+    w = rng.random(n).tolist()
+    top = sorted(w, reverse=True)
+    kernel = gaps(UniformMatroid(n, k), w)
+    assert kernel == {e: w[e] - top[k] if w[e] >= top[k - 1] else top[k - 1] - w[e]
+                      for e in range(n)}
+
+
+def test_the_gap_floor_check_and_the_profile_never_enumerate(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(oracle, "brute_force_opt", no_enumeration)
+    inst = builtin("ladder10")
+    assert inst.gap_floor == 0.05
+    profile = gap_profile(inst.matroid, inst.true_means)
+    assert profile.optimal == {0, 1, 2} and profile.min_gap() == pytest.approx(0.05, abs=1e-12)
+    with pytest.raises(AssertionError, match="enumerated"):
+        gap(inst.matroid, 0, inst.true_means)
+    wide = make_instance("wide", {"family": "uniform", "n": 600, "k": 7},
+                         [bernoulli(mu) for mu in np.linspace(0.1, 0.9, 600).tolist()],
+                         gap_floor=0.8 / 599 - 1e-9)
+    assert wide.size == 600
 
 
 def test_gap_profile_flags_membership():
