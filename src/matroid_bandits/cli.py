@@ -1,6 +1,7 @@
 """Command-line face: ``run`` trials, ``verify`` an instance, print ``gaps``.
 
 Exit codes: 0 on completion, 1 on configuration problems, 2 on I/O errors.
+A reader that closes stdout early ends the output quietly, with the same code.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .errors import CapacityError, ConfigError, PreconditionError, ValidationError
@@ -15,7 +17,8 @@ from .harness import (
     ALGORITHMS, RunConfig, profile_by_name, report_path, run_trials, write_report,
 )
 from .instances import resolve_instance
-from .oracle import gap_profile, verify_instance
+from .matroids import gaps, greedy_max_basis
+from .oracle import verify_instance
 from .pac import PROFILES
 
 
@@ -53,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, list[str]]:
     report_path(args.out)  # refused before any trial runs, not after
     instance = resolve_instance(args.instance)
     config = RunConfig(
@@ -70,55 +73,55 @@ def _cmd_run(args) -> int:
     result = run_trials(config)
     pulls_path = write_report(result, args.out)
     summary = result["summary"]
-    print(json.dumps(summary["success"], indent=2, sort_keys=True))
-    print(f"samples: {summary['samples']}")
-    print(f"report written to {args.out}, per-arm pulls to {pulls_path}")
-    return 0
+    return 0, [json.dumps(summary["success"], indent=2, sort_keys=True),
+               f"samples: {summary['samples']}",
+               f"report written to {args.out}, per-arm pulls to {pulls_path}"]
 
 
-def _cmd_verify(args) -> int:
-    instance = resolve_instance(args.instance)
-    rows = verify_instance(instance)
-    all_ok = True
-    for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"{status} {name}{suffix}")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 1
+def _cmd_verify(args) -> tuple[int, list[str]]:
+    rows = verify_instance(resolve_instance(args.instance))
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else "")
+             for name, ok, detail in rows]
+    return (0 if all(ok for _, ok, _ in rows) else 1), lines
 
 
-def _cmd_gaps(args) -> int:
+def _cmd_gaps(args) -> tuple[int, list[str]]:
     instance = resolve_instance(args.instance)
     m = instance.matroid
     means = instance.true_means
-    profile = gap_profile(m, means)
-    print(f"instance {instance.name}: rank {m.full_rank}, {m.size} arms")
+    by_arm, optimal = gaps(m, means), greedy_max_basis(m, means)
+    lines = [f"instance {instance.name}: rank {m.full_rank}, {m.size} arms"]
     for e in m.ground:
-        value = profile.gaps[e]
+        value = by_arm[e]
         shown = "inf" if math.isinf(value) else f"{value:.6g}"
-        member = "optimal" if e in profile.optimal else "suboptimal"
-        print(f"arm {e}: mean {means[e]:.6g}  gap {shown}  ({member})")
-    return 0
+        member = "optimal" if e in optimal else "suboptimal"
+        lines.append(f"arm {e}: mean {means[e]:.6g}  gap {shown}  ({member})")
+    return 0, lines
+
+
+_COMMANDS = {"run": _cmd_run, "verify": _cmd_verify, "gaps": _cmd_gaps}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "gaps":
-            return _cmd_gaps(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        code, lines = _COMMANDS[args.command](args)
     except (ConfigError, ValidationError, CapacityError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone: what is left, and the exit's flush, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -36,8 +37,8 @@ from .matroids import (
     UniformMatroid,
     _integer,
     _reading,
+    gaps,
 )
-from .oracle import gap_profile
 from .sampling import SCALED, ArmTable, SamplingSession, trial_seed
 
 
@@ -171,6 +172,13 @@ class Instance:
     def true_means(self) -> tuple[float, ...]:
         return self.arms.means
 
+    def gap_floor_check(self) -> tuple[bool, float]:
+        """Whether the arms' gaps (:func:`.matroids.gaps`) hold the declared
+        ``gap_floor``, up to a rounding tolerance, and their minimum: +inf on
+        an empty ground, where any floor holds."""
+        least = min(gaps(self.matroid, self.true_means).values(), default=math.inf)
+        return least >= self.gap_floor - 1e-9, least
+
     def trial_session(self, master_seed: int, trial_index: int,
                       max_pulls: int | None = None) -> SamplingSession:
         return SamplingSession(
@@ -239,23 +247,23 @@ def make_instance(
     if len(means) and not 0.0 < means[0] <= means[-1] < 1.0:
         mu = means[0] if means[0] <= 0.0 else means[-1]
         raise ValidationError(f"instance means must lie in (0, 1); got {mu}")
-    if not allow_ties and np.count_nonzero(means[1:] == means[:-1]):
+    tied = np.count_nonzero(means[1:] == means[:-1])
+    if tied and not allow_ties:
         raise ValidationError("instance means must be pairwise distinct")
+    if tied and gap_floor is not None:
+        raise ValidationError("a gap_floor needs pairwise distinct means; "
+                              "with allow_ties and tied means, declare none")
     loops = matroid.loops()
     if loops:
         raise ValidationError(f"instance matroid has loops: {sorted(loops)}")
     inst = Instance(name, matroid, arms, matroid_config, notes, gap_floor, allow_ties)
     if gap_floor is not None:
-        _check_gap_floor(inst)
+        holds, least = inst.gap_floor_check()
+        if not holds:
+            raise ValidationError(
+                f"declared gap floor {gap_floor} but actual minimum gap is {least}"
+            )
     return inst
-
-
-def _check_gap_floor(inst: Instance) -> None:
-    floor = gap_profile(inst.matroid, inst.true_means).min_gap()
-    if floor < inst.gap_floor - 1e-9:
-        raise ValidationError(
-            f"declared gap floor {inst.gap_floor} but actual minimum gap is {floor}"
-        )
 
 
 def instance_from_config(cfg: dict) -> Instance:

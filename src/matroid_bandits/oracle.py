@@ -1,16 +1,15 @@
-"""Ground-truth oracles over true weights.
+"""Ground-truth oracles over true weights, by enumeration.
 
-The gap profile rests on :func:`.matroids.gaps`; everything else here
-enumerates, so hard guards cap its sizes. These serve the CLI's ``verify``
-and ``gaps``, the gap-floor check of ``make_instance``, and tests; the
-algorithms never call them. Test-only references live in ``tests/reference.py``.
+Hard guards cap the sizes they enumerate. They serve the CLI's ``verify``
+and tests; the algorithms and the instance checks never call them. Per-arm
+gaps at every size come from :func:`.matroids.gaps`; test-only references
+live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError
 from .matroids import (
@@ -52,12 +51,13 @@ def iter_independent_sets(m: Matroid):
     yield from walk(0, set())
 
 
-def brute_force_opt(m: Matroid, weights: Weights, prune: bool = True) -> ElementSet:
+def brute_force_opt(m: Matroid, weights: Weights) -> ElementSet:
     """Maximum-weight basis by exhaustive search over independent sets.
 
-    ``prune`` enables an admissible branch-and-bound cutoff (sum of the
-    largest remaining weights); disable it for a pure enumeration.
-    Deterministic under ties (first maximum found in id-sorted DFS order).
+    An admissible branch-and-bound cutoff (sum of the largest remaining
+    weights) skips branches that cannot win; tests pin it to a pure
+    enumeration. Deterministic under ties (first maximum found in id-sorted
+    DFS order).
     """
     _guard(m.size, ENUMERATION_GUARD, "brute-force optimum")
     k = m.full_rank
@@ -79,10 +79,8 @@ def brute_force_opt(m: Matroid, weights: Weights, prune: bool = True) -> Element
             best_set = frozenset(current)
         if idx == len(order) or len(current) == k:
             return
-        if prune and bound(idx, current_weight, len(current)) <= best_weight - 1e-15:
-            return
         for j in range(idx, len(order)):
-            if prune and bound(j, current_weight, len(current)) <= best_weight - 1e-15:
+            if bound(j, current_weight, len(current)) <= best_weight - 1e-15:
                 return
             e = order[j]
             if m.is_independent(current | {e}):
@@ -92,10 +90,6 @@ def brute_force_opt(m: Matroid, weights: Weights, prune: bool = True) -> Element
 
     walk(0, set(), 0.0)
     return best_set
-
-
-def brute_force_opt_weight(m: Matroid, weights: Weights) -> float:
-    return basis_weight(brute_force_opt(m, weights), weights)
 
 
 def _check_gap_args(m: Matroid, e: int, weights: Weights) -> None:
@@ -124,9 +118,10 @@ def gap(m: Matroid, e: int, weights: Weights) -> float:
     opt = brute_force_opt(m, weights)
     opt_weight = basis_weight(opt, weights)
     if e in opt:
-        return opt_weight - brute_force_opt_weight(m.restrict(m.ground_set - {e}), weights)
-    forced = m.contract({e})
-    return opt_weight - (brute_force_opt_weight(forced, weights) + _weight(weights, e))
+        rest = brute_force_opt(m.restrict(m.ground_set - {e}), weights)
+        return opt_weight - basis_weight(rest, weights)
+    forced = brute_force_opt(m.contract({e}), weights)
+    return opt_weight - (basis_weight(forced, weights) + _weight(weights, e))
 
 
 def gap_alt(m: Matroid, e: int, weights: Weights) -> float:
@@ -156,29 +151,12 @@ def gap_alt(m: Matroid, e: int, weights: Weights) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class GapProfile:
-    """Per-element gaps plus optimal-basis membership."""
-
-    gaps: dict[int, float]
-    optimal: ElementSet
-
-    def min_gap(self) -> float:
-        """The smallest gap; +inf on an empty ground, where any floor holds."""
-        return min(self.gaps.values(), default=math.inf)
-
-
-def gap_profile(m: Matroid, weights: Weights) -> GapProfile:
-    """:func:`.matroids.gaps` and the greedy optimum; nothing is enumerated."""
-    return GapProfile(gaps(m, weights), greedy_max_basis(m, weights))
-
-
 def verify_instance(instance) -> list[tuple[str, bool, str]]:
     """Run the oracle suite on one instance; returns (check, ok, detail) rows.
 
     Enumeration-backed checks are skipped (reported as passed with a note)
     when the instance exceeds the relevant guard; the gap floor is checked
-    on :func:`.matroids.gaps` above it.
+    at every size, by :meth:`.instances.Instance.gap_floor_check`.
     """
     m = instance.matroid
     means = instance.true_means
@@ -187,10 +165,10 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
     def add(name: str, ok: bool, detail: str = "") -> None:
         results.append((name, ok, detail))
 
-    def add_gap_floor(by_element: dict[int, float]) -> None:
+    def add_gap_floor() -> None:
         if instance.gap_floor is not None:
-            floor = min(by_element.values(), default=math.inf)
-            add("gap_floor", floor >= instance.gap_floor - 1e-9, f"min gap {floor}")
+            holds, least = instance.gap_floor_check()
+            add("gap_floor", holds, f"min gap {least}")
 
     loops = m.loops()
     add("no_loops", not loops, f"loops={sorted(loops)}" if loops else "")
@@ -222,7 +200,7 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
         dual = all(math.isclose(exact[e], other, rel_tol=0, abs_tol=1e-12)
                    for e in m.ground for other in (gap_alt(m, e, means), kernel[e]))
         add("gap_duality", dual, "")
-        add_gap_floor(exact)
+        add_gap_floor()
         basis = greedy
         routes = all(
             is_eps_optimal(m, basis, means, e) == is_eps_optimal_modified_cost(m, basis, means, e)
@@ -232,6 +210,5 @@ def verify_instance(instance) -> list[tuple[str, bool, str]]:
     else:
         why = "instance above guard" if distinct else "means tie"
         add("greedy_equals_brute_force", True, f"skipped ({why})")
-        if distinct:
-            add_gap_floor(gaps(m, means))
+        add_gap_floor()
     return results

@@ -410,10 +410,13 @@ class SamplingSession:
                          for e in ids])
 
     def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int]:
-        """Keep each element independently with probability ``p``."""
+        """Keep each element independently with probability ``p``; an id that
+        is not an integer, or not an arm, is refused as by ``uniform_sample``."""
         if not 0.0 <= p <= 1.0:
             raise DomainError("p must lie in [0, 1]")
         ids = _sorted_ids(elements, self._dense)
+        if len(ids):
+            self._check_ends(ids[0], ids[-1])
         keep = self._rng.random(len(ids)) < p
         return frozenset(ids[keep].tolist() if self._dense else compress(ids, keep.tolist()))
 

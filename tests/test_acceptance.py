@@ -23,17 +23,13 @@ from matroid_bandits.harness import (
 from matroid_bandits.instances import BUILTINS, big_uniform_instance, builtin, make_instance, uniform_gap_instance
 from matroid_bandits.matroids import (
     UniformMatroid,
+    basis_weight,
     greedy_max_basis,
     is_eps_optimal,
     is_eps_optimal_modified_cost,
     is_optimal_basis,
 )
-from matroid_bandits.oracle import (
-    brute_force_opt,
-    brute_force_opt_weight,
-    gap,
-    gap_alt,
-)
+from matroid_bandits.oracle import brute_force_opt, gap, gap_alt
 from matroid_bandits.pac import DESK, PAPER, naive_one, pac_sample_prune
 from matroid_bandits.sampling import bernoulli, point
 from reference import count_F_good, is_elementwise_eps_optimal, iter_bases, point_mass
@@ -145,7 +141,7 @@ def test_criterion_04_optimality_characterizations_on_all_bases():
                 continue
             w = random_distinct_weights(rng, n)
             greedy = greedy_max_basis(m, w)
-            opt_weight = brute_force_opt_weight(m, w)
+            opt_weight = basis_weight(brute_force_opt(m, w), w)
             for basis in iter_bases(m):
                 bases_checked += 1
                 cond_weight = abs(sum(w[e] for e in basis) - opt_weight) <= 1e-12

@@ -22,8 +22,8 @@ from matroid_bandits.avg import (
 from matroid_bandits.errors import DomainError, InvariantError, PreconditionError
 from matroid_bandits.harness import success_flags
 from matroid_bandits.instances import big_uniform_instance, builtin, make_instance
-from matroid_bandits.matroids import GraphicMatroid, UniformMatroid, greedy_max_basis
-from matroid_bandits.oracle import brute_force_opt_weight
+from matroid_bandits.matroids import GraphicMatroid, UniformMatroid, basis_weight, greedy_max_basis
+from matroid_bandits.oracle import brute_force_opt
 from matroid_bandits.pac import DESK, PAPER, PacResult
 from matroid_bandits.sampling import SamplingSession, bernoulli, point, trial_seed
 from reference import point_mass, pull_counts, val
@@ -88,7 +88,7 @@ def test_val_matches_brute_force():
             assert got is None
         else:
             assert got == pytest.approx(
-                brute_force_opt_weight(m.restrict(subset), w) / k, abs=1e-12
+                basis_weight(brute_force_opt(m.restrict(subset), w), w) / k, abs=1e-12
             )
 
 

@@ -43,8 +43,7 @@ from matroid_bandits.instances import (
     save_instance,
     uniform_gap_instance,
 )
-from matroid_bandits.matroids import GraphicMatroid, UniformMatroid
-from matroid_bandits.oracle import gap_profile
+from matroid_bandits.matroids import GraphicMatroid, UniformMatroid, gaps
 from matroid_bandits.pac import DESK, PAPER, ConstantsProfile
 from matroid_bandits.sampling import (
     BERNOULLI, DENSE_MIN_ARMS, POINT, SCALED, ArmTable, bernoulli, point, sample_size, scaled,
@@ -384,9 +383,39 @@ def test_gap_floor_is_checked_above_the_enumeration_guard(n, tmp_path, capsys):
     assert [line.split(":")[0] for line in arms] == [f"arm {e}" for e in range(n)]
 
 
+@pytest.mark.parametrize("make", [lambda: builtin("ladder10"),
+                                  lambda: uniform_gap_instance(1000, 10, 0.1)],
+                         ids=["ladder10", "uniform-1000"])
+def test_make_instance_and_verify_agree_at_the_floor(make, tmp_path, capsys):
+    inst = make()
+    least = min(gaps(inst.matroid, inst.true_means).values())
+    cfg = inst.to_config()
+    with pytest.raises(ValidationError, match="actual minimum gap"):
+        instance_from_config(dict(cfg, gap_floor=least + 1e-6))
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps(dict(cfg, gap_floor=least)))
+    assert main(["verify", "--instance", str(path)]) == 0
+    assert f"PASS gap_floor (min gap {least})\n" in capsys.readouterr().out
+
+
+def test_a_gap_floor_on_tied_means_is_a_validation_error(tmp_path):
+    arms = [bernoulli(0.2), bernoulli(0.4), bernoulli(0.4)]
+    config = {"family": "uniform", "n": 3, "k": 1}
+    with pytest.raises(ValidationError, match="gap_floor.*allow_ties"):
+        make_instance("tied", config, arms, gap_floor=0.01, allow_ties=True)
+    tied = make_instance("tied", config, arms, allow_ties=True)
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps(dict(tied.to_config(), gap_floor=0.01)))
+    with pytest.raises(ValidationError, match="gap_floor.*allow_ties"):
+        load_instance(path)
+    untied = make_instance("untied", config, arms[:2] + [bernoulli(0.3)],
+                           gap_floor=0.1, allow_ties=True)
+    assert untied.gap_floor_check() == (True, pytest.approx(0.1))
+
+
 def test_an_empty_instance_holds_any_gap_floor(tmp_path, capsys):
     inst = make_instance("empty", {"family": "uniform", "n": 0, "k": 0}, [], gap_floor=0.1)
-    assert gap_profile(inst.matroid, inst.true_means).min_gap() == float("inf")
+    assert inst.gap_floor_check() == (True, float("inf"))
     path = tmp_path / "empty.json"
     save_instance(inst, path)
     assert main(["gaps", "--instance", str(path)]) == 0
@@ -425,8 +454,7 @@ def test_a_gap_floor_is_kept_as_a_float_and_loads_back_equal(gap_floor, tmp_path
 
 def test_uniform_gap_generator_hits_target_band():
     inst = uniform_gap_instance(20, 4, 0.1, seed=1)
-    profile = gap_profile(inst.matroid, inst.true_means)
-    assert all(0.09 <= g <= 0.11 for g in profile.gaps.values())
+    assert all(0.09 <= g <= 0.11 for g in gaps(inst.matroid, inst.true_means).values())
 
 
 def test_generators_are_reproducible():
@@ -436,8 +464,7 @@ def test_generators_are_reproducible():
     c = geometric_ladder_instance(12, 3, 0.05, seed=7)
     d = geometric_ladder_instance(12, 3, 0.05, seed=7)
     assert c.to_config() == d.to_config()
-    prof = gap_profile(c.matroid, c.true_means)
-    assert prof.min_gap() >= 0.05 - 1e-9
+    assert min(gaps(c.matroid, c.true_means).values()) >= 0.05 - 1e-9
 
 
 @pytest.mark.parametrize("make", [
@@ -881,6 +908,39 @@ def test_cli_import_loads_numpy_random_but_not_scipy():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout.split() == ["False", "True"]
+
+
+def test_importing_the_package_leaves_the_enumerating_oracle_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, matroid_bandits; print('matroid_bandits.oracle' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.split() == ["False"]
+
+
+_FAILING_VERIFY = "cli.verify_instance = lambda instance: [('forced', False, '')]; "
+
+
+@pytest.mark.parametrize("patch, argv, code", [
+    ("", ["gaps", "--instance", "builtin:ladder10"], 0),
+    ("", ["verify", "--instance", "builtin:ladder10"], 0),
+    (_FAILING_VERIFY, ["verify", "--instance", "builtin:prop1"], 1),
+    ("", ["run", "--instance", "builtin:prop1", "--algo", "naive1", "--eps", "0.2",
+          "--delta", "0.1", "--trials", "2", "--out", "{out}"], 0),
+], ids=["gaps", "verify-pass", "verify-fail", "run"])
+def test_a_closed_stdout_ends_the_output_quietly_with_the_same_code(patch, argv, code, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [arg.format(out=tmp_path / "report.json") for arg in argv]
+    probe = f"import sys; from matroid_bandits import cli; {patch}sys.exit(cli.main({argv!r}))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes a byte
+    try:
+        done = subprocess.run([sys.executable, "-c", probe], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, "")
 
 
 def test_cli_run_and_gaps_and_verify(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import FAMILY_NAMES, loop_free, random_distinct_weights, random_matroid
 from matroid_bandits import oracle
+from matroid_bandits.cli import main
 from matroid_bandits.errors import CapacityError, DomainError, PreconditionError
 from matroid_bandits.instances import builtin, make_instance
 from matroid_bandits.matroids import (
@@ -15,13 +16,7 @@ from matroid_bandits.matroids import (
     is_eps_optimal,
     is_eps_optimal_modified_cost,
 )
-from matroid_bandits.oracle import (
-    brute_force_opt,
-    gap,
-    gap_alt,
-    gap_profile,
-    verify_instance,
-)
+from matroid_bandits.oracle import brute_force_opt, gap, gap_alt, verify_instance
 from matroid_bandits.sampling import bernoulli
 from reference import (
     count_F_good,
@@ -55,7 +50,8 @@ def test_brute_force_pruning_matches_pure_enumeration():
             n = int(rng.integers(3, 9))
             m = random_matroid(rng, family, n, allow_loops=True)
             w = random_distinct_weights(rng, n)
-            assert brute_force_opt(m, w, prune=True) == brute_force_opt(m, w, prune=False)
+            heaviest = max(iter_bases(m), key=lambda b: math.fsum(w[e] for e in b))
+            assert brute_force_opt(m, w) == heaviest
 
 
 def test_greedy_agrees_with_brute_force():
@@ -177,15 +173,16 @@ def test_gaps_of_a_large_uniform_matroid_are_the_pick_k_differences():
                       for e in range(n)}
 
 
-def test_the_gap_floor_check_and_the_profile_never_enumerate(monkeypatch):
+def test_the_gap_floor_check_and_the_profile_never_enumerate(monkeypatch, capsys):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(oracle, "brute_force_opt", no_enumeration)
     inst = builtin("ladder10")
     assert inst.gap_floor == 0.05
-    profile = gap_profile(inst.matroid, inst.true_means)
-    assert profile.optimal == {0, 1, 2} and profile.min_gap() == pytest.approx(0.05, abs=1e-12)
+    assert inst.gap_floor_check() == (True, pytest.approx(0.05, abs=1e-12))
+    assert main(["gaps", "--instance", "builtin:ladder10"]) == 0
+    assert capsys.readouterr().out.count("(optimal)") == 3
     with pytest.raises(AssertionError, match="enumerated"):
         gap(inst.matroid, 0, inst.true_means)
     wide = make_instance("wide", {"family": "uniform", "n": 600, "k": 7},
@@ -194,11 +191,14 @@ def test_the_gap_floor_check_and_the_profile_never_enumerate(monkeypatch):
     assert wide.size == 600
 
 
-def test_gap_profile_flags_membership():
-    profile = gap_profile(prop1_matroid(), PROP1_MEANS)
-    assert profile.optimal == {0, 1}
-    assert profile.min_gap() == pytest.approx(0.01, abs=1e-12)
-    assert all(v > 0 for v in profile.gaps.values())
+def test_gap_profile_flags_membership(capsys):
+    assert main(["gaps", "--instance", "builtin:prop1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "arm 0: mean 0.91  gap 0.02  (optimal)",
+        "arm 1: mean 0.9  gap 0.01  (optimal)",
+        "arm 2: mean 0.89  gap 0.01  (suboptimal)",
+        "arm 3: mean 0.875  gap 0.025  (suboptimal)",
+    ]
 
 
 def test_elementwise_examples():

@@ -407,7 +407,7 @@ def test_trial_seed_derivation_is_stable():
 
 
 def test_random_subset_probability():
-    session = SamplingSession([point(0.5)], seed=1)
+    session = SamplingSession([point(0.5)] * 200, seed=1)
     sizes = [len(session.random_subset(range(200), 0.3)) for _ in range(200)]
     assert abs(np.mean(sizes) - 60) < 4 * math.sqrt(200 * 0.3 * 0.7 / 200) + 1
 
@@ -431,8 +431,8 @@ def test_budget_is_checked_before_drawing():
 
 
 def _next_draws(session):
-    """The generator's next draws, read through the session's own subset draw."""
-    return session.random_subset(range(50), 0.5)
+    """The generator's next 50 draws, read through the session's own subset draw of arm 0."""
+    return [bool(session.random_subset([0], 0.5)) for _ in range(50)]
 
 
 def test_uniform_sample_over_budget_draws_nothing():
@@ -582,6 +582,21 @@ def test_non_integer_arm_ids_are_refused_before_any_draw(dense, monkeypatch):
     numpy_ids = [np.int64(1), np.int32(4), np.uint8(2)]
     assert _means(session.uniform_sample(numpy_ids, 3)) == _means(twin.uniform_sample([1, 4, 2], 3))
     assert session.pull_batch(np.int64(6), 5) == twin.pull_batch(6, 5)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["reference", "dense"])
+def test_random_subset_refuses_ids_that_are_not_arms(dense, monkeypatch):
+    session = _session(_MIXED, dense, monkeypatch)
+    twin = _session(_MIXED, dense, monkeypatch)
+    n = len(_MIXED)
+    for bad in ([5, n + 2], [-1, 3], np.array([n]), [1.5]):
+        with pytest.raises(DomainError):
+            session.random_subset(bad, 0.5)
+    assert _next_draws(session) == _next_draws(twin)
+    assert session.random_subset(range(n), 0.5) == twin.random_subset(range(n), 0.5)
+    small = SamplingSession(ArmTable.from_columns(None, [0.5, 0.6]), 0)
+    with pytest.raises(DomainError, match="unknown arm 7"):
+        small.random_subset([5, 7], 0.5)
 
 
 @pytest.mark.parametrize("n", [20, DENSE_MIN_ARMS])
