@@ -25,6 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -92,19 +93,22 @@ class RunConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, not {self.seed!r}")
+        eps, delta = self.eps, self.delta
+        for name, valid, what in (
+            ("instance", isinstance(self.instance, Instance), "an Instance"),
+            ("profile", isinstance(self.profile, ConstantsProfile), "a ConstantsProfile"),
+            ("seed", type(self.seed) is int and self.seed >= 0, "a non-negative integer"),
+            ("trials", type(self.trials) is int and self.trials >= 0, "an integer >= 0"),
+            ("jobs", type(self.jobs) is int and self.jobs >= 1, "an integer >= 1"),
+            ("eps", isinstance(eps, Real) and type(eps) is not bool and eps > 0,
+             "> 0 and real (the exact solver still judges eps-optimality flags at this eps)"),
+            ("delta", isinstance(delta, Real) and type(delta) is not bool and 0.0 < delta < 1.0,
+             "a real number in (0, 1)"),
+        ):
+            if not valid:
+                raise ConfigError(f"{name} must be {what}, not {getattr(self, name)!r}")
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
-        if type(self.trials) is not int or self.trials < 0:
-            raise ConfigError(f"trials must be an integer >= 0, not {self.trials!r}")
-        if type(self.jobs) is not int or self.jobs < 1:
-            raise ConfigError(f"jobs must be an integer >= 1, not {self.jobs!r}")
-        if not self.eps > 0:
-            raise ConfigError("eps must be > 0 (the exact solver still judges "
-                              "eps-optimality flags at this eps)")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,11 @@
 """Matroid oracles over integer ground sets.
 
 Five concrete families (uniform, partition, laminar, graphic, transversal),
-lazy restriction/contraction views, incremental independent sets, the
+flat restriction/contraction views, incremental independent sets, the
 blocking predicate, greedy maximum weight basis, per-element gaps, and
 optimality / eps-optimality checkers.
 
-Element ids are stable across views: a view exposes a subset of its parent's
+Element ids are stable across views: a view exposes a subset of its family's
 ids and never renumbers.
 
 Greedy, the pruning sweep's candidates and the eps-optimality check read
@@ -139,10 +139,11 @@ class IndependentSet:
 class Matroid:
     """Base class: a concrete family implements ``rank``, ``growing`` or both.
 
-    Independence, bases, blocking and the views derive from ``rank``; greedy,
-    pruning, loops and contraction from the :class:`IndependentSet` that
-    ``growing`` returns. Partition, laminar and graphic implement only that
-    set and keep the base ``rank``, which counts what a fresh set keeps.
+    Independence, bases and blocking derive from ``rank``; greedy, pruning,
+    loops and contraction from the :class:`IndependentSet` that ``growing``
+    returns. Partition, laminar and graphic implement only that set and keep
+    the base ``rank``, which counts what a fresh set keeps. ``restrict`` and
+    ``contract`` serve families and views alike (see :class:`_RestrictionView`).
     A family or view that inherits ``rank``, ``restrict`` or ``contract``
     still names it in its own dict (``rank = Matroid.rank``), because
     perfbench's tracer wraps only what a class's own dict holds. Instances
@@ -154,6 +155,8 @@ class Matroid:
     _ground_set: ElementSet
     _ground_ids: np.ndarray | None
     _full_rank: int | None
+    _parent: "Matroid | None" = None  # a view's family; None on a family
+    _committed: ElementSet = frozenset()  # what a view commits; nothing, on a family
 
     def _init_ground(self, ground: Iterable[int]) -> None:
         """Set the ground from ``ground``; a frozenset is kept as it is, not copied,
@@ -238,16 +241,24 @@ class Matroid:
         return self.rank(subset | {e}) == self.rank(subset)
 
     def restrict(self, keep: Iterable[int]) -> "Matroid":
+        """This matroid on ``keep``: a view of its family that commits what this one does."""
         keep_set = self._as_subset(keep)
         if keep_set == self._ground_set:
             return self
-        return _RestrictionView(self, keep_set)
+        view = _ContractionView if self._committed else _RestrictionView
+        return view(self._parent or self, keep_set, self._committed)
 
     def contract(self, committed: Iterable[int]) -> "Matroid":
-        committed_set = self._as_subset(committed)
-        if not committed_set:
+        """This matroid given the independent set ``committed``: a view of its family
+        that commits both sets, over what they leave unspanned of this ground."""
+        added = self._as_subset(committed)
+        if not added:
             return self
-        return _ContractionView(self, committed_set)
+        grown = self.growing()
+        if not all(map(grown.add, added)):
+            raise PreconditionError("can only contract an independent set")
+        return _ContractionView(self._parent or self, filterfalse(grown.spans, self._ground),
+                                self._committed | added)
 
     def loops(self) -> ElementSet:
         """Elements of rank zero, which lie in no basis: those the empty set spans."""
@@ -288,7 +299,7 @@ class UniformMatroid(Matroid):
 class _UniformSet(IndependentSet):
     """Spans everything once ``k`` elements are kept.
 
-    Views hand back their parent's set, so a view's ground is spanned too.
+    Views hand back their family's set, so a view's ground is spanned too.
     """
 
     def spans(self, e: int) -> bool:
@@ -487,65 +498,43 @@ class TransversalMatroid(Matroid):
 
 
 class _RestrictionView(Matroid):
-    """Sub-matroid on a subset of a parent's ground; the parent is never a restriction."""
+    """A family's matroid over part of its ground, given a committed set.
 
-    def __init__(self, parent: Matroid, keep: ElementSet):
-        if isinstance(parent, _RestrictionView):
-            parent = parent._parent
-        self._parent = parent
-        self._init_ground(keep)
-
-    def rank(self, elements: Iterable[int]) -> int:
-        return self._parent.rank(self._as_subset(elements))
-
-    def growing(self) -> IndependentSet:
-        return self._parent.growing()
-
-    restrict = Matroid.restrict
-    contract = Matroid.contract
-
-
-class _ContractionView(Matroid):
-    """Matroid conditioned on committing an independent set.
-
-    The ground set drops the committed elements and everything they block,
-    so contraction never introduces loops. The parent is never a contraction:
-    contracting one commits both sets in one view over its parent.
+    ``_parent`` is the family and ``_committed`` an independent set of it,
+    empty for a restriction: ``rank(S) = family.rank(S | committed) - |committed|``.
+    Restricting or contracting a view gives another view of the same family
+    (:meth:`Matroid.restrict`, :meth:`Matroid.contract`), never a view of a view.
     """
 
-    def __init__(self, parent: Matroid, committed: ElementSet):
-        """``committed`` is a subset of ``parent``'s ground, which every caller has checked."""
-        if isinstance(parent, _ContractionView):
-            # committed is independent in the contraction iff the union is in its parent
-            parent, committed = parent._parent, parent._committed | committed
-        if not parent.is_independent(committed):
-            raise PreconditionError("can only contract an independent set")
-        self._parent = parent
+    def __init__(self, family: Matroid, ground: Iterable[int], committed: ElementSet):
+        self._parent = family
         self._committed = committed
-        grown = self.growing()
-        self._init_ground(
-            e for e in parent.ground if e not in committed and not grown.spans(e)
-        )
+        self._init_ground(ground)
 
     def rank(self, elements: Iterable[int]) -> int:
-        subset = self._as_subset(elements)
-        return self._parent.rank(subset | self._committed) - len(self._committed)
+        subset, committed = self._as_subset(elements), self._committed
+        if not committed:
+            return self._parent.rank(subset)
+        return self._parent.rank(subset | committed) - len(committed)
 
     def growing(self) -> IndependentSet:
-        """The parent's independent set, seeded with the committed elements."""
+        """The family's independent set, seeded with the committed elements."""
         grown = self._parent.growing()
         for e in self._committed:
             grown.add(e)
         return grown
 
+    restrict = Matroid.restrict
     contract = Matroid.contract
 
-    def restrict(self, keep: Iterable[int]) -> Matroid:
-        keep_set = self._as_subset(keep)
-        if keep_set == self._ground_set:
-            return self
-        inner = self._parent.restrict(keep_set | self._committed)
-        return _ContractionView(inner, self._committed)
+
+class _ContractionView(_RestrictionView):
+    """A view whose committed set is not empty. Its ground holds nothing that
+    set spans, so contraction never introduces loops."""
+
+    rank = _RestrictionView.rank
+    restrict = Matroid.restrict
+    contract = Matroid.contract
 
 
 def _weight(weights: Weights, e: int) -> float:

@@ -198,9 +198,16 @@ class ArmTable:
         return (lo * (count - hits) + hi * hits) / count
 
 
-def _is_id(e) -> bool:
-    """An arm id is a Python or numpy integer, and not a bool."""
+def _is_integer(e) -> bool:
+    """A Python or numpy integer, and not a bool: what an arm id or a pull count must be."""
     return type(e) is int or isinstance(e, np.integer)
+
+
+def _pull_count(count) -> int:
+    """``count`` as an int, once it is an integer >= 1, not a float or a bool."""
+    if not (_is_integer(count) and count >= 1):
+        raise DomainError(f"batch size must be an integer >= 1, not {count!r}")
+    return int(count)
 
 
 # True for an iterable of Python int types only; anything else, numpy
@@ -211,7 +218,7 @@ _ONLY_INTS = frozenset({int}).issuperset
 def _check_ids(unique: Iterable) -> None:
     """Refuse any element that is not an integer arm id."""
     for e in unique:
-        if not _is_id(e):
+        if not _is_integer(e):
             raise DomainError(f"arm id {e!r} is not an integer")
 
 
@@ -322,10 +329,8 @@ class SamplingSession:
         binomial variate, which is the same distribution as ``count``
         individual pulls.
         """
-        if count < 1:
-            raise DomainError("batch size must be >= 1")
-        if not _is_id(e):
-            raise DomainError(f"arm id {e!r} is not an integer")
+        count = _pull_count(count)
+        _check_ids((e,))
         self._check_ends(e, e)
         arms = self._arms
         stochastic = arms.kinds[e] != POINT
@@ -373,14 +378,14 @@ class SamplingSession:
         yields the values one ``pull_batch`` per arm would. A batch over the
         budget or past the drawability bound is refused whole with
         ``BudgetError``: nothing is drawn and nothing is recorded. An id that
-        is not an integer, or not an arm, is refused with ``DomainError``.
+        is not an integer, or not an arm, is refused with ``DomainError``, as
+        is a ``count`` that is not an integer of at least 1.
 
         A small table returns a dict. A dense one returns a read-only float64
         array over the whole table, NaN for every arm outside the batch, and
         takes a strictly increasing int64 array of ids as it is.
         """
-        if count < 1:
-            raise DomainError("batch size must be >= 1")
+        count = _pull_count(count)
         ids = _sorted_ids(elements, self._dense)
         if len(ids):
             self._check_ends(ids[0], ids[-1])
@@ -411,9 +416,10 @@ class SamplingSession:
 
     def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int]:
         """Keep each element independently with probability ``p``; an id that
-        is not an integer, or not an arm, is refused as by ``uniform_sample``."""
-        if not 0.0 <= p <= 1.0:
-            raise DomainError("p must lie in [0, 1]")
+        is not an integer, or not an arm, is refused as by ``uniform_sample``,
+        and so is a ``p`` that is not a real number in [0, 1]."""
+        if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
+            raise DomainError(f"p must be a real number in [0, 1], not {p!r}")
         ids = _sorted_ids(elements, self._dense)
         if len(ids):
             self._check_ends(ids[0], ids[-1])

@@ -533,6 +533,25 @@ def test_run_config_refuses_a_trial_or_job_count_that_is_not_an_int(field, value
         RunConfig(builtin("prop1"), "pac", 0.1, 0.1, seed=0, profile=PAPER, **config)
 
 
+@pytest.mark.parametrize("field, value", [("eps", "0.1"), ("eps", None), ("eps", True),
+                                          ("delta", "0.1"), ("delta", None), ("delta", False),
+                                          ("instance", None), ("instance", "builtin:prop1"),
+                                          ("profile", None), ("profile", "paper")])
+def test_run_config_refuses_a_field_of_the_wrong_type(field, value):
+    # each used to raise a bare TypeError, pass as a number, or fail later inside run_trials
+    config = dict(instance=builtin("prop1"), algo="pac", eps=0.1, delta=0.1, trials=1, seed=0,
+                  profile=PAPER)
+    config[field] = value
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        RunConfig(**config)
+
+
+@pytest.mark.parametrize("eps, delta", [(np.float64(0.1), np.float32(0.1)), (1, 0.1),
+                                        (np.int64(1), np.float64(0.5))])
+def test_run_config_takes_numpy_floats_and_ints_for_eps_and_delta(eps, delta):
+    assert RunConfig(builtin("prop1"), "pac", eps, delta, 1, 0, PAPER).eps == eps
+
+
 def test_run_config_validation():
     inst = builtin("prop1")
     with pytest.raises(ConfigError):

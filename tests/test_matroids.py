@@ -201,10 +201,71 @@ def test_view_composition_collapses():
 
     nested = m.restrict(range(7)).contract({0}).restrict({1, 2, 3}).contract({1})
     assert nested.ground == (2, 3)
+    assert nested._parent is m  # a contraction's restriction is a view of the family too
+    assert nested._committed == {0, 1}
     assert nested.full_rank == 2
     # behavior matches the unfused chain
     assert nested.rank({2, 3}) == 2
     assert nested.is_independent({2, 3})
+
+
+def test_every_chain_of_restrictions_and_contractions_is_one_view_of_the_family():
+    rng = np.random.default_rng(29)
+    for family in FAMILY_NAMES:
+        for _ in range(6):
+            m = random_matroid(rng, family, int(rng.integers(4, 10)), allow_loops=True)
+            view, committed = m, frozenset()
+            for _ in range(int(rng.integers(1, 7))):
+                ground = sorted(view.ground)
+                if rng.random() < 0.5:
+                    keep = [e for e in ground if rng.random() < 0.7]
+                    view = view.restrict(keep)
+                    assert view.ground_set == set(keep)
+                else:
+                    added, grown = set(), view.growing()
+                    for e in rng.permutation(ground).tolist():
+                        if rng.random() < 0.5 and grown.add(e):
+                            added.add(e)
+                    view, committed = view.contract(added), committed | added
+                    assert all(m.rank(committed | {e}) > len(committed) for e in view.ground)
+                if view is m:
+                    continue
+                assert view._parent is m
+                assert view._committed == committed
+                assert isinstance(view, matroids._ContractionView) == bool(committed)
+                for _ in range(4):
+                    subset = {e for e in view.ground if rng.random() < 0.5}
+                    assert view.rank(subset) == m.rank(subset | committed) - len(committed)
+
+
+def test_restricting_a_contraction_asks_the_family_nothing(monkeypatch):
+    rng = np.random.default_rng(31)
+    asked = []
+
+    def counting(name, real):
+        def counted(self, *args):
+            asked.append(name)
+            return real(self, *args)
+        return counted
+
+    for family in FAMILY_NAMES:
+        m = random_matroid(rng, family, 12)
+        contraction = m.contract({0})
+        while contraction.size < 2:
+            m = random_matroid(rng, family, 12)
+            contraction = m.contract({0})
+        keep = contraction.ground[1:]
+        with monkeypatch.context() as patch:
+            patch.setattr(Matroid, "is_independent",
+                          counting("is_independent", Matroid.is_independent))
+            patch.setattr(type(m), "rank", counting("rank", vars(type(m))["rank"]))
+            for cls in (matroids.IndependentSet, _UniformSet, matroids._CappedSet,
+                        matroids._Forest):
+                patch.setattr(cls, "spans", counting("spans", vars(cls)["spans"]))
+            restricted = contraction.restrict(keep)
+        assert asked == [], family
+        assert restricted._parent is m and restricted._committed == {0}
+        assert restricted.ground == keep
 
 
 def test_axioms_hold_per_family():

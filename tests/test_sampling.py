@@ -379,6 +379,31 @@ def test_uniform_sample_validates_parameters():
     assert session.total_samples == 0
 
 
+@pytest.mark.parametrize("n", [3, DENSE_MIN_ARMS + 44], ids=["reference", "dense"])
+def test_a_count_or_p_of_the_wrong_type_is_refused_before_any_draw(n):
+    # a float count used to be drawn as its floor and divided as itself
+    session = SamplingSession(ArmTable.from_columns(None, [0.5] * n), 0)
+    state = session._rng.bit_generator.state
+
+    def refused(call, *args, match):
+        with pytest.raises(DomainError, match=match):
+            call(*args)
+        assert session._rng.bit_generator.state == state
+        assert session.total_samples == 0 and pull_counts(session) == [0] * n
+
+    for bad in (2.5, 2.0, np.float64(2.0), "2", None, True, np.bool_(True)):
+        refused(session.uniform_sample, [0, 1], bad, match="batch size must be an integer")
+        refused(session.pull_batch, 1, bad, match="batch size must be an integer")
+    for bad in ("0.5", None, True, np.bool_(False), [0.5]):
+        refused(session.random_subset, [0, 1], bad, match="p must be a real number")
+    twin = SamplingSession(ArmTable.from_columns(None, [0.5] * n), 0)
+    assert (_means(session.uniform_sample([0, 1], np.int64(2)))
+            == _means(twin.uniform_sample([0, 1], 2)))
+    assert session.pull_batch(2, np.uint8(3)) == twin.pull_batch(2, 3)
+    assert session.random_subset(range(n), np.float64(0.5)) == twin.random_subset(range(n), 0.5)
+    assert type(session.total_samples) is int and session.total_samples == 7
+
+
 def test_fresh_session_has_zero_samples():
     assert SamplingSession([point(0.5)], seed=0).total_samples == 0
 
