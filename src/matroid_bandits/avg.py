@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvariantError, PreconditionError
+from .errors import DomainError, InvariantError, PreconditionError, real
 from .matroids import (
     ElementSet, Matroid, greedy_max_basis, shifted_thresholds, unblocked,
 )
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
-from .sampling import SamplingSession, _validate, ceil_pulls, sample_size
+from .sampling import SamplingSession, ceil_pulls, sample_size
 
 @dataclass(frozen=True)
 class AvgRound:
@@ -45,7 +45,7 @@ def ln_choose(n: int, k: int) -> float:
 
 def naive_two_pull_count(n: int, k: int, eps: float, delta: float) -> int:
     """Per-arm pulls so that every basis mean concentrates at once."""
-    _validate(eps, delta)
+    eps, delta = real(eps, "eps", DomainError, "> 0"), real(delta, "delta", DomainError, "(0, 1)")
     if k < 1:
         raise DomainError("rank must be >= 1")
     return ceil_pulls(
@@ -55,7 +55,7 @@ def naive_two_pull_count(n: int, k: int, eps: float, delta: float) -> int:
 
 def naive_two(session: SamplingSession, m: Matroid, eps: float, delta: float) -> PacResult:
     """Uniformly sample with the basis-level union bound, then greedy."""
-    _validate(eps, delta)
+    eps, delta = real(eps, "eps", DomainError, "> 0"), real(delta, "delta", DomainError, "(0, 1)")
     k = m.full_rank
     if k == 0:
         return PacResult(frozenset())
@@ -89,7 +89,7 @@ def elimination(
     Callers must ensure the ground set is large enough for the sampling
     probability to be a probability; see ``elimination_precondition``.
     """
-    _validate(eps, delta)
+    eps, delta = real(eps, "eps", DomainError, "> 0"), real(delta, "delta", DomainError, "(0, 1)")
     n = m.size
     k = m.full_rank
     if k == 0:
@@ -130,7 +130,7 @@ def avg_pac_recur_elim(
     profile: ConstantsProfile,
 ) -> PacResult:
     """Average-eps-optimal basis with confidence 1 - delta."""
-    _validate(eps, delta)
+    eps, delta = real(eps, "eps", DomainError, "> 0"), real(delta, "delta", DomainError, "(0, 1)")
     start = session.total_samples
     k = m.full_rank
     if k == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError, InvariantError
+from .errors import BudgetError, DomainError, InvariantError, integer, real
 from .matroids import Matroid, shifted_thresholds, unblocked
 from .pac import ConstantsProfile, PacResult, pac_sample_prune
 from .sampling import SamplingSession, _check_drawable, sample_size
@@ -43,10 +43,8 @@ class ExactRound:
 def round_schedule(r: int, delta: float) -> tuple[float, float]:
     """Accuracy/confidence pair used in round ``r`` (halving / cubic decay);
     a round confidence that underflows to 0.0 is not drawable."""
-    if not isinstance(r, int) or r < 1:
-        raise DomainError("round index must be an integer >= 1")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
+    r = integer(r, "round index", DomainError, 1)
+    delta = real(delta, "delta", DomainError, "(0, 1)")
     delta_r = delta / (100.0 * r**3)
     _check_drawable(delta_r)
     return 2.0**-r / 4.0, delta_r
@@ -70,8 +68,7 @@ def exact_exp_gap(
     generation enforces it). Raises ``BudgetError`` when the round guard is
     exceeded, i.e. some gap is finer than the guard can resolve.
     """
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
+    delta = real(delta, "delta", DomainError, "(0, 1)")
     answer: set[int] = set()
     m_cur: Matroid = m
     rounds = dict.fromkeys((ELIMINATION, SELECTION), 0)

@@ -25,13 +25,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .avg import avg_pac_recur_elim, ln_choose, naive_two
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, integer, real, seed_integer
 from .exact import exact_exp_gap
 from .instances import Instance
 from .matroids import (
@@ -93,20 +92,21 @@ class RunConfig:
     trace: bool = False
 
     def __post_init__(self):
-        eps, delta = self.eps, self.delta
-        for name, valid, what in (
-            ("instance", isinstance(self.instance, Instance), "an Instance"),
-            ("profile", isinstance(self.profile, ConstantsProfile), "a ConstantsProfile"),
-            ("seed", type(self.seed) is int and self.seed >= 0, "a non-negative integer"),
-            ("trials", type(self.trials) is int and self.trials >= 0, "an integer >= 0"),
-            ("jobs", type(self.jobs) is int and self.jobs >= 1, "an integer >= 1"),
-            ("eps", isinstance(eps, Real) and type(eps) is not bool and eps > 0,
-             "> 0 and real (the exact solver still judges eps-optimality flags at this eps)"),
-            ("delta", isinstance(delta, Real) and type(delta) is not bool and 0.0 < delta < 1.0,
-             "a real number in (0, 1)"),
-        ):
-            if not valid:
+        """Checks every field, and stores each number as a Python number, so
+        that a report holds plain numbers. ``eps`` is checked for ``exact``
+        too, whose trials are still judged for eps-optimality at it."""
+        for name, kind, what in (("instance", Instance, "an Instance"),
+                                 ("profile", ConstantsProfile, "a ConstantsProfile")):
+            if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be {what}, not {getattr(self, name)!r}")
+        for name, value in (
+            ("seed", seed_integer(self.seed, ConfigError)),
+            ("trials", integer(self.trials, "trials", ConfigError, 0)),
+            ("jobs", integer(self.jobs, "jobs", ConfigError, 1)),
+            ("eps", real(self.eps, "eps", ConfigError, "> 0")),
+            ("delta", real(self.delta, "delta", ConfigError, "(0, 1)")),
+        ):
+            object.__setattr__(self, name, value)
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}")
 

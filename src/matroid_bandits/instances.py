@@ -19,7 +19,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, real, seed_integer
 from .matroids import (
     GraphicMatroid,
     LaminarMatroid,
@@ -35,7 +34,6 @@ from .matroids import (
     PartitionMatroid,
     TransversalMatroid,
     UniformMatroid,
-    _integer,
     _reading,
     gaps,
 )
@@ -43,10 +41,8 @@ from .sampling import SCALED, ArmTable, SamplingSession, trial_seed
 
 
 def _seeded_rng(seed) -> np.random.Generator:
-    """A generator's stream; a seed that is not a non-negative int is a ``ValidationError``."""
-    if type(seed) is not int or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, not {seed!r}")
-    return np.random.default_rng(seed)
+    """A generator's stream; a seed that is not a non-negative integer is a ``ValidationError``."""
+    return np.random.default_rng(seed_integer(seed, ValidationError))
 
 
 def matroid_from_config(cfg: dict) -> Matroid:
@@ -217,7 +213,7 @@ def make_instance(
     allow_ties: bool = False,
 ) -> Instance:
     """An instance over ``arms`` (an :class:`ArmTable`, or ``Arm`` records); a
-    ``gap_floor`` is a finite int or float, not a bool, and is kept as a float.
+    ``gap_floor`` is a finite real number, not a bool, and is kept as a float.
     ``matroid_config`` is kept with its tuples as lists, so that it saves and
     loads back unchanged; a set or a generator in it is refused (``_listed``)."""
     if not (isinstance(name, str) and isinstance(notes, str)):
@@ -225,11 +221,7 @@ def make_instance(
     if type(allow_ties) is not bool:
         raise ValidationError(f"allow_ties must be true or false, not {allow_ties!r}")
     if gap_floor is not None:
-        number = isinstance(gap_floor, (int, float)) and not isinstance(gap_floor, bool)
-        # finite; an int past the float range fails too, where math.isfinite would raise
-        if not (number and -sys.float_info.max <= gap_floor <= sys.float_info.max):
-            raise ValidationError(f"gap_floor must be a finite int or float, not {gap_floor!r}")
-        gap_floor = float(gap_floor)
+        gap_floor = real(gap_floor, "gap_floor", ValidationError, "finite")
     matroid_config = _listed(matroid_config, "matroid")
     matroid = matroid_from_config(matroid_config)
     if not isinstance(arms, ArmTable):
@@ -326,11 +318,10 @@ def resolve_instance(ref: str) -> Instance:
 
 def uniform_gap_instance(n: int, k: int, eps: float, seed: int = 0) -> Instance:
     """Top-k instance where every arm's gap is eps up to a small jitter."""
-    n, k = _integer(n, "n"), _integer(k, "k")
+    n, k = integer(n, "n", ValidationError), integer(k, "k", ValidationError)
     if not 0 < k < n:
         raise ValidationError("need 0 < k < n")
-    if not eps > 0:
-        raise ValidationError(f"eps must be > 0; got {eps}")
+    eps = real(eps, "eps", ValidationError, "> 0")
     eta = eps / (20.0 * n)
     top = [0.5 + eps / 2.0 + i * eta for i in range(1, k + 1)]
     bottom = [0.5 - eps / 2.0 - j * eta for j in range(1, n - k + 1)]
@@ -359,10 +350,10 @@ def random_means(rng: np.random.Generator, n: int):
 
 
 def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) -> Instance:
-    num_vertices = _integer(num_vertices, "num_vertices")
-    num_edges = _integer(num_edges, "num_edges")
-    if num_edges < 0 or (num_edges > 0 and num_vertices < 2):
-        raise ValidationError("need num_edges >= 0, and two vertices for any edge")
+    num_vertices = integer(num_vertices, "num_vertices", ValidationError)
+    num_edges = integer(num_edges, "num_edges", ValidationError, 0)
+    if num_edges > 0 and num_vertices < 2:
+        raise ValidationError("need two vertices for any edge")
     rng = _seeded_rng(seed)
     edges = []
     # spanning path first so no vertex is stranded, then random extras
@@ -381,7 +372,7 @@ def random_graphic_instance(num_vertices: int, num_edges: int, seed: int = 0) ->
 
 
 def big_uniform_instance(n: int, k: int, seed: int = 0) -> Instance:
-    n, k = _integer(n, "n"), _integer(k, "k")
+    n, k = integer(n, "n", ValidationError), integer(k, "k", ValidationError)
     rng = _seeded_rng(seed)
     return make_instance(
         name=f"big-uniform-n{n}-k{k}",
@@ -394,88 +385,37 @@ def big_uniform_instance(n: int, k: int, seed: int = 0) -> Instance:
 # Builtins
 
 
-def _builtin_prop1() -> Instance:
-    return make_instance(
-        name="prop1",
-        matroid_config={"family": "uniform", "n": 4, "k": 2},
-        arms=_bernoulli_arms((0.91, 0.9, 0.89, 0.875)),
-        notes="four-arm pick-2 example separating the optimality notions",
-    )
-
-
-def _builtin_ladder10() -> Instance:
-    means = (0.85, 0.75, 0.65, 0.6, 0.55, 0.5, 0.45, 0.35, 0.25, 0.1)
-    return make_instance(
-        name="ladder10",
-        matroid_config={"family": "uniform", "n": 10, "k": 3},
-        arms=_bernoulli_arms(means),
-        notes="ten arms, pick 3, minimum gap 0.05",
-        gap_floor=0.05,
-    )
-
-
-def _builtin_graphic_k4() -> Instance:
-    edges = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
-    return make_instance(
-        name="graphic_k4",
-        matroid_config={"family": "graphic", "num_vertices": 4, "edges": edges},
-        arms=_bernoulli_arms((0.9, 0.82, 0.74, 0.66, 0.58, 0.5)),
-        notes="complete graph on 4 vertices; bases are spanning trees",
-    )
-
-
-def _builtin_transversal5() -> Instance:
-    return make_instance(
-        name="transversal5",
-        matroid_config={"family": "transversal", "n": 5,
-                        "workers": [[0, 1, 2], [1, 3], [2, 4]]},
-        arms=_bernoulli_arms((0.9, 0.85, 0.8, 0.7, 0.6)),
-        notes="five tasks, three workers",
-    )
-
-
-def _builtin_laminar6() -> Instance:
-    sets = [
-        {"members": [0, 1, 2, 3, 4, 5], "capacity": 3},
-        {"members": [0, 1, 2], "capacity": 2},
-        {"members": [0, 1], "capacity": 1},
-    ]
-    return make_instance(
-        name="laminar6",
-        matroid_config={"family": "laminar", "n": 6, "sets": sets},
-        arms=_bernoulli_arms((0.95, 0.9, 0.85, 0.8, 0.75, 0.7)),
-        notes="nested capacities over six arms",
-    )
-
-
-def _builtin_partition6() -> Instance:
-    groups = [
-        {"members": [0, 1, 2], "capacity": 1},
-        {"members": [3, 4, 5], "capacity": 2},
-    ]
-    return make_instance(
-        name="partition6",
-        matroid_config={"family": "partition", "groups": groups},
-        arms=_bernoulli_arms((0.9, 0.8, 0.7, 0.6, 0.5, 0.4)),
-        notes="two groups with capacities 1 and 2",
-    )
-
-
+# Each builtin: (matroid config, the means of its Bernoulli arms, notes, gap floor).
 BUILTINS = {
-    "prop1": _builtin_prop1,
-    "ladder10": _builtin_ladder10,
-    "graphic_k4": _builtin_graphic_k4,
-    "transversal5": _builtin_transversal5,
-    "laminar6": _builtin_laminar6,
-    "partition6": _builtin_partition6,
+    "prop1": ({"family": "uniform", "n": 4, "k": 2}, (0.91, 0.9, 0.89, 0.875),
+              "four-arm pick-2 example separating the optimality notions", None),
+    "ladder10": ({"family": "uniform", "n": 10, "k": 3},
+                 (0.85, 0.75, 0.65, 0.6, 0.55, 0.5, 0.45, 0.35, 0.25, 0.1),
+                 "ten arms, pick 3, minimum gap 0.05", 0.05),
+    "graphic_k4": ({"family": "graphic", "num_vertices": 4,
+                    "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+                   (0.9, 0.82, 0.74, 0.66, 0.58, 0.5),
+                   "complete graph on 4 vertices; bases are spanning trees", None),
+    "transversal5": ({"family": "transversal", "n": 5, "workers": [[0, 1, 2], [1, 3], [2, 4]]},
+                     (0.9, 0.85, 0.8, 0.7, 0.6), "five tasks, three workers", None),
+    "laminar6": ({"family": "laminar", "n": 6,
+                  "sets": [{"members": [0, 1, 2, 3, 4, 5], "capacity": 3},
+                           {"members": [0, 1, 2], "capacity": 2},
+                           {"members": [0, 1], "capacity": 1}]},
+                 (0.95, 0.9, 0.85, 0.8, 0.75, 0.7), "nested capacities over six arms", None),
+    "partition6": ({"family": "partition",
+                    "groups": [{"members": [0, 1, 2], "capacity": 1},
+                               {"members": [3, 4, 5], "capacity": 2}]},
+                   (0.9, 0.8, 0.7, 0.6, 0.5, 0.4), "two groups with capacities 1 and 2", None),
 }
 
 
 def builtin(name: str) -> Instance:
+    """The builtin ``name``, built anew by ``make_instance``, which copies its config."""
     try:
-        factory = BUILTINS[name]
+        matroid_config, means, notes, gap_floor = BUILTINS[name]
     except KeyError:
         raise ValidationError(
             f"unknown builtin instance {name!r}; available: {sorted(BUILTINS)}"
         ) from None
-    return factory()
+    return make_instance(name, matroid_config, _bernoulli_arms(means), notes, gap_floor)

@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from itertools import combinations, filterfalse
-from numbers import Integral
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ValidationError
+from .errors import DomainError, PreconditionError, ValidationError, integer, real
 
 ElementSet = frozenset[int]
 
@@ -53,16 +52,6 @@ def _outside_ground(bad: Collection) -> DomainError:
     return DomainError(f"elements [{named}] outside ground set")
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int when it is an integer, numpy's included; a bool,
-    a float or a string is a ``ValidationError``."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValidationError(f"{what} must be an integer, not {value!r}")
-        value = int(value)
-    return value
-
-
 @contextmanager
 def _reading(what: str):
     """Raise a missing or malformed field or container of ``what`` as a ``ValidationError``."""
@@ -76,14 +65,12 @@ def _reading(what: str):
 
 def _capped_sets(pairs, owner: str) -> tuple[list[ElementSet], list[int]]:
     """Member sets and capacities from the ``(members, capacity)`` pairs of partition
-    groups or laminar sets; ``owner`` names a set in the negative-capacity error."""
+    groups or laminar sets; ``owner`` names a set in the capacity error."""
     sets, caps = [], []
     with _reading("(members, capacity) pairs"):
         for members, cap in pairs:
-            sets.append(frozenset([_integer(e, "a member") for e in members]))
-            caps.append(_integer(cap, "a capacity"))
-    if min(caps, default=0) < 0:
-        raise ValidationError(f"{owner} capacity must be >= 0")
+            sets.append(frozenset([integer(e, "a member", ValidationError) for e in members]))
+            caps.append(integer(cap, f"{owner} capacity", ValidationError, 0))
     return sets, caps
 
 
@@ -278,9 +265,7 @@ class UniformMatroid(Matroid):
     """Independent sets are all subsets of size at most ``k``."""
 
     def __init__(self, n: int, k: int):
-        n, k = _integer(n, "n"), _integer(k, "k")
-        if n < 0 or k < 0:
-            raise ValidationError("uniform matroid needs n >= 0 and k >= 0")
+        n, k = integer(n, "n", ValidationError, 0), integer(k, "k", ValidationError, 0)
         self._init_ground(range(n))
         self.k = min(k, n)
 
@@ -333,9 +318,7 @@ class LaminarMatroid(Matroid):
     """
 
     def __init__(self, n: int, sets: Sequence[tuple[Iterable[int], int]]):
-        n = _integer(n, "n")
-        if n < 0:
-            raise ValidationError("laminar matroid needs n >= 0")
+        n = integer(n, "n", ValidationError, 0)
         self._init_ground(range(n))
         family, caps = _capped_sets(sets, "laminar")
         if not all(mset <= self._ground_set for mset in family):
@@ -388,13 +371,11 @@ class GraphicMatroid(Matroid):
     """
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
-        num_vertices = _integer(num_vertices, "num_vertices")
-        if num_vertices < 0:
-            raise ValidationError("graphic matroid needs num_vertices >= 0")
+        num_vertices = integer(num_vertices, "num_vertices", ValidationError, 0)
         checked = []
         with _reading("edges, which must be pairs of endpoints"):
             for u, v in edges:
-                u, v = _integer(u, "an endpoint"), _integer(v, "an endpoint")
+                u, v = (integer(end, "an endpoint", ValidationError) for end in (u, v))
                 if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                     raise ValidationError(f"edge ({u}, {v}) has an unknown endpoint")
                 checked.append((u, v))
@@ -451,13 +432,11 @@ class TransversalMatroid(Matroid):
     """
 
     def __init__(self, n: int, workers: Sequence[Iterable[int]]):
-        n = _integer(n, "n")
-        if n < 0:
-            raise ValidationError("transversal matroid needs n >= 0")
+        n = integer(n, "n", ValidationError, 0)
         self._init_ground(range(n))
         with _reading("workers, which must be lists of tasks"):
-            self.workers = tuple(tuple(sorted({_integer(t, "a task") for t in tasks}))
-                                 for tasks in workers)
+            self.workers = tuple(tuple(sorted({integer(t, "a task", ValidationError)
+                                               for t in tasks})) for tasks in workers)
         adj: list[list[int]] = [[] for _ in range(n)]
         for wi, tasks in enumerate(self.workers):
             for t in tasks:
@@ -770,8 +749,7 @@ def avg_within_eps(
 
 def _checked_basis(m: Matroid, basis: Iterable[int], eps: float) -> ElementSet:
     """``basis`` as a set, once ``eps >= 0`` (so not NaN) and ``basis`` is a basis of ``m``."""
-    if not eps >= 0:
-        raise DomainError("eps must be >= 0")
+    real(eps, "eps", DomainError, ">= 0")
     bset = m._as_subset(basis)
     if not m.is_basis(bset):
         raise PreconditionError("candidate set is not a basis")

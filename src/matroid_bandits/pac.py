@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError, ConfigError, DomainError, InvariantError, integer, real
 from .matroids import (
     ElementSet, Matroid, greedy_max_basis, shifted_thresholds, unblocked,
 )
-from .sampling import SamplingSession, _check_drawable, _validate, sample_size
+from .sampling import SamplingSession, _check_drawable, sample_size
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class ConstantsProfile:
     arms, so only the base case runs at desk scale). ``desk`` shrinks the
     base-case threshold and raises the sampling probability so the recursion
     actually executes on two-digit instances; its guarantees are empirical.
+    Each number is checked, and stored as a Python number, when the profile
+    is built; a value of the wrong kind or range is a ``ConfigError``.
     """
 
     name: str
@@ -37,6 +39,18 @@ class ConstantsProfile:
     max_depth: int = 64
     round_guard: int = 60
     pull_budget: Optional[int] = None
+
+    def __post_init__(self):
+        for name, value in (
+            ("sample_prob", real(self.sample_prob, "sample_prob", ConfigError, "(0, 1]")),
+            ("base_mult", real(self.base_mult, "base_mult", ConfigError, ">= 0")),
+            ("base_log_coef", real(self.base_log_coef, "base_log_coef", ConfigError, ">= 0")),
+            ("max_depth", integer(self.max_depth, "max_depth", ConfigError, 0)),
+            ("round_guard", integer(self.round_guard, "round_guard", ConfigError, 0)),
+            ("pull_budget", None if self.pull_budget is None
+             else integer(self.pull_budget, "pull_budget", ConfigError, 0)),
+        ):
+            object.__setattr__(self, name, value)
 
     def base_case_bound(self, delta: float, k: int) -> float:
         return self.base_mult * max(self.base_log_coef * math.log(8.0 / delta), k)
@@ -83,7 +97,7 @@ class PacResult:
 
 def naive_one(session: SamplingSession, m: Matroid, eps: float, delta: float) -> PacResult:
     """Uniformly sample every arm at accuracy eps/2, then take the empirical optimum."""
-    _validate(eps, delta)
+    eps, delta = real(eps, "eps", DomainError, "> 0"), real(delta, "delta", DomainError, "(0, 1)")
     if m.size == 0:
         return PacResult(frozenset())
     means = session.uniform_sample(session.sample_ids(m), sample_size(eps / 2.0, delta / m.size))
@@ -104,7 +118,7 @@ def pac_sample_prune(
     every arm blocked by the subset's solution at the shifted threshold, and
     recurse on the survivors.
     """
-    _validate(eps, delta)
+    eps, delta = real(eps, "eps", DomainError, "> 0"), real(delta, "delta", DomainError, "(0, 1)")
     transcript: list[PruneLevel] = []
     basis = _sample_prune(session, m, eps, delta, profile, 0, transcript)
     return PacResult(basis, tuple(transcript))

@@ -33,7 +33,7 @@ import numpy as np
 # here once: trial workers forked after this import do not load it again.
 from numpy.random import SeedSequence, default_rng
 
-from .errors import BudgetError, DomainError, ValidationError
+from .errors import BudgetError, DomainError, ValidationError, integer, real, seed_integer
 
 if TYPE_CHECKING:
     from .matroids import Matroid
@@ -198,28 +198,9 @@ class ArmTable:
         return (lo * (count - hits) + hi * hits) / count
 
 
-def _is_integer(e) -> bool:
-    """A Python or numpy integer, and not a bool: what an arm id or a pull count must be."""
-    return type(e) is int or isinstance(e, np.integer)
-
-
-def _pull_count(count) -> int:
-    """``count`` as an int, once it is an integer >= 1, not a float or a bool."""
-    if not (_is_integer(count) and count >= 1):
-        raise DomainError(f"batch size must be an integer >= 1, not {count!r}")
-    return int(count)
-
-
 # True for an iterable of Python int types only; anything else, numpy
-# integers included, goes on to the per-element check of ``_check_ids``.
+# integers included, goes on to the per-element integer rule.
 _ONLY_INTS = frozenset({int}).issuperset
-
-
-def _check_ids(unique: Iterable) -> None:
-    """Refuse any element that is not an integer arm id."""
-    for e in unique:
-        if not _is_integer(e):
-            raise DomainError(f"arm id {e!r} is not an integer")
 
 
 def _sorted_ids(elements: Iterable[int], array: bool) -> np.ndarray | list[int]:
@@ -231,7 +212,7 @@ def _sorted_ids(elements: Iterable[int], array: bool) -> np.ndarray | list[int]:
     if type(elements) is not np.ndarray:
         unique = set(elements)
         if not _ONLY_INTS(map(type, unique)):
-            _check_ids(unique)
+            unique = {integer(e, "arm id", DomainError) for e in unique}
         ordered = sorted(unique)
         return np.array(ordered, dtype=np.int64) if array else ordered
     if elements.dtype.kind not in "iu":
@@ -240,14 +221,6 @@ def _sorted_ids(elements: Iterable[int], array: bool) -> np.ndarray | list[int]:
     if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
         ids = np.unique(ids)
     return ids if array else ids.tolist()
-
-
-def _validate(eps: float, delta: float) -> None:
-    """Accuracy and confidence checks shared by every sampling algorithm."""
-    if not eps > 0:
-        raise DomainError("eps must be > 0")
-    if not 0.0 < delta < 1.0:
-        raise DomainError("delta must lie in (0, 1)")
 
 
 def _check_drawable(delta: float) -> None:
@@ -269,7 +242,7 @@ def sample_size(eps: float, delta: float) -> int:
     """Per-arm pull count guaranteeing |empirical - true| < eps w.p. 1 - delta;
     a ``delta`` of 0.0, which a quotient of a tiny confidence gives, is not drawable."""
     _check_drawable(delta)
-    _validate(eps, delta)
+    eps, delta = real(eps, "eps", DomainError, "> 0"), real(delta, "delta", DomainError, "(0, 1)")
     return ceil_pulls(lambda: eps**-2 * math.log(2.0 / delta) / 2.0)
 
 
@@ -277,8 +250,10 @@ class SamplingSession:
     """Seeded RNG plus exact per-arm pull counters for a single trial.
 
     Single-owner: one trial, one worker. Distinct sessions run concurrently
-    without coordination. Identical seed implies an identical pull transcript
-    and hence identical algorithm output.
+    without coordination. ``seed`` is a ``SeedSequence`` or an integer >= 0,
+    never None (which would draw OS entropy), and ``max_pulls`` is None or an
+    integer >= 0; anything else is a ``DomainError``. So an identical seed
+    gives an identical pull transcript, and hence identical algorithm output.
     """
 
     def __init__(
@@ -287,6 +262,10 @@ class SamplingSession:
         seed: int | SeedSequence,
         max_pulls: int | None = None,
     ):
+        if not isinstance(seed, SeedSequence):
+            seed = seed_integer(seed, DomainError)
+        if max_pulls is not None:
+            max_pulls = integer(max_pulls, "max_pulls", DomainError, 0)
         self._arms = arms if isinstance(arms, ArmTable) else ArmTable.from_arms(arms)
         self._rng = default_rng(seed)
         n = len(self._arms)
@@ -329,8 +308,8 @@ class SamplingSession:
         binomial variate, which is the same distribution as ``count``
         individual pulls.
         """
-        count = _pull_count(count)
-        _check_ids((e,))
+        count = integer(count, "batch size", DomainError, 1)
+        e = integer(e, "arm id", DomainError)
         self._check_ends(e, e)
         arms = self._arms
         stochastic = arms.kinds[e] != POINT
@@ -385,7 +364,7 @@ class SamplingSession:
         array over the whole table, NaN for every arm outside the batch, and
         takes a strictly increasing int64 array of ids as it is.
         """
-        count = _pull_count(count)
+        count = integer(count, "batch size", DomainError, 1)
         ids = _sorted_ids(elements, self._dense)
         if len(ids):
             self._check_ends(ids[0], ids[-1])
@@ -418,8 +397,7 @@ class SamplingSession:
         """Keep each element independently with probability ``p``; an id that
         is not an integer, or not an arm, is refused as by ``uniform_sample``,
         and so is a ``p`` that is not a real number in [0, 1]."""
-        if isinstance(p, bool) or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
-            raise DomainError(f"p must be a real number in [0, 1], not {p!r}")
+        p = real(p, "p", DomainError, "[0, 1]")
         ids = _sorted_ids(elements, self._dense)
         if len(ids):
             self._check_ends(ids[0], ids[-1])
@@ -429,4 +407,5 @@ class SamplingSession:
 
 def trial_seed(master_seed: int, trial_index: int) -> SeedSequence:
     """Deterministic per-trial stream, independent of worker scheduling."""
-    return SeedSequence((int(master_seed), int(trial_index)))
+    return SeedSequence((seed_integer(master_seed, DomainError, "master seed"),
+                         seed_integer(trial_index, DomainError, "trial index")))

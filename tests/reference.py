@@ -14,14 +14,13 @@ from typing import Iterable
 
 import numpy as np
 
-from matroid_bandits.errors import DomainError, ValidationError
+from matroid_bandits.errors import DomainError, ValidationError, integer
 from matroid_bandits.instances import Instance, _shuffled_uniform
 from matroid_bandits.matroids import (
     Matroid,
     Weights,
     _checked_basis,
     _distinct_weights,
-    _integer,
     _weight,
     avg_within_eps,
     basis_weight,
@@ -122,7 +121,7 @@ def pull_counts(session: SamplingSession) -> list[int]:
 
 def geometric_ladder_instance(n: int, k: int, min_gap: float, seed: int = 0) -> Instance:
     """Gaps grow geometrically from ``min_gap``, cycling to stay inside (0, 1)."""
-    n, k = _integer(n, "n"), _integer(k, "k")
+    n, k = integer(n, "n", ValidationError), integer(k, "k", ValidationError)
     if not 0 < k < n:
         raise ValidationError("need 0 < k < n")
     if not 0 < min_gap < 1:

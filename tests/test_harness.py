@@ -1,4 +1,5 @@
 import base64
+import csv
 import dataclasses
 import gc
 import json
@@ -427,9 +428,9 @@ def test_an_empty_instance_holds_any_gap_floor(tmp_path, capsys):
 _ALL_COLOOPS = {"family": "uniform", "n": 3, "k": 3}  # every gap is infinite
 
 
-@pytest.mark.parametrize("gap_floor", [False, True, Fraction(1, 10), "0.1", float("nan"),
+@pytest.mark.parametrize("gap_floor", [False, True, "0.1", float("nan"),
                                        float("inf"), 10**400, -(10**400)],
-                         ids=["false", "true", "fraction", "string", "nan", "inf",
+                         ids=["false", "true", "string", "nan", "inf",
                               "int-past-float", "negative-int-past-float"])
 def test_make_instance_refuses_a_gap_floor_that_is_not_a_finite_int_or_float(gap_floor):
     with pytest.raises(ValidationError, match="gap_floor"):
@@ -437,12 +438,12 @@ def test_make_instance_refuses_a_gap_floor_that_is_not_a_finite_int_or_float(gap
                       gap_floor=gap_floor)
 
 
-@pytest.mark.parametrize("gap_floor", [1, 0.05, np.float64(0.05)],
-                         ids=["int", "float", "numpy-float"])
+@pytest.mark.parametrize("gap_floor", [1, 0.05, np.float64(0.05), Fraction(1, 10)],
+                         ids=["int", "float", "numpy-float", "fraction"])
 def test_a_gap_floor_is_kept_as_a_float_and_loads_back_equal(gap_floor, tmp_path):
     inst = make_instance("x", _ALL_COLOOPS, [bernoulli(0.2), bernoulli(0.4), bernoulli(0.6)],
                          gap_floor=gap_floor)
-    assert type(inst.gap_floor) is float and inst.gap_floor == gap_floor
+    assert type(inst.gap_floor) is float and inst.gap_floor == float(gap_floor)
     path = tmp_path / "floor.json"
     save_instance(inst, path)
     assert json.loads(path.read_text())["gap_floor"] == float(gap_floor)
@@ -550,6 +551,26 @@ def test_run_config_refuses_a_field_of_the_wrong_type(field, value):
                                         (np.int64(1), np.float64(0.5))])
 def test_run_config_takes_numpy_floats_and_ints_for_eps_and_delta(eps, delta):
     assert RunConfig(builtin("prop1"), "pac", eps, delta, 1, 0, PAPER).eps == eps
+
+
+@pytest.mark.parametrize("eps, delta", [(0.1, np.float32(0.1)), (np.int64(1), 0.1),
+                                        (Fraction(1, 10), 0.1)],
+                         ids=["float32-delta", "int64-eps", "fraction-eps"])
+def test_a_report_of_a_numpy_or_fraction_eps_or_delta_holds_plain_numbers(eps, delta, tmp_path):
+    # the JSON report used to fail with a TypeError after the whole batch had run
+    config = RunConfig(builtin("ladder10"), "pac", eps, delta, 3, 0, DESK)
+    assert type(config.eps) is float and type(config.delta) is float
+    out = tmp_path / "r.json"
+    result = run_trials(config)
+    write_report(result, out)
+    summary = json.loads(out.read_text())["summary"]
+    assert (summary["eps"], summary["delta"]) == (float(eps), float(delta))
+    with open(out.with_suffix(".csv"), newline="", encoding="utf-8") as handle:
+        row = next(csv.DictReader(handle))
+    assert (row["eps"], row["delta"]) == (repr(float(eps)), repr(float(delta)))
+    plain = run_trials(RunConfig(builtin("ladder10"), "pac", float(eps), float(delta), 3, 0, DESK))
+    assert [(r.basis, r.per_arm) for r in result["reports"]] == [
+        (r.basis, r.per_arm) for r in plain["reports"]]
 
 
 def test_run_config_validation():
