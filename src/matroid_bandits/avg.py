@@ -140,7 +140,7 @@ def avg_pac_recur_elim(
         return naive_two(session, m, eps, delta)
 
     transcript: list[AvgRound] = []
-    current: ElementSet = m.ground_set
+    current = session.sample_ids(m)
     r = 1
     while True:
         delta_r = delta / 2.0 ** (r + 1)

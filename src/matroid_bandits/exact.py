@@ -10,6 +10,7 @@ confidence tightens on a fixed per-round schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from .errors import BudgetError, DomainError, InvariantError, integer, real
 from .matroids import Matroid, shifted_thresholds, unblocked
@@ -27,7 +28,7 @@ class ExactRound:
 
     kind: str
     r: int
-    ground: tuple[int, ...]
+    ground: Collection[int]  # in the session's form (``SamplingSession.sample_ids``)
     n_opt: int
     n_bad: int
     changed: tuple[int, ...]
@@ -77,17 +78,17 @@ def exact_exp_gap(
 
     while True:
         _assert_no_loops(m_cur)
-        current = m_cur.ground
+        current = session.sample_ids(m_cur)
         n_opt = m_cur.full_rank
         n_bad = len(current) - n_opt
         if n_opt == 0:
             break
         if n_bad == 0:
-            answer |= set(current)
+            answer.update(m_cur.ground)
             transcript.append(
                 ExactRound(
                     FINAL_SELECT, rounds[SELECTION] + 1, current, n_opt, n_bad,
-                    current, session.total_samples - start,
+                    m_cur.ground, session.total_samples - start,
                 )
             )
             break
@@ -108,9 +109,9 @@ def exact_exp_gap(
 
             thresholds = shifted_thresholds(rest, 1.5 * eps_r)
             changed = inner | unblocked(m_cur, inner, weights, thresholds)
-            if m_cur.rank(changed) != n_opt:
-                raise InvariantError("elimination dropped the rank of the survivors")
             m_next = m_cur.restrict(changed)
+            if m_next.full_rank != n_opt:
+                raise InvariantError("elimination dropped the rank of the survivors")
         else:
             means = session.uniform_sample(
                 session.sample_ids(m_cur), sample_size(eps_r, delta_r / len(current))

@@ -170,16 +170,9 @@ class TrialReport:
         }
 
 
-def _true_weights(instance: Instance):
-    """The true means as the judge reads them: one float array for a dense
-    table, which greedy and the judge read in vector form; the tuple for a
-    smaller one."""
-    means = instance.true_means
-    return np.array(means) if instance.arms.dense else means
-
-
-def _run_single_trial(config: RunConfig, index: int, opt, means) -> TrialReport:
-    session = config.instance.trial_session(
+def _run_single_trial(config: RunConfig, index: int) -> TrialReport:
+    inst = config.instance
+    session = inst.trial_session(
         config.seed, index, max_pulls=config.profile.pull_budget
     )
     started = time.perf_counter()
@@ -188,12 +181,12 @@ def _run_single_trial(config: RunConfig, index: int, opt, means) -> TrialReport:
     basis: tuple[int, ...] = ()
     try:
         result = run_algorithm(
-            session, config.instance.matroid, config.algo,
-            config.eps, config.delta, config.profile,
+            session, inst.matroid, config.algo, config.eps, config.delta, config.profile,
         )
         basis = tuple(sorted(result.basis))
         trace = result.transcript if config.trace else ()
-        flags = success_flags(config.instance.matroid, means, result.basis, config.eps, opt)
+        flags = success_flags(inst.matroid, inst.true_weights, result.basis, config.eps,
+                              inst.optimum)
     except BudgetError as exc:
         error = f"{type(exc).__name__}: {exc}"
         guard = exc.guard
@@ -214,10 +207,9 @@ def _run_single_trial(config: RunConfig, index: int, opt, means) -> TrialReport:
     )
 
 
-def _run_chunk(config: RunConfig, opt, indices: range) -> list[TrialReport]:
+def _run_chunk(config: RunConfig, indices: range) -> list[TrialReport]:
     """The trials of one batch that one worker, or the serial path, runs."""
-    means = _true_weights(config.instance)
-    return [_run_single_trial(config, index, opt, means) for index in indices]
+    return [_run_single_trial(config, index) for index in indices]
 
 
 # A trial worker: its process and the caller's end of its pipe.
@@ -250,9 +242,9 @@ def _serve(conn: Connection, inherited: tuple[Connection, ...]) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
-            config, opt, indices = conn.recv()
+            config, indices = conn.recv()
             try:
-                reply = _run_chunk(config, opt, indices)
+                reply = _run_chunk(config, indices)
             except Exception as exc:
                 reply = (exc, traceback.format_exc())
             conn.send(reply)
@@ -292,7 +284,7 @@ def _stop_workers(workers: list[_Worker], timeout: float) -> None:
             process.join()
 
 
-def _run_parallel(config: RunConfig, opt) -> list[TrialReport]:
+def _run_parallel(config: RunConfig) -> list[TrialReport]:
     """Share w of the batch is every ``jobs``-th index from w: the caller runs
     share 0 and worker w - 1 share w, one message each way."""
     global _pool
@@ -307,9 +299,9 @@ def _run_parallel(config: RunConfig, opt) -> list[TrialReport]:
         busy = [conn for _, conn in workers[:min(jobs, trials) - 1]]
         try:
             for w, conn in enumerate(busy, 1):
-                conn.send((config, opt, range(w, trials, jobs)))
+                conn.send((config, range(w, trials, jobs)))
             try:
-                replies = [_run_chunk(config, opt, range(0, trials, jobs))]
+                replies = [_run_chunk(config, range(0, trials, jobs))]
             except Exception as exc:
                 replies = [exc]
             # every reply is in before any error propagates, so the pool is idle again
@@ -385,17 +377,17 @@ def run_trials(config: RunConfig) -> dict:
 
     With ``jobs > 1`` the trials are split into ``jobs`` interleaved shares
     (every ``jobs``-th index): the caller runs the first, and each of the
-    process's ``jobs - 1`` workers receives one message (the config, the
-    optimum and its share) and sends back one (its reports, or the error it
-    raised, re-raised here with its own type). A worker that died makes the
-    batch raise ``BrokenProcessPool``; the next parallel batch starts fresh
-    workers.
+    process's ``jobs - 1`` workers receives one message (the config, whose
+    instance carries its optimum, and its share) and sends back one (its
+    reports, or the error it raised, re-raised here with its own type). A
+    worker that died makes the batch raise ``BrokenProcessPool``; the next
+    parallel batch starts fresh workers.
     """
-    opt = greedy_max_basis(config.instance.matroid, _true_weights(config.instance))
+    config.instance.optimum  # computed once per instance, before any worker gets it
     if config.jobs > 1 and config.trials > 1:
-        reports = _run_parallel(config, opt)
+        reports = _run_parallel(config)
     else:
-        reports = _run_chunk(config, opt, range(config.trials))
+        reports = _run_chunk(config, range(config.trials))
     reports.sort(key=lambda rep: rep.index)
     return summarize(config, reports)
 

@@ -20,6 +20,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import ValidationError, integer, real, seed_integer
 from .matroids import (
+    ElementSet,
     GraphicMatroid,
     LaminarMatroid,
     Matroid,
@@ -36,6 +38,7 @@ from .matroids import (
     UniformMatroid,
     _reading,
     gaps,
+    greedy_max_basis,
 )
 from .sampling import SCALED, ArmTable, SamplingSession, trial_seed
 
@@ -109,7 +112,7 @@ def _bernoulli_arms(means) -> ArmTable:
 
 def _encoded_means(means) -> str:
     """Version 3's ``means``: base64 of the means as little-endian float64s."""
-    return base64.b64encode(np.array(means, dtype="<f8").tobytes()).decode("ascii")
+    return base64.b64encode(np.asarray(means, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _decoded_means(text) -> np.ndarray:
@@ -150,7 +153,11 @@ _ARM_READERS = {1: _arms_from_entries, 2: _arms_from_columns, 3: _arms_from_colu
 
 @dataclass(frozen=True)
 class Instance:
-    """A named matroid over stochastic arms; true means live here, not in sessions."""
+    """A named matroid over stochastic arms; true means live here, not in sessions.
+
+    The judge's optimum is computed once per instance, on first use, and a
+    pickled instance carries it to the worker that receives it.
+    """
 
     name: str
     matroid: Matroid
@@ -167,6 +174,18 @@ class Instance:
     @property
     def true_means(self) -> tuple[float, ...]:
         return self.arms.means
+
+    @property
+    def true_weights(self) -> np.ndarray | tuple[float, ...]:
+        """The true means as the judge reads them: the table's own float array on
+        a dense table, which greedy and the judge read in vector form; the tuple
+        on a smaller one."""
+        return self.arms.mean_array if self.arms.dense else self.arms.means
+
+    @cached_property
+    def optimum(self) -> ElementSet:
+        """The greedy maximum-weight basis over the true means."""
+        return greedy_max_basis(self.matroid, self.true_weights)
 
     def gap_floor_check(self) -> tuple[bool, float]:
         """Whether the arms' gaps (:func:`.matroids.gaps`) hold the declared
@@ -188,7 +207,7 @@ class Instance:
             "schema_version": 3 if dense else 2,
             "name": self.name,
             "matroid": self.matroid_config,
-            "means": _encoded_means(self.arms.means) if dense else list(self.arms.means),
+            "means": _encoded_means(self.arms.mean_array) if dense else list(self.arms.means),
         }
         if not self.arms.all_bernoulli:
             cfg["kinds"] = list(self.arms.kinds)
@@ -230,12 +249,11 @@ def make_instance(
         raise ValidationError(
             f"{len(arms)} arms for a matroid over {matroid.size} elements"
         )
-    ground = matroid.ground  # sorted distinct integers, as many as the arms
-    if ground and (ground[0], ground[-1]) != (0, len(ground) - 1):
-        raise ValidationError(f"the matroid's elements must be the arm ids 0..{len(ground) - 1}; "
-                              f"got {ground[0]}..{ground[-1]}")
-    # The table has no NaN mean, and an all-Bernoulli one has its means as q.
-    means = np.sort(arms.q if arms.all_bernoulli else np.array(arms.means))
+    ends = matroid.ends  # of distinct integers, as many as the arms
+    if ends is not None and ends != (0, len(arms) - 1):
+        raise ValidationError(f"the matroid's elements must be the arm ids 0..{len(arms) - 1}; "
+                              f"got {ends[0]}..{ends[1]}")
+    means = np.sort(arms.mean_array)  # which holds no NaN
     if len(means) and not 0.0 < means[0] <= means[-1] < 1.0:
         mu = means[0] if means[0] <= 0.0 else means[-1]
         raise ValidationError(f"instance means must lie in (0, 1); got {mu}")

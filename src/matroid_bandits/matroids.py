@@ -6,7 +6,19 @@ blocking predicate, greedy maximum weight basis, per-element gaps, and
 optimality / eps-optimality checkers.
 
 Element ids are stable across views: a view exposes a subset of its family's
-ids and never renumbers.
+ids and never renumbers. A ground is held in one of three forms, and every
+membership check reads the form it is held in:
+
+- a family over 0..n-1 keeps its ``range``, and checks an id by its bounds;
+- a view cut from an integer id array (:meth:`Matroid.restrict`), as a dense
+  session's ``random_subset`` returns, keeps that array, sorted, read-only
+  and int64, and checks ids by binary search;
+- any other ground is a frozenset with its sorted tuple.
+
+``ground`` (a tuple), ``ground_set`` (a frozenset) and ``ground_ids`` (an
+array) give every ground in each form; a form that is not held is built on
+first use and kept. Membership means what it means to a set of the ids, so
+``True`` is the id 1 and ``np.int64(2)`` the id 2, in every form.
 
 Greedy, the pruning sweep's candidates and the eps-optimality check read
 weights in vector form when they come as a float array indexed by element
@@ -85,6 +97,26 @@ def _unhashable(e) -> DomainError | None:
     return None
 
 
+def _int_id(e) -> int | None:
+    """The int that ``e`` equals, which a set of ints would find it as (``True``
+    is 1); None when no int equals it."""
+    if type(e) is int:
+        return e
+    try:
+        i = int(e)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == e else None
+
+
+def _found(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Which of the int64 ``values`` the sorted array ``ids`` holds: one binary search each."""
+    pos = np.searchsorted(ids, values)
+    hit = pos < len(ids)
+    hit[hit] = ids[pos[hit]] == values[hit]
+    return hit
+
+
 class IndependentSet:
     """An independent set grown one element at a time; see :meth:`Matroid.growing`.
 
@@ -93,9 +125,9 @@ class IndependentSet:
     Once it keeps ``full_rank`` elements it spans every element: greedy and
     :func:`unblocked` stop on that count and ask the set nothing more.
     Elements must lie in the matroid's ground set; callers check that once.
-    This generic version asks ``rank`` once per query. A family may subclass
-    it with a test that needs no ``rank`` call (a count or a union-find),
-    updating its state in ``_keep``, and count its rank with it.
+    This generic version counts one rank per query. A family may subclass
+    it with a test that needs no rank (a count or a union-find), updating
+    its state in ``_keep``, and count its rank with it.
     """
 
     def __init__(self, m: "Matroid"):
@@ -104,7 +136,7 @@ class IndependentSet:
 
     def spans(self, e: int) -> bool:
         kept = self._kept
-        return e in kept or self._m.rank(kept | {e}) == len(kept)
+        return e in kept or self._m._rank(kept | {e}) == len(kept)
 
     def add(self, e: int) -> bool:
         try:
@@ -124,68 +156,122 @@ class IndependentSet:
 
 
 class Matroid:
-    """Base class: a concrete family implements ``rank``, ``growing`` or both.
+    """Base class: a concrete family implements ``_rank``, ``growing`` or both.
 
-    Independence, bases and blocking derive from ``rank``; greedy, pruning,
-    loops and contraction from the :class:`IndependentSet` that ``growing``
-    returns. Partition, laminar and graphic implement only that set and keep
-    the base ``rank``, which counts what a fresh set keeps. ``restrict`` and
-    ``contract`` serve families and views alike (see :class:`_RestrictionView`).
-    A family or view that inherits ``rank``, ``restrict`` or ``contract``
-    still names it in its own dict (``rank = Matroid.rank``), because
-    perfbench's tracer wraps only what a class's own dict holds. Instances
-    are immutable after construction and safe to share across concurrent
-    workers.
+    Independence, bases and blocking derive from ``_rank``, the rank of
+    elements already checked to lie in the ground; ``rank`` checks them
+    first. Greedy, pruning, loops and contraction derive from the
+    :class:`IndependentSet` that ``growing`` returns. Partition, laminar and
+    graphic implement only that set and keep the base ``_rank``, which counts
+    what a fresh set keeps. ``restrict`` and ``contract`` serve families and
+    views alike (see :class:`_RestrictionView`). Every family and view still
+    names ``rank`` in its own dict (``rank = Matroid.rank``), and each view
+    ``restrict`` and ``contract``, because perfbench's tracer wraps only what
+    a class's own dict holds. Instances are immutable after construction,
+    apart from the forms of the ground built on first use, and safe to share
+    across concurrent workers.
     """
 
-    _ground: tuple[int, ...]
-    _ground_set: ElementSet
+    _held: range | np.ndarray | ElementSet  # the ground, in the form it is held in
+    _ground: tuple[int, ...] | None
+    _ground_set: ElementSet | None
     _ground_ids: np.ndarray | None
     _full_rank: int | None
     _parent: "Matroid | None" = None  # a view's family; None on a family
     _committed: ElementSet = frozenset()  # what a view commits; nothing, on a family
 
     def _init_ground(self, ground: Iterable[int]) -> None:
-        """Set the ground from ``ground``; a frozenset is kept as it is, not copied,
-        and a step-1 range, already sorted and distinct, is not sorted."""
-        if type(ground) is range and ground.step == 1:
-            self._ground = tuple(ground)
-            self._ground_set = frozenset(self._ground)  # shares the tuple's int objects
+        """Hold ``ground``: a step-1 range, or a sorted, read-only int64 array
+        (:meth:`restrict`), as it is; anything else as a frozenset, kept as it
+        is when it is one, with its sorted tuple."""
+        if type(ground) is range or type(ground) is np.ndarray:
+            self._held, self._ground, self._ground_set = ground, None, None
         else:
-            self._ground_set = frozenset(ground)
+            self._held = self._ground_set = frozenset(ground)
             self._ground = tuple(sorted(self._ground_set))
-        self._ground_ids = None
+        self._ground_ids = ground if type(ground) is np.ndarray else None
         self._full_rank = None
+
+    def __getstate__(self) -> dict:
+        """The ground as held, without the forms built from it on first use: a
+        pickled family over 0..n-1 holds no bytes per element for its ground."""
+        state, held = vars(self).copy(), self._held
+        state["_ground_ids"] = held if type(held) is np.ndarray else None
+        if type(held) is not frozenset:
+            state["_ground"] = state["_ground_set"] = None
+        return state
+
+    def _members(self) -> Iterable[int]:
+        """The ground's ids as Python ints in increasing order, read off the held form."""
+        held = self._held
+        if type(held) is np.ndarray:
+            return held.tolist()
+        return held if type(held) is range else self._ground
 
     @property
     def ground(self) -> tuple[int, ...]:
+        """The ground as a sorted tuple, built on first use from a range or an array."""
+        if self._ground is None:
+            self._ground = tuple(self._members())
         return self._ground
 
     @property
     def ground_ids(self) -> np.ndarray:
-        """The ground set as a sorted, read-only int64 array, built on first use."""
+        """The ground as a sorted, read-only int64 array, built on first use unless held as one."""
         if self._ground_ids is None:
-            ids = np.fromiter(self._ground, np.int64, len(self._ground))
+            held = self._held
+            ids = (np.arange(held.start, held.stop, dtype=np.int64) if type(held) is range
+                   else np.fromiter(self._ground, np.int64, len(self._ground)))
             ids.flags.writeable = False
             self._ground_ids = ids
         return self._ground_ids
 
     @property
     def ground_set(self) -> ElementSet:
+        """The ground as a frozenset, built on first use unless held as one."""
+        if self._ground_set is None:
+            self._ground_set = frozenset(self._members())
         return self._ground_set
 
     @property
     def size(self) -> int:
-        return len(self._ground)
+        return len(self._held)
+
+    @property
+    def ends(self) -> tuple[int, int] | None:
+        """The least and the greatest id, read off the held form; None on an empty ground."""
+        if not self.size:
+            return None
+        held = self._ground if type(self._held) is frozenset else self._held
+        return int(held[0]), int(held[-1])
 
     @property
     def full_rank(self) -> int:
-        """rank of the whole ground set (the common size of all bases)."""
+        """rank of the whole ground set (the common size of all bases), counted
+        on the ground as held, which needs no check."""
         if self._full_rank is None:
-            self._full_rank = self.rank(self._ground_set)
+            self._full_rank = self._rank(self._members())
         return self._full_rank
 
+    def _outside(self, subset: ElementSet) -> Collection:
+        """The members of ``subset`` outside the ground, found in the form it is held
+        in, as a set of its ids would find them."""
+        held = self._held
+        if type(held) is frozenset:
+            return subset - held
+        if type(held) is range:
+            return [e for e in subset if (i := _int_id(e)) is None or i not in held]
+        if not len(held):
+            return subset
+        lo, hi = int(held[0]), int(held[-1])
+        pairs = [(e, i) for e in subset
+                 if (i := e if type(e) is int else _int_id(e)) is not None and lo <= i <= hi]
+        values = np.fromiter((i for _, i in pairs), np.int64, len(pairs))
+        return subset.difference([e for (e, _), hit in zip(pairs, _found(held, values)) if hit])
+
     def _as_subset(self, elements: Iterable[int]) -> ElementSet:
+        if type(elements) is np.ndarray:
+            elements = elements.tolist()  # Python numbers, as the ids they equal
         try:
             subset = frozenset(elements)
         except TypeError:
@@ -194,13 +280,48 @@ class Matroid:
             # an iterator has passed the element that failed; name it when it can be found
             errors = filter(None, map(_unhashable, elements))
             raise next(errors, DomainError("an unhashable element is outside ground set")) from None
-        if not subset <= self._ground_set:
-            raise _outside_ground(subset - self._ground_set)
+        held = self._held
+        if type(held) is frozenset:
+            if subset <= held:
+                return subset
+        elif type(held) is range:  # ints inside its bounds, by the loop that finds them fastest
+            lo, hi = held.start, held.stop
+            for e in subset:
+                if type(e) is not int or not lo <= e < hi:
+                    break
+            else:
+                return subset
+        bad = self._outside(subset)
+        if bad:
+            raise _outside_ground(bad)
         return subset
 
+    def _checked_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Integer ``ids`` as a sorted, read-only int64 array, once each lies in the
+        ground, checked against ``ground_ids`` (or a range's bounds) in one vector
+        step. A read-only int64 array already sorted is kept as it is."""
+        if ids.dtype != np.int64 or ids.flags.writeable:
+            ids = ids.astype(np.int64)
+        if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+            ids = np.unique(ids)
+        ids.flags.writeable = False
+        held = self._held
+        if type(held) is range:
+            bad = ids[(ids < held.start) | (ids >= held.stop)]
+        else:
+            bad = ids[~_found(self.ground_ids, ids)]
+        if len(bad):
+            raise _outside_ground(bad.tolist())
+        return ids
+
     def rank(self, elements: Iterable[int]) -> int:
-        """The number of ``elements`` that a fresh :meth:`growing` set keeps."""
-        return sum(map(self.growing().add, self._as_subset(elements)))
+        """The rank of ``elements``, once each is checked to lie in the ground."""
+        return self._rank(self._as_subset(elements))
+
+    def _rank(self, elements: Iterable[int]) -> int:
+        """The rank of distinct ``elements`` of the ground, unchecked: the number
+        that a fresh :meth:`growing` set keeps."""
+        return sum(map(self.growing().add, elements))
 
     def growing(self) -> IndependentSet:
         """An empty independent set of this matroid, to grow by ``add``."""
@@ -208,14 +329,15 @@ class Matroid:
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         subset = self._as_subset(elements)
-        return self.rank(subset) == len(subset)
+        return self._rank(subset) == len(subset)
 
     def is_basis(self, elements: Iterable[int]) -> bool:
         subset = self._as_subset(elements)
-        return len(subset) == self.full_rank and self.is_independent(subset)
+        return len(subset) == self.full_rank and self._rank(subset) == len(subset)
 
     def blocks(self, elements: Iterable[int], e: int) -> bool:
-        """True iff adding ``e`` to ``elements`` does not raise the rank."""
+        """True iff adding ``e`` to ``elements`` does not raise the rank. The set
+        and ``e`` are checked once; both ranks are then counted unchecked."""
         subset = self._as_subset(elements)
         try:
             inside = e in subset
@@ -223,17 +345,25 @@ class Matroid:
             raise _unhashable(e) from None
         if inside:
             raise DomainError(f"element {e} is inside the blocking set")
-        if e not in self._ground_set:
+        if self._outside(frozenset((e,))):
             raise DomainError(f"element {e} outside ground set")
-        return self.rank(subset | {e}) == self.rank(subset)
+        return self._rank(subset | {e}) == self._rank(subset)
 
     def restrict(self, keep: Iterable[int]) -> "Matroid":
-        """This matroid on ``keep``: a view of its family that commits what this one does."""
-        keep_set = self._as_subset(keep)
-        if keep_set == self._ground_set:
+        """This matroid on ``keep``: a view of its family that commits what this one does.
+
+        An integer id array, as a dense session's ``random_subset`` returns, is
+        checked in one vector step (:meth:`_checked_ids`) and held by the view.
+        """
+        if (type(keep) is np.ndarray and keep.ndim == 1 and keep.dtype.kind in "iu"
+                and np.can_cast(keep.dtype, np.int64)):
+            keep = self._checked_ids(keep)
+        else:
+            keep = self._as_subset(keep)
+        if len(keep) == self.size:  # all of this ground
             return self
         view = _ContractionView if self._committed else _RestrictionView
-        return view(self._parent or self, keep_set, self._committed)
+        return view(self._parent or self, keep, self._committed)
 
     def contract(self, committed: Iterable[int]) -> "Matroid":
         """This matroid given the independent set ``committed``: a view of its family
@@ -244,20 +374,17 @@ class Matroid:
         grown = self.growing()
         if not all(map(grown.add, added)):
             raise PreconditionError("can only contract an independent set")
-        return _ContractionView(self._parent or self, filterfalse(grown.spans, self._ground),
+        return _ContractionView(self._parent or self, filterfalse(grown.spans, self._members()),
                                 self._committed | added)
 
     def loops(self) -> ElementSet:
         """Elements of rank zero, which lie in no basis: those the empty set spans."""
-        empty = self.growing()
-        return frozenset(e for e in self._ground if empty.spans(e))
+        return frozenset(filter(self.growing().spans, self._members()))
 
     def isolated_and_loops(self) -> tuple[ElementSet, ElementSet]:
         """(elements in every basis, elements in no basis)."""
-        total = self.full_rank
-        isolated = frozenset(
-            e for e in self._ground if self.rank(self._ground_set - {e}) < total
-        )
+        total, ground = self.full_rank, self.ground_set
+        isolated = frozenset(e for e in self._members() if self.rank(ground - {e}) < total)
         return isolated, self.loops()
 
 
@@ -269,16 +396,17 @@ class UniformMatroid(Matroid):
         self._init_ground(range(n))
         self.k = min(k, n)
 
-    def rank(self, elements: Iterable[int]) -> int:
-        subset = self._as_subset(elements)
-        return min(len(subset), self.k)
+    rank = Matroid.rank
+
+    def _rank(self, elements: Iterable[int]) -> int:
+        return min(len(elements), self.k)
 
     def growing(self) -> IndependentSet:
         return _UniformSet(self)
 
     def loops(self) -> ElementSet:
         """No element when ``k >= 1``; every element when ``k == 0``."""
-        return frozenset() if self.k else self._ground_set
+        return frozenset() if self.k else self.ground_set
 
 
 class _UniformSet(IndependentSet):
@@ -321,7 +449,7 @@ class LaminarMatroid(Matroid):
         n = integer(n, "n", ValidationError, 0)
         self._init_ground(range(n))
         family, caps = _capped_sets(sets, "laminar")
-        if not all(mset <= self._ground_set for mset in family):
+        if any(mset and (min(mset) < 0 or max(mset) >= n) for mset in family):
             raise ValidationError("laminar set contains unknown elements")
         for a, b in combinations(family, 2):
             if a & b and not (a <= b or b <= a):
@@ -330,7 +458,7 @@ class LaminarMatroid(Matroid):
         self._caps = tuple(caps)
         self._covers = {
             e: tuple(si for si, mset in enumerate(family) if e in mset)
-            for e in self._ground
+            for e in range(n)
         }
 
     rank = Matroid.rank
@@ -424,9 +552,9 @@ class TransversalMatroid(Matroid):
     """Tasks matchable to distinct workers in a bipartite graph.
 
     Elements are tasks; ``workers[j]`` lists the tasks worker ``j`` can do.
-    A task set is independent iff a matching saturates it. ``rank`` counts
+    A task set is independent iff a matching saturates it. ``_rank`` counts
     the tasks that augmenting paths match, and is all the family implements:
-    its :class:`IndependentSet` is the generic one, one ``rank`` per query.
+    its :class:`IndependentSet` is the generic one, one rank per query.
     An incremental matching would be the most code of any family, and
     nothing larger than the five-task ``transversal5`` builtin runs one.
     """
@@ -445,8 +573,9 @@ class TransversalMatroid(Matroid):
                 adj[t].append(wi)
         self._task_adj = tuple(map(tuple, adj))
 
-    def rank(self, elements: Iterable[int]) -> int:
-        subset = self._as_subset(elements)
+    rank = Matroid.rank
+
+    def _rank(self, elements: Iterable[int]) -> int:
         owner: dict[int, int] = {}
 
         def augment(root: int) -> bool:
@@ -473,7 +602,7 @@ class TransversalMatroid(Matroid):
                 tasks.append((owner[w], iter(self._task_adj[owner[w]])))
             return False
 
-        return sum(1 for t in sorted(subset) if augment(t))
+        return sum(1 for t in sorted(elements) if augment(t))
 
 
 class _RestrictionView(Matroid):
@@ -490,11 +619,11 @@ class _RestrictionView(Matroid):
         self._committed = committed
         self._init_ground(ground)
 
-    def rank(self, elements: Iterable[int]) -> int:
-        subset, committed = self._as_subset(elements), self._committed
+    def _rank(self, elements: Iterable[int]) -> int:
+        committed = self._committed
         if not committed:
-            return self._parent.rank(subset)
-        return self._parent.rank(subset | committed) - len(committed)
+            return self._parent._rank(elements)
+        return self._parent._rank(committed.union(elements)) - len(committed)
 
     def growing(self) -> IndependentSet:
         """The family's independent set, seeded with the committed elements."""
@@ -503,6 +632,7 @@ class _RestrictionView(Matroid):
             grown.add(e)
         return grown
 
+    rank = Matroid.rank
     restrict = Matroid.restrict
     contract = Matroid.contract
 
@@ -511,7 +641,7 @@ class _ContractionView(_RestrictionView):
     """A view whose committed set is not empty. Its ground holds nothing that
     set spans, so contraction never introduces loops."""
 
-    rank = _RestrictionView.rank
+    rank = Matroid.rank
     restrict = Matroid.restrict
     contract = Matroid.contract
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
 from .errors import BudgetError, ConfigError, DomainError, InvariantError, integer, real
 from .matroids import (
@@ -63,12 +63,17 @@ PROFILES = {"paper": PAPER, "desk": DESK}
 
 @dataclass(frozen=True)
 class PruneLevel:
-    """Observables of one recursion level (sizes plus the surviving sets)."""
+    """Observables of one recursion level (sizes plus the surviving sets).
+
+    ``ground``, ``sampled`` and ``kept`` hold the level's ids in the form the
+    session hands them out (``SamplingSession.sample_ids``): a sorted tuple on
+    a small table, a sorted int64 array on a dense one.
+    """
 
     depth: int
-    ground: tuple[int, ...]
-    sampled: tuple[int, ...] | None = None
-    kept: tuple[int, ...] | None = None
+    ground: Collection[int]
+    sampled: Collection[int] | None = None
+    kept: Collection[int] | None = None
     solved: tuple[int, ...] | None = None
     base_case: bool = False
 
@@ -136,25 +141,25 @@ def _sample_prune(
     _check_drawable(delta)  # delta / 8 and delta / 4 underflow at the smallest confidences
     if depth > profile.max_depth:
         raise BudgetError(f"recursion depth guard {profile.max_depth} exceeded", "depth")
-    ground = m.ground
+    ground = session.sample_ids(m)
     k = m.full_rank
     if k == 0 or len(ground) <= profile.base_case_bound(delta, k):
         transcript.append(PruneLevel(depth, ground, base_case=True))
         return naive_one(session, m, eps, delta).basis
 
-    sampled = session.random_subset(session.sample_ids(m), profile.sample_prob)
+    sampled = session.random_subset(ground, profile.sample_prob)
     alpha = eps / 3.0
     lam = eps / 12.0
     subset = m.restrict(sampled)
     inner = _sample_prune(session, subset, alpha, delta / 8.0, profile, depth + 1, transcript)
     means = session.uniform_sample(
-        session.sample_ids(m), sample_size(lam, delta * profile.sample_prob / (8.0 * k))
+        ground, sample_size(lam, delta * profile.sample_prob / (8.0 * k))
     )
 
     thresholds = shifted_thresholds(means, -alpha, -2.0 * lam, exclude=inner)
-    survivors = inner | unblocked(m, inner, means, thresholds)
-    if m.rank(survivors) != k:
+    rest = m.restrict(inner | unblocked(m, inner, means, thresholds))
+    if rest.full_rank != k:
         raise InvariantError("pruning dropped the rank of the survivor set")
-    rest = m.restrict(survivors)  # a view's ground is its sorted elements
-    transcript.append(PruneLevel(depth, ground, subset.ground, rest.ground, tuple(sorted(inner))))
+    transcript.append(PruneLevel(depth, ground, session.sample_ids(subset),
+                                 session.sample_ids(rest), tuple(sorted(inner))))
     return _sample_prune(session, rest, alpha, delta / 4.0, profile, depth + 1, transcript)

@@ -12,10 +12,17 @@ one place that size is compared). Its sessions keep an int64 ledger, which
 turns into exact Python ints before the total could reach ``2**63``, return
 each batch's means as one read-only float64 array indexed by arm id (NaN for
 an arm outside the batch) and hand out ids (``sample_ids``) as sorted int64
-arrays, such as ``Matroid.ground_ids``, for views of any size. A smaller
-table's sessions keep a list ledger, return dicts and hand out tuples or
-sets, which cost less than numpy's fixed per-call cost on a few arms. Both
-forms draw the same numbers and record the same pulls.
+arrays, such as ``Matroid.ground_ids``, for views of any size; their
+``random_subset`` returns its ids as such an array too, which
+``Matroid.restrict`` keeps as the view's ground. A smaller table's sessions
+keep a list ledger, return dicts and hand out tuples or sets, which cost
+less than numpy's fixed per-call cost on a few arms. Both forms draw the
+same numbers and record the same pulls.
+
+A ground reaches a session in one of the three forms that :mod:`.matroids`
+holds: a family's ``range`` of 0..n-1, a view's sorted int64 array, or a
+frozenset. An all-Bernoulli table holds its means as its ``q`` array, and no
+Python object per arm.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from decimal import Decimal
 from itertools import chain, compress
 from numbers import Real
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
 import numpy as np
@@ -97,22 +105,37 @@ def _numbers(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArmTable:
     """Arms as columns: a kind, a mean and a support (or None) per arm id.
 
-    ``q`` is each arm's binomial success probability, computed once per
-    table; a point mass takes no draw and has q = 0. ``all_bernoulli`` says
-    whether every arm is Bernoulli, also decided once per table. Columns
-    pickle as a few flat objects, where one ``Arm`` per arm would pickle as a
-    record each.
+    ``mean_array`` holds the means as one read-only float64 array, and ``q``
+    each arm's binomial success probability, computed once per table; a point
+    mass takes no draw and has q = 0. In an all-Bernoulli table the two are
+    one array, and no per-arm kind or support is held: ``kinds`` and
+    ``supports`` are built on first use, as the ``means`` tuple is on every
+    table. Tables compare by value and pickle as their columns, never as one
+    record per arm or with what was built on first use.
     """
 
-    kinds: tuple[str, ...]
-    means: tuple[float, ...]
-    supports: tuple[tuple[float, float] | None, ...]
-    q: np.ndarray = field(compare=False, repr=False)
-    all_bernoulli: bool = field(compare=False, repr=False)
+    q: np.ndarray = field(repr=False)
+    mean_array: np.ndarray = field(repr=False)
+    mixed_kinds: tuple[str, ...] | None  # None when every arm is Bernoulli
+    mixed_supports: tuple[tuple[float, float] | None, ...] | None
+
+    def __post_init__(self):  # unpickled arrays are writeable again
+        self.q.setflags(write=False)
+        self.mean_array.setflags(write=False)
+
+    def __reduce__(self):
+        return ArmTable, (self.q, self.mean_array, self.mixed_kinds, self.mixed_supports)
+
+    def __eq__(self, other):
+        if type(other) is not ArmTable:
+            return NotImplemented
+        return (self.mixed_kinds == other.mixed_kinds
+                and self.mixed_supports == other.mixed_supports
+                and np.array_equal(self.mean_array, other.mean_array))
 
     @classmethod
     def from_columns(
@@ -130,24 +153,22 @@ class ArmTable:
         constants, so that a table shares one string per kind however its kinds
         were read, and a scaled arm's support is stored as a pair of floats.
         """
-        if kinds is None:  # the constant repeated: no lookup per arm
-            kinds = (BERNOULLI,) * len(means)
-        else:
+        if kinds is not None:
             try:
                 kinds = tuple(map(_KINDS.__getitem__, kinds))
             except (KeyError, TypeError):
                 bad = next(k for k in kinds if not (isinstance(k, str) and k in _KINDS))
                 raise ValidationError(f"unknown arm kind {bad!r}") from None
-        n = len(kinds)
+            if kinds.count(BERNOULLI) == len(kinds):
+                kinds = None
+        n = len(means) if kinds is None else len(kinds)
         q = _numbers(means, (n,), "arm means")  # a Bernoulli arm's q is its mean
         inside = (q >= 0.0) & (q <= 1.0)  # False for NaN
         if np.count_nonzero(inside) != n:
             raise ValidationError(f"arm mean {q[inside.argmin()]} outside [0, 1]")
-        means = tuple(q.tolist())
-        all_bernoulli = kinds.count(BERNOULLI) == n
-        scaled = [] if all_bernoulli else [e for e, kind in enumerate(kinds) if kind is SCALED]
+        scaled = [] if kinds is None else [e for e, kind in enumerate(kinds) if kind is SCALED]
         if supports is None:
-            supports, with_support = [None] * n, []
+            supports, with_support = None if kinds is None else [None] * n, []
         else:
             supports = list(supports)
             if len(supports) != n:
@@ -155,9 +176,12 @@ class ArmTable:
             with_support = [e for e, support in enumerate(supports) if support is not None]
         if with_support != scaled:
             e = min(set(with_support).symmetric_difference(scaled))
-            if kinds[e] is SCALED:
+            if kinds is not None and kinds[e] is SCALED:
                 raise ValidationError("scaled arm needs a (lo, hi) support")
-            raise ValidationError(f"{kinds[e]} arm takes no support")
+            raise ValidationError(f"{BERNOULLI if kinds is None else kinds[e]} arm takes no support")
+        if kinds is None:
+            return cls(q, q, None, None)
+        means = q.copy()
         if scaled:
             bounds = _numbers([supports[e] for e in scaled], (len(scaled), 2), "scaled supports")
             lo, hi = bounds.T
@@ -169,9 +193,8 @@ class ArmTable:
             q[scaled] = (mu - lo) / (hi - lo)
             for e, support in zip(scaled, bounds.tolist()):
                 supports[e] = tuple(support)
-        if not all_bernoulli:
-            q[[e for e, kind in enumerate(kinds) if kind is POINT]] = 0.0
-        return cls(kinds, means, tuple(supports), q, all_bernoulli)
+        q[[e for e, kind in enumerate(kinds) if kind is POINT]] = 0.0
+        return cls(q, means, kinds, tuple(supports))
 
     @classmethod
     def from_arms(cls, arms: Iterable[Arm]) -> "ArmTable":
@@ -180,18 +203,36 @@ class ArmTable:
                                 [arm.support for arm in arms])
 
     def __len__(self) -> int:
-        return len(self.means)
+        return len(self.q)
+
+    @property
+    def all_bernoulli(self) -> bool:
+        """Whether every arm is Bernoulli, as decided once per table."""
+        return self.mixed_kinds is None
+
+    @cached_property
+    def kinds(self) -> tuple[str, ...]:
+        return (BERNOULLI,) * len(self) if self.mixed_kinds is None else self.mixed_kinds
+
+    @cached_property
+    def supports(self) -> tuple[tuple[float, float] | None, ...]:
+        return (None,) * len(self) if self.mixed_supports is None else self.mixed_supports
+
+    @cached_property
+    def means(self) -> tuple[float, ...]:
+        """The means as a tuple of Python floats."""
+        return tuple(self.mean_array.tolist())
 
     @property
     def dense(self) -> bool:
         """Whether sessions over this table keep an int64 ledger and return arrays of means."""
-        return len(self.means) >= DENSE_MIN_ARMS
+        return len(self.q) >= DENSE_MIN_ARMS
 
     def batch_mean(self, e: int, count: int, hits: int) -> float:
         """Mean of ``count`` pulls of arm ``e`` with ``hits`` successes."""
-        kind = self.kinds[e]
+        kind = BERNOULLI if self.mixed_kinds is None else self.mixed_kinds[e]
         if kind == POINT:
-            return self.means[e]
+            return float(self.mean_array[e])
         if kind == BERNOULLI:
             return hits / count
         lo, hi = self.supports[e]
@@ -206,14 +247,17 @@ _ONLY_INTS = frozenset({int}).issuperset
 def _sorted_ids(elements: Iterable[int], array: bool) -> np.ndarray | list[int]:
     """``elements`` as strictly increasing ids: an int64 array if ``array``, else a list.
 
-    An integer array that already increases strictly is taken as it is, so
-    that ``Matroid.ground_ids`` costs no sort.
+    Each element is checked before duplicates merge, so that a bool equal to
+    an id in the batch is refused, not merged into it. An integer array that
+    already increases strictly is taken as it is, so that
+    ``Matroid.ground_ids`` costs no sort.
     """
     if type(elements) is not np.ndarray:
-        unique = set(elements)
-        if not _ONLY_INTS(map(type, unique)):
-            unique = {integer(e, "arm id", DomainError) for e in unique}
-        ordered = sorted(unique)
+        if iter(elements) is elements:  # an iterator, which one pass would use up
+            elements = list(elements)
+        if not _ONLY_INTS(map(type, elements)):
+            elements = [integer(e, "arm id", DomainError) for e in elements]
+        ordered = sorted(set(elements))
         return np.array(ordered, dtype=np.int64) if array else ordered
     if elements.dtype.kind not in "iu":
         raise DomainError(f"arm ids must be integers, not {elements.dtype}")
@@ -312,7 +356,7 @@ class SamplingSession:
         e = integer(e, "arm id", DomainError)
         self._check_ends(e, e)
         arms = self._arms
-        stochastic = arms.kinds[e] != POINT
+        stochastic = arms.all_bernoulli or arms.kinds[e] != POINT
         self._check_batch(count, 1, stochastic)
         hits = int(self._rng.binomial(count, arms.q[e])) if stochastic else 0
         self._add_pulls([e], count)
@@ -379,30 +423,39 @@ class SamplingSession:
 
     def _draw(self, ids: list[int] | np.ndarray, count: int) -> np.ndarray:
         """Check and draw one batch of the increasing ``ids``; their means in order, unrecorded."""
-        arms, kinds = self._arms, self._arms.kinds
-        if not arms.all_bernoulli and type(ids) is np.ndarray:
+        arms, kinds = self._arms, self._arms.mixed_kinds
+        if kinds is not None and type(ids) is np.ndarray:
             ids = ids.tolist()  # the per-arm code below reads Python ints faster
-        stochastic = ids if arms.all_bernoulli else [e for e in ids if kinds[e] != POINT]
+        stochastic = ids if kinds is None else [e for e in ids if kinds[e] != POINT]
         self._check_batch(count, len(ids), len(stochastic) > 0)
         draws = self._rng.binomial(count, arms.q[stochastic]) if len(stochastic) else np.zeros(0)
-        if arms.all_bernoulli and count <= 2**53:
+        if kinds is None and count <= 2**53:
             # hits and count are exact in float64 here, so each quotient is
             # rounded once, as Python's hits / count is
             return draws / count
         hits = iter(draws.tolist())
-        return np.array([arms.batch_mean(e, count, 0 if kinds[e] == POINT else next(hits))
+        return np.array([arms.batch_mean(e, count, 0 if kinds and kinds[e] == POINT else next(hits))
                          for e in ids])
 
-    def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int]:
+    def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int] | np.ndarray:
         """Keep each element independently with probability ``p``; an id that
         is not an integer, or not an arm, is refused as by ``uniform_sample``,
-        and so is a ``p`` that is not a real number in [0, 1]."""
+        and so is a ``p`` that is not a real number in [0, 1].
+
+        A small table returns a frozenset. A dense one returns the kept ids as
+        a sorted, read-only int64 array, which ``Matroid.restrict`` holds as
+        the view's ground as it is.
+        """
         p = real(p, "p", DomainError, "[0, 1]")
         ids = _sorted_ids(elements, self._dense)
         if len(ids):
             self._check_ends(ids[0], ids[-1])
         keep = self._rng.random(len(ids)) < p
-        return frozenset(ids[keep].tolist() if self._dense else compress(ids, keep.tolist()))
+        if not self._dense:
+            return frozenset(compress(ids, keep.tolist()))
+        kept = ids[keep]
+        kept.flags.writeable = False
+        return kept
 
 
 def trial_seed(master_seed: int, trial_index: int) -> SeedSequence:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matroid_bandits import harness
+from matroid_bandits import harness, instances
 from matroid_bandits.cli import main
 from matroid_bandits.errors import (
     BudgetError, ConfigError, InvariantError, ValidationError,
@@ -881,6 +881,49 @@ def test_held_reports_of_a_dense_batch_cost_about_eight_bytes_per_arm(jobs):
     assert held / (n * trials) < 12, held
 
 
+@pytest.mark.parametrize("inst", [
+    builtin("ladder10"), big_uniform_instance(DENSE_MIN_ARMS + 10, 4, seed=5),
+], ids=["small", "dense"])
+def test_a_second_batch_on_an_instance_does_not_compute_its_optimum_again(inst, monkeypatch):
+    on_true_means = []
+    greedy = harness.greedy_max_basis
+
+    def spy(m, weights):
+        if isinstance(weights, (tuple, np.ndarray)) and np.array_equal(weights, inst.true_means):
+            on_true_means.append(weights)
+        return greedy(m, weights)
+
+    for module in (harness, instances):
+        monkeypatch.setattr(module, "greedy_max_basis", spy)
+    for algo in ("naive1", "pac", "naive1"):
+        run_trials(RunConfig(inst, algo, 0.1, 0.1, 3, 0, DESK))
+    # once, on the table's own weights; a pickled instance, as a worker gets
+    # it, carries the optimum along
+    assert len(on_true_means) == 1 and on_true_means[0] is inst.true_weights
+    assert vars(pickle.loads(pickle.dumps(inst)))["optimum"] == inst.optimum
+
+
+def test_a_dense_instance_holds_no_python_object_per_arm():
+    # a range ground, the means as the table's q array, and views cut as id
+    # arrays; about 131 B per arm when each arm was a Python int and float
+    n = 2 * 10**5
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        inst = big_uniform_instance(n, 10)
+        built = tracemalloc.get_traced_memory()[0] - start
+        built_pickle = len(pickle.dumps(inst))
+        result = run_trials(RunConfig(inst, "pac", 0.1, 0.1, 3, 0, DESK, jobs=1))
+        assert result["summary"]["success"]["eps_optimal"]["count"] == 3
+        del result
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert built / n <= 32 and after / n <= 32, (built / n, after / n)
+    assert built_pickle / n <= 12 and len(pickle.dumps(inst)) / n <= 12
+
+
 @pytest.mark.parametrize("config", [
     RunConfig(builtin("prop1"), "naive1", 0.1, 0.1, 0, 0, PAPER),
     RunConfig(builtin("prop1"), "exact", 0.1, 0.1, 3, 0,
@@ -1229,7 +1272,7 @@ def test_killed_worker_breaks_one_batch_and_the_next_starts_a_fresh_pool():
 
 _ORPHANED_WORKERS = """
 import sys, time
-from matroid_bandits import harness
+from matroid_bandits import harness, instances
 from matroid_bandits.harness import RunConfig, run_trials
 from matroid_bandits.instances import builtin
 from matroid_bandits.pac import DESK

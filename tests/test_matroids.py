@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from collections import deque
@@ -344,6 +345,91 @@ def test_is_independent_matches_family_definitions():
                     family, m, c | committed
                 )
     assert outcomes == {True, False}
+
+
+def _set_form(m):
+    """``m`` with its ground held as a frozenset: the form the other two are pinned to."""
+    twin = copy.copy(m)
+    twin._init_ground(frozenset(m.ground))
+    return twin
+
+
+def _answer(call):
+    """What ``call`` returns, a matroid as its ground and rank, or the text of
+    the DomainError it raises."""
+    try:
+        result = call()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    return (result.ground, result.full_rank) if isinstance(result, Matroid) else result
+
+
+def _odd_elements(n):
+    """Elements that are not plain ids of 0..n-1: bools, numpy integers in and
+    outside the ground, a fraction, ids past either end, and an unhashable one."""
+    return [True, False, np.int64(n - 1), np.int64(n + 4), np.int32(0), 1.5,
+            n + 3, -1, 2**70, [0]]
+
+
+def _answers(m, probes):
+    """Every answer of ``m`` that the form of its ground could change, on ``probes``."""
+    ids = m.ground_ids
+    out = [m.ground, m.ground_set, ids.tolist(), ids.dtype, ids.flags.writeable,
+           m.size, m.ends, m.full_rank, m.loops(), m.isolated_and_loops()]
+    for subset, e in probes:
+        out += [_answer(lambda: m.rank(subset)), _answer(lambda: m.is_basis(subset)),
+                _answer(lambda: m.is_independent(subset)),
+                _answer(lambda: m.blocks(subset, e))]
+        for keep in (subset, np.array(sorted(subset, key=repr), dtype=object)):
+            out.append(_answer(lambda: m.restrict(keep)))
+    return out
+
+
+def test_every_ground_form_answers_as_the_set_form():
+    # a family's range, a view cut from a sorted int64 id array, and a
+    # frozenset give one answer (or one DomainError) to every query
+    rng = np.random.default_rng(47)
+    seen_views = 0
+    for family in FAMILY_NAMES:
+        for _ in range(6):
+            n = int(rng.integers(2, 12))
+            m = random_matroid(rng, family, n, allow_loops=True)
+            assert type(m._held) is (frozenset if family == "partition" else range)
+            odd = _odd_elements(n)
+
+            def probes(ground):
+                out = []
+                for _ in range(8):
+                    subset = frozenset(e for e in ground if rng.random() < 0.5)
+                    extra = odd[int(rng.integers(len(odd)))]
+                    e = int(rng.integers(n)) if rng.random() < 0.5 else extra
+                    if rng.random() < 0.3 and not isinstance(extra, list):
+                        subset |= {extra}
+                    out.append((subset, e))
+                return out + [(frozenset(), odd[-1]), (frozenset(ground), 0)]
+
+            basis = sorted(greedy_max_basis(m, random_distinct_weights(rng, n)))
+            committed = [e for e in basis if rng.random() < 0.5]
+            contraction = m.contract(committed)
+            cases = [(m, _set_form(m))]
+            for parent in (m, contraction):
+                keep = sorted(e for e in parent.ground if rng.random() < 0.6)
+                ids = np.array(keep, dtype=np.int64)
+                ids.flags.writeable = False
+                by_array = parent.restrict(ids)
+                assert by_array.ground_ids is ids or len(keep) == parent.size
+                shuffled = np.array(keep + keep[:1], dtype=np.int32)[::-1]
+                cases += [(by_array, parent.restrict(frozenset(keep))),
+                          (parent.restrict(shuffled), _set_form(by_array))]
+                seen_views += type(by_array._held) is np.ndarray
+            for form, reference in cases:
+                assert form.ground_ids.dtype == np.int64 and not form.ground_ids.flags.writeable
+                shared = probes(reference.ground) + probes(range(n))
+                assert _answers(form, shared) == _answers(reference, shared)
+                for keep in ([n], [n + 3], [0, n + 3], [n - 1, 0], [True], [-2]):
+                    assert (_answer(lambda: form.restrict(np.array(keep)))
+                            == _answer(lambda: reference.restrict(frozenset(keep))))
+    assert seen_views > 20
 
 
 def test_rank_monotone_and_submodular():

@@ -84,6 +84,30 @@ def test_pickled_instance_holds_columns_and_draws_alike():
     assert draw(copy) == draw(inst)
 
 
+def test_a_table_compares_and_pickles_by_value_and_holds_each_column_once():
+    means = [0.5, 0.25, 0.75, 0.125]
+    table = ArmTable.from_columns(None, means)
+    # an all-Bernoulli table holds its means as q, and no kind or support per arm
+    assert table.mean_array is table.q and table.mixed_kinds is table.mixed_supports is None
+    assert not table.q.flags.writeable and table.all_bernoulli
+    assert table == ArmTable.from_columns(["bernoulli"] * 4, np.array(means), [None] * 4)
+    pickled = pickle.dumps(table)
+    assert (table.means, table.kinds, table.supports) == (
+        tuple(means), ("bernoulli",) * 4, (None,) * 4)
+    assert pickle.dumps(table) == pickled  # what was built on first use stays behind
+    copy = pickle.loads(pickled)
+    assert copy == table and copy.mean_array is copy.q and not copy.q.flags.writeable
+    assert table != ArmTable.from_columns(None, [0.5, 0.25, 0.75, 0.25])
+    mixed = ArmTable.from_arms([bernoulli(0.5), point(0.25), scaled(0.5, 1.0, 0.75), bernoulli(0.125)])
+    assert mixed != table and mixed.means == table.means
+    assert pickle.loads(pickle.dumps(mixed)) == mixed
+    assert mixed.mean_array.tolist() == means and mixed.q.tolist() == [0.5, 0.0, 0.5, 0.125]
+    inst = big_uniform_instance(DENSE_MIN_ARMS, 3, seed=2)
+    twin = pickle.loads(pickle.dumps(inst))
+    assert twin.arms == inst.arms and twin.true_means == inst.true_means
+    assert type(inst.true_means) is tuple and inst.true_weights is inst.arms.mean_array
+
+
 def test_loaded_table_shares_the_kind_constants(tmp_path):
     arms = [bernoulli(0.2), scaled(0.1, 0.9, 0.5), point(0.7), bernoulli(0.6)]
     made = make_instance("mixed", {"family": "uniform", "n": 4, "k": 2}, arms)
@@ -400,7 +424,8 @@ def test_a_count_or_p_of_the_wrong_type_is_refused_before_any_draw(n):
     assert (_means(session.uniform_sample([0, 1], np.int64(2)))
             == _means(twin.uniform_sample([0, 1], 2)))
     assert session.pull_batch(2, np.uint8(3)) == twin.pull_batch(2, 3)
-    assert session.random_subset(range(n), np.float64(0.5)) == twin.random_subset(range(n), 0.5)
+    assert (sorted(session.random_subset(range(n), np.float64(0.5)))
+            == sorted(twin.random_subset(range(n), 0.5)))
     assert type(session.total_samples) is int and session.total_samples == 7
 
 
@@ -457,7 +482,7 @@ def test_budget_is_checked_before_drawing():
 
 def _next_draws(session):
     """The generator's next 50 draws, read through the session's own subset draw of arm 0."""
-    return [bool(session.random_subset([0], 0.5)) for _ in range(50)]
+    return [sorted(session.random_subset([0], 0.5)) for _ in range(50)]
 
 
 def test_uniform_sample_over_budget_draws_nothing():
@@ -594,9 +619,12 @@ def test_dense_session_draws_and_records_what_the_reference_does(arms, monkeypat
 @pytest.mark.parametrize("dense", [False, True], ids=["reference", "dense"])
 def test_non_integer_arm_ids_are_refused_before_any_draw(dense, monkeypatch):
     session = _session(_MIXED, dense, monkeypatch)
-    for bad in ([1.5], [1.0], ["a"], [True], [2, True], [np.bool_(False)],
+    # [1, True] and [0, np.bool_(False)]: a bool equal to an id in the batch is
+    # refused, not merged into that id
+    for bad in ([1.5], [1.0], ["a"], [True], [2, True], [1, True], [np.bool_(False)],
+                [0, np.bool_(False)], iter([1, True]),
                 np.array([1.5]), np.array([True]), np.array(["a"])):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="arm id must be an integer|must be integers"):
             session.uniform_sample(bad, 3)
     for bad in (1.5, 1.0, "a", True, np.bool_(True)):
         with pytest.raises(DomainError):
@@ -614,11 +642,12 @@ def test_random_subset_refuses_ids_that_are_not_arms(dense, monkeypatch):
     session = _session(_MIXED, dense, monkeypatch)
     twin = _session(_MIXED, dense, monkeypatch)
     n = len(_MIXED)
-    for bad in ([5, n + 2], [-1, 3], np.array([n]), [1.5]):
+    for bad in ([5, n + 2], [-1, 3], np.array([n]), [1.5], [0, np.bool_(False)], [1, True]):
         with pytest.raises(DomainError):
-            session.random_subset(bad, 0.5)
+            session.random_subset(bad, 1.0)
+    assert session.total_samples == 0 and not any(pull_counts(session))
     assert _next_draws(session) == _next_draws(twin)
-    assert session.random_subset(range(n), 0.5) == twin.random_subset(range(n), 0.5)
+    assert sorted(session.random_subset(range(n), 0.5)) == sorted(twin.random_subset(range(n), 0.5))
     small = SamplingSession(ArmTable.from_columns(None, [0.5, 0.6]), 0)
     with pytest.raises(DomainError, match="unknown arm 7"):
         small.random_subset([5, 7], 0.5)
