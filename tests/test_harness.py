@@ -1272,7 +1272,7 @@ def test_killed_worker_breaks_one_batch_and_the_next_starts_a_fresh_pool():
 
 _ORPHANED_WORKERS = """
 import sys, time
-from matroid_bandits import harness, instances
+from matroid_bandits import harness
 from matroid_bandits.harness import RunConfig, run_trials
 from matroid_bandits.instances import builtin
 from matroid_bandits.pac import DESK

@@ -644,7 +644,7 @@ def test_random_subset_refuses_ids_that_are_not_arms(dense, monkeypatch):
     n = len(_MIXED)
     for bad in ([5, n + 2], [-1, 3], np.array([n]), [1.5], [0, np.bool_(False)], [1, True]):
         with pytest.raises(DomainError):
-            session.random_subset(bad, 1.0)
+            session.random_subset(bad, 0.5)
     assert session.total_samples == 0 and not any(pull_counts(session))
     assert _next_draws(session) == _next_draws(twin)
     assert sorted(session.random_subset(range(n), 0.5)) == sorted(twin.random_subset(range(n), 0.5))
