@@ -170,7 +170,11 @@ class TrialReport:
         }
 
 
-def _run_single_trial(config: RunConfig, index: int) -> TrialReport:
+def _run_single_trial(config: RunConfig, index: int,
+                      verdicts: dict[frozenset[int], dict[str, bool]]) -> TrialReport:
+    """Trial ``index`` of the batch. ``verdicts`` holds the flags of each basis
+    that its share has judged; the judge runs only for a basis not in it, and
+    the report gets its own copy of the flags."""
     inst = config.instance
     session = inst.trial_session(
         config.seed, index, max_pulls=config.profile.pull_budget
@@ -185,8 +189,11 @@ def _run_single_trial(config: RunConfig, index: int) -> TrialReport:
         )
         basis = tuple(sorted(result.basis))
         trace = result.transcript if config.trace else ()
-        flags = success_flags(inst.matroid, inst.true_weights, result.basis, config.eps,
-                              inst.optimum)
+        key = frozenset(result.basis)
+        if key not in verdicts:
+            verdicts[key] = success_flags(inst.matroid, inst.true_weights, key, config.eps,
+                                          inst.optimum)
+        flags = dict(verdicts[key])
     except BudgetError as exc:
         error = f"{type(exc).__name__}: {exc}"
         guard = exc.guard
@@ -208,8 +215,11 @@ def _run_single_trial(config: RunConfig, index: int) -> TrialReport:
 
 
 def _run_chunk(config: RunConfig, indices: range) -> list[TrialReport]:
-    """The trials of one batch that one worker, or the serial path, runs."""
-    return [_run_single_trial(config, index) for index in indices]
+    """The trials of one batch that one worker, or the serial path, runs: one
+    share, with one memo of judged bases, so that each distinct basis is
+    judged once per share."""
+    verdicts: dict[frozenset[int], dict[str, bool]] = {}
+    return [_run_single_trial(config, index, verdicts) for index in indices]
 
 
 # A trial worker: its process and the caller's end of its pipe.
@@ -375,8 +385,11 @@ def _quantiles(values: list[int]) -> dict:
 def run_trials(config: RunConfig) -> dict:
     """Execute the trial batch and aggregate. Budget errors count as failures.
 
-    With ``jobs > 1`` the trials are split into ``jobs`` interleaved shares
-    (every ``jobs``-th index): the caller runs the first, and each of the
+    Each share of the batch keeps one memo of judged bases, so that the judge
+    (``success_flags``) runs once per distinct basis per share, and each
+    report holds its own copy of the flags. With ``jobs > 1`` the trials are
+    split into ``jobs`` interleaved shares (every ``jobs``-th index): the
+    caller runs the first, and each of the
     process's ``jobs - 1`` workers receives one message (the config, whose
     instance carries its optimum, and its share) and sends back one (its
     reports, or the error it raised, re-raised here with its own type). A

@@ -14,10 +14,12 @@ each batch's means as one read-only float64 array indexed by arm id (NaN for
 an arm outside the batch) and hand out ids (``sample_ids``) as sorted int64
 arrays, such as ``Matroid.ground_ids``, for views of any size; their
 ``random_subset`` returns its ids as such an array too, which
-``Matroid.restrict`` keeps as the view's ground. A smaller table's sessions
-keep a list ledger, return dicts and hand out tuples or sets, which cost
-less than numpy's fixed per-call cost on a few arms. Both forms draw the
-same numbers and record the same pulls.
+``Matroid.restrict`` keeps as the view's ground; a batch is one vector
+binomial draw. A smaller table's sessions keep a list ledger, draw each
+stochastic arm with one scalar ``binomial`` call in id order (the stream
+that ``pull_batch`` draws), return dicts and hand out tuples or sets, which
+cost less than numpy's fixed per-call cost on a few arms. Both forms draw
+the same numbers and record the same pulls.
 
 A ground reaches a session in one of the three forms that :mod:`.matroids`
 holds: a family's ``range`` of 0..n-1, a view's sorted int64 array, or a
@@ -223,6 +225,11 @@ class ArmTable:
         """The means as a tuple of Python floats."""
         return tuple(self.mean_array.tolist())
 
+    @cached_property
+    def q_values(self) -> tuple[float, ...]:
+        """``q`` as a tuple of Python floats, which a per-arm draw reads faster."""
+        return tuple(self.q.tolist())
+
     @property
     def dense(self) -> bool:
         """Whether sessions over this table keep an int64 ledger and return arrays of means."""
@@ -397,8 +404,9 @@ class SamplingSession:
         """Pull every element exactly ``count`` fresh times; return the batch means.
 
         Earlier pulls of the same arms never leak into the estimate. The
-        stochastic arms take one vector binomial draw in id order, which
-        yields the values one ``pull_batch`` per arm would. A batch over the
+        stochastic arms take one binomial variate each, in id order: one
+        vector draw on a dense table, one scalar draw per arm on a small one.
+        Either yields the values one ``pull_batch`` per arm would. A batch over the
         budget or past the drawability bound is refused whole with
         ``BudgetError``: nothing is drawn and nothing is recorded. An id that
         is not an integer, or not an arm, is refused with ``DomainError``, as
@@ -415,27 +423,36 @@ class SamplingSession:
         means = self._draw(ids, count)
         self._add_pulls(ids, count)
         if not self._dense:
-            return dict(zip(ids, means.tolist()))
+            return dict(zip(ids, means))
         dense = np.full(len(self._arms), np.nan)
         dense[ids] = means
         dense.flags.writeable = False
         return dense
 
-    def _draw(self, ids: list[int] | np.ndarray, count: int) -> np.ndarray:
-        """Check and draw one batch of the increasing ``ids``; their means in order, unrecorded."""
+    def _draw(self, ids: list[int] | np.ndarray, count: int) -> list[float] | np.ndarray:
+        """Check and draw one batch of the increasing ``ids``; their means in
+        order, unrecorded: a list on a small table, an array on a dense one."""
         arms, kinds = self._arms, self._arms.mixed_kinds
         if kinds is not None and type(ids) is np.ndarray:
             ids = ids.tolist()  # the per-arm code below reads Python ints faster
         stochastic = ids if kinds is None else [e for e in ids if kinds[e] != POINT]
         self._check_batch(count, len(ids), len(stochastic) > 0)
-        draws = self._rng.binomial(count, arms.q[stochastic]) if len(stochastic) else np.zeros(0)
-        if kinds is None and count <= 2**53:
-            # hits and count are exact in float64 here, so each quotient is
-            # rounded once, as Python's hits / count is
-            return draws / count
-        hits = iter(draws.tolist())
-        return np.array([arms.batch_mean(e, count, 0 if kinds and kinds[e] == POINT else next(hits))
-                         for e in ids])
+        if self._dense:
+            draws = self._rng.binomial(count, arms.q[stochastic]) if len(stochastic) else np.zeros(0)
+            if kinds is None and count <= 2**53:
+                # hits and count are exact in float64 here, so each quotient is
+                # rounded once, as Python's hits / count is
+                return draws / count
+            hits = draws.tolist()
+        else:
+            binomial, q = self._rng.binomial, arms.q_values
+            hits = [binomial(count, q[e]) for e in stochastic]
+            if kinds is None:
+                return [h / count for h in hits]
+        hits = iter(hits)
+        means = [arms.batch_mean(e, count, 0 if kinds and kinds[e] == POINT else next(hits))
+                 for e in ids]
+        return np.array(means) if self._dense else means
 
     def random_subset(self, elements: Iterable[int], p: float) -> frozenset[int] | np.ndarray:
         """Keep each element independently with probability ``p``; an id that

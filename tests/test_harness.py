@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
@@ -625,6 +626,33 @@ def test_success_flags_reject_non_basis():
     m = UniformMatroid(4, 2)
     flags = success_flags(m, (0.9, 0.8, 0.7, 0.6), frozenset({0}), 0.1)
     assert flags == {"exact": False, "eps_optimal": False, "elementwise": False, "avg": False}
+
+
+def test_each_distinct_basis_is_judged_once_per_share_and_each_report_owns_its_flags(
+        monkeypatch):
+    calls = []
+
+    def counting(matroid, means, basis, eps, opt=None):
+        calls.append((frozenset(basis), eps))
+        return success_flags(matroid, means, basis, eps, opt)
+
+    monkeypatch.setattr(harness, "success_flags", counting)
+    shared = 0
+    for name in sorted(instances.BUILTINS):
+        inst = builtin(name)
+        for algo in ALGORITHMS:
+            for eps in (0.1, 0.3):  # a second batch at another eps judges afresh
+                calls.clear()
+                reports = run_trials(RunConfig(inst, algo, eps, 0.1, 20, 0, DESK))["reports"]
+                judged = [frozenset(rep.basis) for rep in reports if rep.error is None]
+                assert Counter(calls) == Counter((basis, eps) for basis in set(judged))
+                direct = [success_flags(inst.matroid, inst.true_means, rep.basis, eps)
+                          for rep in reports]
+                assert [rep.flags for rep in reports] == direct
+                shared += judged.count(judged[0]) > 1
+                reports[0].flags.clear()
+                assert [rep.flags for rep in reports[1:]] == direct[1:], (name, algo, eps)
+    assert shared  # some batches hand one verdict to several reports
 
 
 def _scrub(node):

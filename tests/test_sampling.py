@@ -20,6 +20,7 @@ from matroid_bandits import sampling
 from matroid_bandits.matroids import IndependentSet, UniformMatroid
 from matroid_bandits.sampling import (
     DENSE_MIN_ARMS,
+    POINT,
     Arm,
     ArmTable,
     SamplingSession,
@@ -614,6 +615,56 @@ def test_dense_session_draws_and_records_what_the_reference_does(arms, monkeypat
     assert type(reference.uniform_sample([1], 1)) is dict
     assert type(dense.uniform_sample([1], 1)) is np.ndarray
     assert _script(dense, len(arms)) == _script(reference, len(arms))
+
+
+class _RecordingGenerator:
+    """A session's generator, recording the ``p`` of each ``binomial`` call."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.binomial_ps = []
+
+    def binomial(self, n, p):
+        self.binomial_ps.append(p)
+        return self._rng.binomial(n, p)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("arms", [_MIXED, _BERNOULLI], ids=["mixed", "bernoulli"])
+@pytest.mark.parametrize("dense", [False, True], ids=["small", "dense"])
+def test_a_small_session_draws_each_arm_alone_and_a_dense_one_in_one_call(arms, dense,
+                                                                          monkeypatch):
+    table = ArmTable.from_arms(arms)
+    twin = _session(arms, dense, monkeypatch)
+    session = _session(arms, dense, monkeypatch)
+    session._rng = recorder = _RecordingGenerator(session._rng)
+    for elements, count in (([5, 3, 3, 0], 7), (range(len(arms)), 185), ([0, 7], 2**60),
+                            (np.arange(1, len(arms), 4), 2**53 + 1)):
+        stochastic = [e for e in sorted(set(map(int, elements))) if table.kinds[e] != POINT]
+        recorder.binomial_ps.clear()
+        means = session.uniform_sample(elements, count)
+        assert _means(means) == _means(twin.uniform_sample(elements, count))
+        ps = recorder.binomial_ps
+        if dense:
+            assert len(ps) == (1 if stochastic else 0)
+            assert all(type(p) is np.ndarray and p.tolist() == table.q[stochastic].tolist()
+                       for p in ps)
+        else:
+            assert ps == [table.q_values[e] for e in stochastic]
+            assert all(type(p) is float for p in ps)
+    assert pull_counts(session) == pull_counts(twin)
+    assert _next_draws(session) == _next_draws(twin)
+
+
+def test_a_tables_q_tuple_is_built_on_first_use_and_not_pickled():
+    table = ArmTable.from_arms([bernoulli(0.5), point(0.25), scaled(0.5, 1.0, 0.75)])
+    pickled = pickle.dumps(table)
+    assert "q_values" not in vars(table)
+    assert table.q_values == (0.5, 0.0, 0.5) and table.q_values is table.q_values
+    assert pickle.dumps(table) == pickled
+    assert "q_values" not in vars(pickle.loads(pickled))
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["reference", "dense"])
