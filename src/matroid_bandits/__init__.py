@@ -1,8 +1,8 @@
 """Pure-exploration bandits under matroid constraints.
 
 Library surface: matroid oracles and views, a sample-accounted stochastic
-environment, PAC / exact / average-eps identification algorithms, brute-force
-verification oracles, and a seeded Monte Carlo harness with a CLI.
+environment, PAC / exact / average-eps identification algorithms, per-arm gaps
+and instance checks, and a seeded Monte Carlo harness with a CLI.
 """
 
 from .avg import avg_pac_recur_elim, elimination, naive_two

@@ -1,4 +1,5 @@
-"""Command-line face: ``run`` trials, ``verify`` an instance, print ``gaps``.
+"""Command-line face: ``run`` trials, ``verify`` the rules an instance file
+holds, print ``gaps``.
 
 Exit codes: 0 on completion, 1 on configuration problems, 2 on I/O errors.
 A reader that closes stdout early ends the output quietly, with the same code.
@@ -12,13 +13,12 @@ import math
 import os
 import sys
 
-from .errors import CapacityError, ConfigError, PreconditionError, ValidationError
+from .errors import ConfigError, PreconditionError, ValidationError
 from .harness import (
     ALGORITHMS, RunConfig, profile_by_name, report_path, run_trials, write_report,
 )
-from .instances import resolve_instance
+from .instances import resolve_instance, verify_instance
 from .matroids import gaps, greedy_max_basis
-from .oracle import verify_instance
 from .pac import PROFILES
 
 
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the trials in N processes: this one and N-1 workers "
                             "(default 1); results do not depend on N")
 
-    verify_p = sub.add_parser("verify", help="run the oracle suite on one instance")
+    verify_p = sub.add_parser("verify", help="check the rules that one instance holds")
     verify_p.add_argument("--instance", required=True)
 
     gaps_p = sub.add_parser("gaps", help="print the per-element gap profile")
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, lines = _COMMANDS[args.command](args)
-    except (ConfigError, ValidationError, CapacityError, PreconditionError) as exc:
+    except (ConfigError, ValidationError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

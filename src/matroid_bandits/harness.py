@@ -225,8 +225,8 @@ def _run_chunk(config: RunConfig, indices: range) -> list[TrialReport]:
 # A trial worker: its process and the caller's end of its pipe.
 _Worker = tuple[BaseProcess, Connection]
 
-# The process's trial workers: (jobs, the jobs - 1 workers), started by the
-# first parallel batch and reused by the next ones that ask for the same
+# The process's trial workers: (jobs, at most jobs - 1 workers), started as
+# parallel batches need them and reused by the next ones that ask for the same
 # ``jobs``; _pool_lock is held for a whole parallel batch.
 _pool: tuple[int, list[_Worker]] | None = None
 _pool_lock = threading.Lock()
@@ -262,8 +262,9 @@ def _serve(conn: Connection, inherited: tuple[Connection, ...]) -> None:
         return
 
 
-def _start_workers(count: int) -> list[_Worker]:
-    """``count`` daemonic workers of the default start method, each idle on its pipe."""
+def _start_workers(count: int, running: list[_Worker]) -> list[_Worker]:
+    """``count`` more daemonic workers of the default start method, beside
+    ``running``, each idle on its pipe."""
     context = multiprocessing.get_context()
     forked = context.get_start_method() == "fork"
     workers: list[_Worker] = []
@@ -271,7 +272,7 @@ def _start_workers(count: int) -> list[_Worker]:
         for _ in range(count):
             ours, theirs = context.Pipe()
             # a forked worker holds copies of our ends, which it must close
-            inherited = (*(conn for _, conn in workers), ours) if forked else ()
+            inherited = (*(conn for _, conn in running + workers), ours) if forked else ()
             process = context.Process(target=_serve, args=(theirs, inherited), daemon=True)
             process.start()
             theirs.close()
@@ -296,7 +297,8 @@ def _stop_workers(workers: list[_Worker], timeout: float) -> None:
 
 def _run_parallel(config: RunConfig) -> list[TrialReport]:
     """Share w of the batch is every ``jobs``-th index from w: the caller runs
-    share 0 and worker w - 1 share w, one message each way."""
+    share 0 and worker w - 1 share w, one message each way. The pool is topped
+    up to the ``min(jobs, trials) - 1`` workers that get a share."""
     global _pool
     jobs, trials = config.jobs, config.trials
     with _pool_lock:
@@ -304,9 +306,10 @@ def _run_parallel(config: RunConfig) -> list[TrialReport]:
             _stop_workers(_pool[1], _STOP_TIMEOUT_S)
             _pool = None
         if _pool is None:
-            _pool = (jobs, _start_workers(jobs - 1))
-        workers = _pool[1]
-        busy = [conn for _, conn in workers[:min(jobs, trials) - 1]]
+            _pool = (jobs, [])
+        workers, sharing = _pool[1], min(jobs, trials) - 1
+        workers += _start_workers(sharing - len(workers), workers)
+        busy = [conn for _, conn in workers[:sharing]]
         try:
             for w, conn in enumerate(busy, 1):
                 conn.send((config, range(w, trials, jobs)))
@@ -389,12 +392,13 @@ def run_trials(config: RunConfig) -> dict:
     (``success_flags``) runs once per distinct basis per share, and each
     report holds its own copy of the flags. With ``jobs > 1`` the trials are
     split into ``jobs`` interleaved shares (every ``jobs``-th index): the
-    caller runs the first, and each of the
-    process's ``jobs - 1`` workers receives one message (the config, whose
-    instance carries its optimum, and its share) and sends back one (its
-    reports, or the error it raised, re-raised here with its own type). A
-    worker that died makes the batch raise ``BrokenProcessPool``; the next
-    parallel batch starts fresh workers.
+    caller runs the first, and each of the ``min(jobs, trials) - 1`` workers
+    with a share receives one message (the config, whose instance carries its
+    optimum, and its share) and sends back one (its reports, or the error it
+    raised, re-raised here with its own type). Workers are kept for the next
+    batch with the same ``jobs``, and started only when a batch has a share
+    for them. A worker that died makes the batch raise ``BrokenProcessPool``;
+    the next parallel batch starts fresh workers.
     """
     config.instance.optimum  # computed once per instance, before any worker gets it
     if config.jobs > 1 and config.trials > 1:

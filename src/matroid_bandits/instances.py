@@ -223,6 +223,21 @@ class Instance:
         return cfg
 
 
+def verify_instance(instance: Instance) -> list[tuple[str, bool, str]]:
+    """The rules that a loaded instance holds, as (check, ok, detail) rows:
+    ``no_loops``, ``distinct_means`` (ties pass under ``allow_ties``) and, when
+    one is declared, ``gap_floor``. They come from the kernels and enumerate
+    nothing, so they run at every size."""
+    loops = instance.matroid.loops()
+    means = instance.true_means
+    rows = [("no_loops", not loops, f"loops={sorted(loops)}" if loops else ""),
+            ("distinct_means", len(set(means)) == len(means) or instance.allow_ties, "")]
+    if instance.gap_floor is not None:
+        holds, least = instance.gap_floor_check()
+        rows.append(("gap_floor", holds, f"min gap {least}"))
+    return rows
+
+
 def make_instance(
     name: str,
     matroid_config: dict,

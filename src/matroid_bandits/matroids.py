@@ -737,8 +737,8 @@ def gaps(m: Matroid, weights: Weights) -> dict[int, float]:
     e outside OPT costs w(f) - w(e), f the lightest element of e's circuit in
     OPT + e: the one whose ``add`` first spans e as OPT grows heaviest first.
     e in OPT costs w(e) - w(g), g the heaviest element that OPT - e does not
-    span; +inf if there is none. Ties and loops are refused as by
-    :func:`.oracle.gap`, the enumerating reference that tests pin this to.
+    span; +inf if there is none. Ties and loops are refused as by ``gap`` in
+    ``tests/reference.py``, the enumerating reference that tests pin this to.
     """
     w = _distinct_weights(m, weights)
     if loops := m.loops():
@@ -907,19 +907,3 @@ def is_eps_optimal(m: Matroid, basis: Iterable[int], weights: Weights, eps: floa
         thresholds[ids] = _read(weights, ids) - eps
         thresholds[np.fromiter(bset, np.int64, len(bset))] = np.nan
     return not unblocked(m, bset, weights, thresholds)
-
-
-def is_eps_optimal_modified_cost(
-    m: Matroid, basis: Iterable[int], weights: Weights, eps: float
-) -> bool:
-    """Same predicate via its definition: optimality under the lifted costs.
-
-    Kept as an independent second route; tests cross-check it against
-    :func:`is_eps_optimal` on small instances.
-    """
-    bset = _checked_basis(m, basis, eps)
-    lifted = {
-        e: _weight(weights, e) + (eps if e in bset else 0.0) for e in m.ground
-    }
-    best = greedy_max_basis(m, lifted)
-    return basis_weight(bset, lifted) >= basis_weight(best, lifted) - 1e-12

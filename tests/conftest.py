@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from matroid_bandits.instances import BUILTINS, builtin
 from matroid_bandits.matroids import (
     GraphicMatroid,
     LaminarMatroid,
@@ -61,6 +62,11 @@ def random_distinct_weights(rng: np.random.Generator, n: int) -> list[float]:
         w = rng.random(n)
         if len(set(w.tolist())) == n:
             return [float(x) for x in w]
+
+
+def builtin_instances():
+    """The six builtins, each built anew, in name order."""
+    return [builtin(name) for name in sorted(BUILTINS)]
 
 
 def loop_free(m) -> bool:

@@ -21,6 +21,7 @@ from matroid_bandits.matroids import (
     Weights,
     _checked_basis,
     _distinct_weights,
+    _unhashable,
     _weight,
     avg_within_eps,
     basis_weight,
@@ -29,10 +30,27 @@ from matroid_bandits.matroids import (
     is_eps_optimal,
     unblocked,
 )
-from matroid_bandits.oracle import _guard, brute_force_opt, iter_independent_sets
+from matroid_bandits.oracle import ENUMERATION_GUARD, _guard, brute_force_opt
 from matroid_bandits.sampling import POINT, ArmTable, SamplingSession
 
 APPROX_SUBSET_GUARD = 14
+
+
+def iter_independent_sets(m: Matroid):
+    """Yield every independent set (as a frozenset), the empty set included."""
+    _guard(m.size, ENUMERATION_GUARD, "independent-set enumeration")
+    ground = m.ground
+
+    def walk(start: int, current: set[int]):
+        yield frozenset(current)
+        for idx in range(start, len(ground)):
+            e = ground[idx]
+            if m.is_independent(current | {e}):
+                current.add(e)
+                yield from walk(idx + 1, current)
+                current.remove(e)
+
+    yield from walk(0, set())
 
 
 def iter_bases(m: Matroid):
@@ -40,6 +58,81 @@ def iter_bases(m: Matroid):
     for ind in iter_independent_sets(m):
         if len(ind) == k:
             yield ind
+
+
+def _check_gap_args(m: Matroid, e: int, weights: Weights) -> None:
+    """Both gap formulas' checks: size guard, distinct weights, ``e`` in the ground, no loop."""
+    _guard(m.size, ENUMERATION_GUARD, "gap computation")
+    _distinct_weights(m, weights)
+    try:
+        inside = e in m.ground_set
+    except TypeError:
+        raise _unhashable(e) from None
+    if not inside:
+        raise DomainError(f"element {e} outside ground set")
+    if m.rank({e}) == 0:
+        raise DomainError(f"element {e} is a loop; its gap is undefined")
+
+
+def gap(m: Matroid, e: int, weights: Weights) -> float:
+    """Weight lost by excluding ``e`` (if optimal) or forcing it in (if not).
+
+    Isolated elements get +inf. Loops have no defined gap.
+    """
+    _check_gap_args(m, e, weights)
+    total = m.full_rank
+    if m.rank(m.ground_set - {e}) < total:
+        return math.inf
+    opt = brute_force_opt(m, weights)
+    opt_weight = basis_weight(opt, weights)
+    if e in opt:
+        rest = brute_force_opt(m.restrict(m.ground_set - {e}), weights)
+        return opt_weight - basis_weight(rest, weights)
+    forced = brute_force_opt(m.contract({e}), weights)
+    return opt_weight - (basis_weight(forced, weights) + _weight(weights, e))
+
+
+def gap_alt(m: Matroid, e: int, weights: Weights) -> float:
+    """The same gap through threshold sweeps over the blocking predicate.
+
+    Blocking status only changes at weight differences, so the sweep visits
+    exactly those candidates.
+    """
+    _check_gap_args(m, e, weights)
+    we = _weight(weights, e)
+    others = [a for a in m.ground if a != e]
+    opt = brute_force_opt(m, weights)
+    if e in opt:
+        if not m.blocks(frozenset(others), e):
+            return math.inf
+        best = -math.inf
+        for cand in sorted({we - _weight(weights, a) for a in others}):
+            heavy = frozenset(a for a in others if _weight(weights, a) > we - cand)
+            if not m.blocks(heavy, e):
+                best = cand
+        return best
+    best = -math.inf
+    for cand in sorted({_weight(weights, a) - we for a in others if _weight(weights, a) > we}):
+        heavy = frozenset(a for a in others if _weight(weights, a) >= we + cand)
+        if m.blocks(heavy, e):
+            best = max(best, cand)
+    return best
+
+
+def is_eps_optimal_modified_cost(
+    m: Matroid, basis: Iterable[int], weights: Weights, eps: float
+) -> bool:
+    """Same predicate via its definition: optimality under the lifted costs.
+
+    Kept as an independent second route; tests cross-check it against
+    :func:`is_eps_optimal` on small instances.
+    """
+    bset = _checked_basis(m, basis, eps)
+    lifted = {
+        e: _weight(weights, e) + (eps if e in bset else 0.0) for e in m.ground
+    }
+    best = greedy_max_basis(m, lifted)
+    return basis_weight(bset, lifted) >= basis_weight(best, lifted) - 1e-12
 
 
 def is_elementwise_eps_optimal(

@@ -26,13 +26,20 @@ from matroid_bandits.matroids import (
     basis_weight,
     greedy_max_basis,
     is_eps_optimal,
-    is_eps_optimal_modified_cost,
     is_optimal_basis,
 )
-from matroid_bandits.oracle import brute_force_opt, gap, gap_alt
+from matroid_bandits.oracle import brute_force_opt
 from matroid_bandits.pac import DESK, PAPER, naive_one, pac_sample_prune
 from matroid_bandits.sampling import bernoulli, point
-from reference import count_F_good, is_elementwise_eps_optimal, iter_bases, point_mass
+from reference import (
+    count_F_good,
+    gap,
+    gap_alt,
+    is_elementwise_eps_optimal,
+    is_eps_optimal_modified_cost,
+    iter_bases,
+    point_mass,
+)
 
 PROP1_MEANS = (0.91, 0.9, 0.89, 0.875)
 

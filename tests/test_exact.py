@@ -9,10 +9,10 @@ from matroid_bandits.errors import BudgetError, DomainError, InvariantError
 from matroid_bandits.exact import ELIMINATION, FINAL_SELECT, SELECTION, exact_exp_gap, round_schedule
 from matroid_bandits.instances import builtin, make_instance
 from matroid_bandits.matroids import GraphicMatroid, UniformMatroid, greedy_max_basis
-from matroid_bandits.oracle import brute_force_opt, gap
+from matroid_bandits.oracle import brute_force_opt
 from matroid_bandits.pac import DESK, PAPER
 from matroid_bandits.sampling import SamplingSession, bernoulli, point
-from reference import point_mass
+from reference import gap, point_mass
 
 
 def test_round_schedule_values():

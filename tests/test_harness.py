@@ -397,7 +397,8 @@ def test_make_instance_and_verify_agree_at_the_floor(make, tmp_path, capsys):
     path = tmp_path / "floor.json"
     path.write_text(json.dumps(dict(cfg, gap_floor=least)))
     assert main(["verify", "--instance", str(path)]) == 0
-    assert f"PASS gap_floor (min gap {least})\n" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS no_loops", "PASS distinct_means", f"PASS gap_floor (min gap {least})"]
 
 
 def test_a_gap_floor_on_tied_means_is_a_validation_error(tmp_path):
@@ -1011,22 +1012,27 @@ def test_binomial_lcb_of_all_successes_is_the_bisection_within_one_ulp():
         assert abs(closed - bisected) <= np.spacing(bisected), n
 
 
-def test_cli_import_loads_numpy_random_but_not_scipy():
-    # numpy.random must be loaded before trial workers fork, or each loads it anew
+def _loaded_by_import(module: str, *names: str) -> list[bool]:
+    """Whether each of ``names`` is in ``sys.modules`` after ``import module`` in a fresh
+    interpreter."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys, matroid_bandits.cli; "
-             "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
+    probe = f"import sys, {module}; print(*[name in sys.modules for name in {names!r}])"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert done.stdout.split() == ["False", "True"]
+    return [word == "True" for word in done.stdout.split()]
+
+
+def test_cli_import_loads_numpy_random_but_not_scipy():
+    # numpy.random must be loaded before trial workers fork, or each loads it anew
+    assert _loaded_by_import("matroid_bandits.cli", "scipy", "numpy.random") == [False, True]
 
 
 def test_importing_the_package_leaves_the_enumerating_oracle_unloaded():
-    src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, matroid_bandits; print('matroid_bandits.oracle' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert done.stdout.split() == ["False"]
+    assert _loaded_by_import("matroid_bandits", "matroid_bandits.oracle") == [False]
+
+
+def test_importing_the_cli_leaves_the_enumerating_oracle_unloaded():
+    assert _loaded_by_import("matroid_bandits.cli", "matroid_bandits.oracle") == [False]
 
 
 _FAILING_VERIFY = "cli.verify_instance = lambda instance: [('forced', False, '')]; "
@@ -1143,14 +1149,15 @@ def test_cli_run_on_instance_file(tmp_path):
     assert json.loads(out.read_text())["summary"]["instance"] == inst.name
 
 
-def test_tied_means_are_a_typed_error_for_gaps_and_a_noted_skip_for_verify(tmp_path, capsys):
+def test_tied_means_are_a_typed_error_for_gaps_and_pass_verify_under_allow_ties(
+        tmp_path, capsys):
     path = tmp_path / "tied.json"
     path.write_text(json.dumps(dict(_TWO_ARMS, allow_ties=True,
                                     arms=[["bernoulli", 0.5], ["bernoulli", 0.5]])))
     assert main(["gaps", "--instance", str(path)]) == 1
     assert capsys.readouterr().err == "error: weights must be pairwise distinct\n"
     assert main(["verify", "--instance", str(path)]) == 0
-    assert "PASS greedy_equals_brute_force (skipped (means tie))" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == ["PASS no_loops", "PASS distinct_means"]
 
 
 _NEEDLE_PAIR = ({"family": "uniform", "n": 2, "k": 1}, [0.5, 0.5 + 1e-7])
@@ -1220,6 +1227,14 @@ def test_pool_is_reused_and_replaced_when_jobs_changes():
     run_trials(dataclasses.replace(config, jobs=3))
     for process, _ in workers:  # the replaced workers were stopped
         assert process.exitcode is not None
+
+
+def test_the_pool_starts_only_the_workers_that_a_batch_shares_among():
+    config = RunConfig(builtin("graphic_k4"), "pac", 0.1, 0.1, 2, 6, DESK)
+    for trials, workers in ((2, 1), (8, 7), (2, 7)):
+        serial, parallel = _serial_and_parallel(dataclasses.replace(config, trials=trials), 8)
+        assert parallel == serial
+        assert harness._pool[0] == 8 and len(_worker_pids()) == workers
 
 
 @pytest.mark.parametrize("trials, jobs", [(2, 3), (1, 2)])
@@ -1304,7 +1319,8 @@ from matroid_bandits import harness
 from matroid_bandits.harness import RunConfig, run_trials
 from matroid_bandits.instances import builtin
 from matroid_bandits.pac import DESK
-run_trials(RunConfig(builtin("prop1"), "pac", 0.1, 0.1, 4, 0, DESK, jobs=2))
+for trials in (2, 4):  # one worker, then a second beside it
+    run_trials(RunConfig(builtin("prop1"), "pac", 0.1, 0.1, trials, 0, DESK, jobs=3))
 print(*[process.pid for process, _ in harness._pool[1]], flush=True)
 time.sleep(120)
 """
@@ -1323,6 +1339,6 @@ def test_workers_exit_when_their_caller_is_killed():
         caller.kill()
         caller.wait()
         caller.stdout.close()
-    assert len(pids) == 1
+    assert len(pids) == 2
     for pid in pids:
         _wait_until_dead(pid)

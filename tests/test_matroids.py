@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_NAMES, loop_free, random_distinct_weights, random_matroid
+from conftest import (
+    FAMILY_NAMES,
+    builtin_instances,
+    loop_free,
+    random_distinct_weights,
+    random_matroid,
+)
 from matroid_bandits import matroids
 from matroid_bandits.errors import DomainError, PreconditionError, ValidationError
 from matroid_bandits.instances import big_uniform_instance, builtin
@@ -23,13 +29,11 @@ from matroid_bandits.matroids import (
     basis_weight,
     greedy_max_basis,
     is_eps_optimal,
-    is_eps_optimal_modified_cost,
     is_optimal_basis,
     shifted_thresholds,
     unblocked,
 )
-from matroid_bandits.oracle import iter_independent_sets
-from reference import iter_bases
+from reference import is_eps_optimal_modified_cost, iter_bases, iter_independent_sets
 
 PROP1_MEANS = (0.91, 0.9, 0.89, 0.875)
 
@@ -271,22 +275,22 @@ def test_restricting_a_contraction_asks_the_family_nothing(monkeypatch):
 
 def test_axioms_hold_per_family():
     rng = np.random.default_rng(11)
-    for family in FAMILY_NAMES:
-        for _ in range(2):
-            n = int(rng.integers(4, 9))
-            m = random_matroid(rng, family, n, allow_loops=True)
-            independents = list(iter_independent_sets(m))
-            as_set = set(independents)
-            assert frozenset() in as_set
-            for ind in independents:
-                for e in ind:
-                    assert frozenset(ind - {e}) in as_set  # hereditary
-            for a in independents:
-                for b in independents:
-                    if len(a) > len(b):
-                        assert any(
-                            m.is_independent(b | {e}) for e in a - b
-                        ), f"exchange fails for {family}"
+    cases = [(family, random_matroid(rng, family, int(rng.integers(4, 9)), allow_loops=True))
+             for family in FAMILY_NAMES for _ in range(2)]
+    cases += [(inst.name, inst.matroid) for inst in builtin_instances()]
+    for name, m in cases:
+        independents = list(iter_independent_sets(m))
+        as_set = set(independents)
+        assert frozenset() in as_set
+        for ind in independents:
+            for e in ind:
+                assert frozenset(ind - {e}) in as_set  # hereditary
+        for a in independents:
+            for b in independents:
+                if len(a) > len(b):
+                    assert any(
+                        m.is_independent(b | {e}) for e in a - b
+                    ), f"exchange fails for {name}"
 
 
 def _independent_by_definition(family, m, s):
@@ -995,16 +999,22 @@ def test_is_eps_optimal_examples_and_monotonicity():
 
 def test_eps_optimal_routes_agree_on_all_bases():
     rng = np.random.default_rng(23)
+    grid = (0.0, 0.02, 0.1, 0.5)
+    cases = []
     for family in FAMILY_NAMES:
         for _ in range(3):
             n = int(rng.integers(4, 9))
-            m = random_matroid(rng, family, n)
-            w = random_distinct_weights(rng, n)
-            for basis in iter_bases(m):
-                for eps in (0.0, 0.02, 0.1, 0.5):
-                    assert is_eps_optimal(m, basis, w, eps) == is_eps_optimal_modified_cost(
-                        m, basis, w, eps
-                    )
+            cases.append((random_matroid(rng, family, n), random_distinct_weights(rng, n), grid))
+    # the builtins' means differ by multiples of 0.005, so the grid would put eps
+    # exactly at their ties, where w - eps rounds either way; step just off them
+    cases += [(inst.matroid, inst.true_means, [eps + 1e-9 for eps in grid])
+              for inst in builtin_instances()]
+    for m, w, epsilons in cases:
+        for basis in iter_bases(m):
+            for eps in epsilons:
+                assert is_eps_optimal(m, basis, w, eps) == is_eps_optimal_modified_cost(
+                    m, basis, w, eps
+                )
 
 
 def test_optimality_characterizations_agree():

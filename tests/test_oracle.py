@@ -1,28 +1,45 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import FAMILY_NAMES, loop_free, random_distinct_weights, random_matroid
+import reference
+from conftest import (
+    FAMILY_NAMES,
+    builtin_instances,
+    loop_free,
+    random_distinct_weights,
+    random_matroid,
+)
 from matroid_bandits import oracle
 from matroid_bandits.cli import main
 from matroid_bandits.errors import CapacityError, DomainError, PreconditionError
-from matroid_bandits.instances import builtin, make_instance
+from matroid_bandits.instances import (
+    BUILTINS,
+    builtin,
+    make_instance,
+    save_instance,
+    uniform_gap_instance,
+    verify_instance,
+)
 from matroid_bandits.matroids import (
     GraphicMatroid,
     UniformMatroid,
     gaps,
     greedy_max_basis,
     is_eps_optimal,
-    is_eps_optimal_modified_cost,
 )
-from matroid_bandits.oracle import brute_force_opt, gap, gap_alt, verify_instance
+from matroid_bandits.oracle import brute_force_opt
 from matroid_bandits.sampling import bernoulli
 from reference import (
     count_F_good,
+    gap,
+    gap_alt,
     is_avg_eps_optimal,
     is_elementwise_eps_optimal,
     is_eps_approx_subset,
+    is_eps_optimal_modified_cost,
     iter_bases,
 )
 
@@ -62,6 +79,9 @@ def test_greedy_agrees_with_brute_force():
             m = random_matroid(rng, family, n, allow_loops=True)
             w = random_distinct_weights(rng, n)
             assert greedy_max_basis(m, w) == brute_force_opt(m, w)
+    for inst in builtin_instances():
+        m, w = inst.matroid, inst.true_means
+        assert greedy_max_basis(m, w) == brute_force_opt(m, w), inst.name
 
 
 def test_gap_values_on_the_four_arm_instance():
@@ -120,6 +140,13 @@ def _matroids_and_views(rng, family: str, n: int, allow_loops: bool = False):
 
 
 def test_gaps_equal_both_enumerating_formulas_on_every_family_and_view():
+    def check(m, w, where):
+        kernel = gaps(m, w)
+        assert list(kernel) == list(m.ground)
+        for e in m.ground:
+            assert kernel[e] == gap_alt(m, e, w), (*where, e)
+            assert math.isclose(kernel[e], gap(m, e, w), rel_tol=0, abs_tol=1e-12)
+
     rng = np.random.default_rng(29)
     checked = {}
     for family in FAMILY_NAMES:
@@ -129,14 +156,12 @@ def test_gaps_equal_both_enumerating_formulas_on_every_family_and_view():
             for form, m in _matroids_and_views(rng, family, n).items():
                 if not loop_free(m):
                     continue
-                kernel = gaps(m, w)
-                assert list(kernel) == list(m.ground)
-                for e in m.ground:
-                    assert kernel[e] == gap_alt(m, e, w), (family, form, e)
-                    assert math.isclose(kernel[e], gap(m, e, w), rel_tol=0, abs_tol=1e-12)
+                check(m, w, (family, form))
                 checked[family, form] = checked.get((family, form), 0) + m.size
     assert len(checked) == 15 and sum(checked.values()) > 2000
     assert min(checked.values()) > 20
+    for inst in builtin_instances():
+        check(inst.matroid, inst.true_means, (inst.name,))
 
 
 def test_gaps_refuse_loops_and_ties_as_the_enumerating_gap_does():
@@ -173,11 +198,19 @@ def test_gaps_of_a_large_uniform_matroid_are_the_pick_k_differences():
                       for e in range(n)}
 
 
-def test_the_gap_floor_check_and_the_profile_never_enumerate(monkeypatch, capsys):
-    def no_enumeration(*args, **kwargs):
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """The exhaustive optimum and every enumerating reference raise when called."""
+    def enumerated(*args, **kwargs):
         raise AssertionError("enumerated")
 
-    monkeypatch.setattr(oracle, "brute_force_opt", no_enumeration)
+    monkeypatch.setattr(oracle, "brute_force_opt", enumerated)
+    for name in ("brute_force_opt", "iter_independent_sets", "_check_gap_args", "gap",
+                 "gap_alt", "is_eps_optimal_modified_cost"):
+        monkeypatch.setattr(reference, name, enumerated)
+
+
+def test_the_gap_floor_check_and_the_profile_never_enumerate(no_enumeration, capsys):
     inst = builtin("ladder10")
     assert inst.gap_floor == 0.05
     assert inst.gap_floor_check() == (True, pytest.approx(0.05, abs=1e-12))
@@ -326,6 +359,24 @@ def test_count_F_good_requires_distinct_weights():
 
 
 def test_verify_instance_passes_on_builtins():
-    for name in ("prop1", "ladder10", "graphic_k4", "transversal5", "laminar6", "partition6"):
-        rows = verify_instance(builtin(name))
-        assert all(ok for _, ok, _ in rows), (name, rows)
+    for inst in builtin_instances():
+        rows = verify_instance(inst)
+        names = ["no_loops", "distinct_means"] + ["gap_floor"] * (inst.name == "ladder10")
+        assert [name for name, _, _ in rows] == names, inst.name
+        assert all(ok for _, ok, _ in rows), (inst.name, rows)
+
+
+def test_verify_never_enumerates(no_enumeration, tmp_path, capsys):
+    wide = tmp_path / "gap5000.json"
+    save_instance(uniform_gap_instance(5000, 10, 0.1), wide)
+    assert json.loads(wide.read_text())["schema_version"] == 3
+    tied = tmp_path / "tied.json"
+    save_instance(make_instance("tied", {"family": "uniform", "n": 3, "k": 1},
+                                [bernoulli(0.2), bernoulli(0.4), bernoulli(0.4)],
+                                allow_ties=True), tied)
+    for ref in [*(f"builtin:{name}" for name in sorted(BUILTINS)), str(wide), str(tied)]:
+        assert main(["verify", "--instance", ref]) == 0, ref
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[:2] == ["PASS no_loops", "PASS distinct_means"], ref
+        floor = ref in ("builtin:ladder10", str(wide))
+        assert len(rows) == 2 + floor and all(row.startswith("PASS gap_floor ") for row in rows[2:])
