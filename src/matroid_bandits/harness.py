@@ -7,7 +7,10 @@ budget (``BudgetError``); every other error is a bug and aborts the batch.
 A batch at ``jobs = N`` runs in N processes: the caller runs one share of
 the trials itself and N - 1 worker processes run the others, each fed over a
 pipe. The workers are started by the first parallel batch and kept for the
-next ones with the same N.
+next ones with the same N. A worker's reply leaves its dense ledgers out of
+the pickle and sends each one's raw bytes, which the caller reads into the
+array that the report keeps; ``write_report`` writes such ledgers to the
+``.pulls.npy`` sidecar one row at a time, so no batch matrix is built.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import csv
 import json
 import math
 import multiprocessing
+import pickle
 import signal
 import threading
 import time
@@ -65,7 +69,9 @@ def success_flags(matroid: Matroid, means, basis, eps: float, opt=None) -> dict[
 
     ``opt`` defaults to the greedy optimum; greedy agrees with exhaustive
     search (cross-checked by the oracle test suite) and scales to large
-    instances where enumeration cannot.
+    instances where enumeration cannot. Like ``elementwise`` and ``avg``,
+    ``eps_optimal`` allows 1e-12 of float rounding, so that a basis tied at
+    exactly ``eps`` passes, as it does by the lifted-cost definition.
     """
     if not matroid.is_basis(basis):
         return dict.fromkeys(FLAGS, False)
@@ -73,7 +79,7 @@ def success_flags(matroid: Matroid, means, basis, eps: float, opt=None) -> dict[
         opt = greedy_max_basis(matroid, means)
     return {
         "exact": frozenset(basis) == opt,
-        "eps_optimal": is_eps_optimal(matroid, basis, means, eps),
+        "eps_optimal": is_eps_optimal(matroid, basis, means, eps + 1e-12),
         "elementwise": elementwise_within_eps(basis, opt, means, eps),
         "avg": avg_within_eps(basis, opt, means, eps),
     }
@@ -117,9 +123,10 @@ class TrialReport:
 
     ``pulls`` is the session's per-arm ledger in the session's own form
     (``SamplingSession.ledger``): on a dense table a read-only int64 array,
-    8 bytes per arm, which pickles as one buffer; otherwise a tuple of
-    Python ints. ``per_arm`` reads either as a tuple of Python ints, and
-    reports compare their ledgers by value.
+    8 bytes per arm, which pickles as one buffer (out of band at protocol
+    5, as a worker's reply sends it); otherwise a tuple of Python ints.
+    ``per_arm`` reads either as a tuple of Python ints, and reports compare
+    their ledgers by value.
     """
 
     index: int
@@ -141,7 +148,8 @@ class TrialReport:
             object.__setattr__(self, "pulls", pulls)
 
     def __reduce__(self):
-        # through __init__, so that an unpickled ledger is read-only too
+        # through __init__, so that an unpickled ledger is read-only too: a
+        # ledger pickled in band comes back writable, and __post_init__ wraps it
         return TrialReport, tuple(getattr(self, f.name) for f in fields(self))
 
     def __eq__(self, other):
@@ -257,9 +265,32 @@ def _serve(conn: Connection, inherited: tuple[Connection, ...]) -> None:
                 reply = _run_chunk(config, indices)
             except Exception as exc:
                 reply = (exc, traceback.format_exc())
-            conn.send(reply)
+            _send_reply(conn, reply)
     except (EOFError, OSError):  # the caller closed its end, or died
         return
+
+
+def _send_reply(conn: Connection, reply) -> None:
+    """``reply`` pickled at protocol 5 with every dense ledger left out of
+    the pickle, sent with the ledgers' byte sizes; then each ledger's bytes,
+    one message each, straight from the worker's own array."""
+    ledgers: list[pickle.PickleBuffer] = []
+    payload = pickle.dumps(reply, protocol=5, buffer_callback=ledgers.append)
+    raw = [ledger.raw() for ledger in ledgers]
+    conn.send((payload, [view.nbytes for view in raw]))
+    for view in raw:
+        conn.send_bytes(view)
+
+
+def _receive_reply(conn: Connection):
+    """The reply that ``_send_reply`` sent: each ledger's bytes are read into
+    a buffer of its own, which the unpickled report's read-only ledger wraps
+    without a copy."""
+    payload, sizes = conn.recv()
+    ledgers = [np.empty(size, np.uint8) for size in sizes]
+    for ledger in ledgers:
+        conn.recv_bytes_into(ledger)
+    return pickle.loads(payload, buffers=ledgers)
 
 
 def _start_workers(count: int, running: list[_Worker]) -> list[_Worker]:
@@ -318,7 +349,7 @@ def _run_parallel(config: RunConfig) -> list[TrialReport]:
             except Exception as exc:
                 replies = [exc]
             # every reply is in before any error propagates, so the pool is idle again
-            replies += [conn.recv() for conn in busy]
+            replies += [_receive_reply(conn) for conn in busy]
         except BaseException as exc:
             _stop_workers(workers, 0.0)
             _pool = None
@@ -394,8 +425,10 @@ def run_trials(config: RunConfig) -> dict:
     split into ``jobs`` interleaved shares (every ``jobs``-th index): the
     caller runs the first, and each of the ``min(jobs, trials) - 1`` workers
     with a share receives one message (the config, whose instance carries its
-    optimum, and its share) and sends back one (its reports, or the error it
-    raised, re-raised here with its own type). Workers are kept for the next
+    optimum, and its share) and sends back its reports, or the error it
+    raised, re-raised here with its own type. A reply is one pickled message
+    and then the raw bytes of each dense ledger (``_send_reply``), so the
+    caller holds no pickled copy of the ledgers. Workers are kept for the next
     batch with the same ``jobs``, and started only when a batch has a share
     for them. A worker that died makes the batch raise ``BrokenProcessPool``;
     the next parallel batch starts fresh workers.
@@ -451,6 +484,22 @@ def _pull_matrix(reports: list[TrialReport], arms: int) -> np.ndarray:
     return rows.reshape(len(reports), arms)
 
 
+def _write_pulls(path: Path, reports: list[TrialReport], arms: int) -> None:
+    """What ``np.save(path, _pull_matrix(reports, arms))`` writes. When every
+    ledger is an int64 array, the same ``.npy`` header is followed by each
+    ledger's buffer in turn, so that no matrix of the batch is built."""
+    if not all(type(rep.pulls) is np.ndarray and rep.pulls.dtype == np.int64
+               for rep in reports):
+        np.save(path, _pull_matrix(reports, arms), allow_pickle=False)
+        return
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.int64)),
+              "fortran_order": False, "shape": (len(reports), arms)}
+    with open(path, "wb") as handle:
+        np.lib.format.write_array_header_1_0(handle, header)
+        for rep in reports:
+            handle.write(rep.pulls)
+
+
 def load_pulls(path) -> np.ndarray | tuple[tuple[int, ...], ...]:
     """A report's per-arm ledgers, one row per trial: the int64 array, or a
     tuple of tuples of Python ints when some count does not fit an int64."""
@@ -477,7 +526,8 @@ def write_report(result: dict, out_path) -> Path:
     The report is one JSON object, ``{"summary": ..., "trials": [...]}``,
     written piece by piece: the summary on the first line, then one trial
     per line, so that no string of the whole document is ever built. The
-    ledgers go to ``.pulls.npy`` beside it, one row per trial (``load_pulls``).
+    ledgers go to ``.pulls.npy`` beside it, one row per trial (``load_pulls``),
+    and dense ones are written a row at a time (``_write_pulls``).
     A ``.csv`` report path is refused before anything is written (``report_path``).
     """
     out_path = report_path(out_path)
@@ -485,7 +535,7 @@ def write_report(result: dict, out_path) -> Path:
     reports: list[TrialReport] = result["reports"]
     out_path.parent.mkdir(parents=True, exist_ok=True)
     pulls_path = out_path.with_suffix(".pulls.npy")
-    np.save(pulls_path, _pull_matrix(reports, summary["arms"]), allow_pickle=False)
+    _write_pulls(pulls_path, reports, summary["arms"])
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write('{"summary": ')
         handle.write(_encode(summary))

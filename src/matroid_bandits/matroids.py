@@ -813,10 +813,10 @@ def unblocked(
     A member the set kept must leave itself out, so it costs one
     :meth:`Matroid.blocks`: at most rank(pool) of them per call.
 
-    Only candidates above the pool's lightest weight are sorted and swept.
-    Every other one faces the whole pool, so the set takes in the rest of the
-    pool first. When it then holds ``full_rank`` members it spans every
-    element, so only the members it kept need an answer.
+    Once the set holds ``full_rank`` members it spans every element, so from
+    then on only the members it kept need an answer. Only candidates above
+    the pool's lightest weight are sorted and swept. Every other one faces
+    the whole pool, so the set takes in the rest of the pool first.
 
     ``thresholds`` may also be a float array indexed by element id, NaN for
     an element that is no candidate: one mask splits its candidates at the
@@ -835,6 +835,7 @@ def unblocked(
         high.sort(key=thresholds.__getitem__, reverse=True)
         low = candidates.difference(high)
     grown = m.growing()
+    full = m.full_rank
     heavy, taken, kept = set(), set(), set()
     for e in high:
         t = thresholds[e]
@@ -843,14 +844,17 @@ def unblocked(
             heavy.add(a)
             if grown.add(a):
                 taken.add(a)
-        if not (m.blocks(heavy - {e}, e) if e in taken else grown.spans(e)):
+        if e in taken:
+            if not m.blocks(heavy - {e}, e):
+                kept.add(e)
+        elif len(taken) < full and not grown.spans(e):
             kept.add(e)
     if not low:
         return frozenset(kept)
     for _, a in reversed(pending):  # every other candidate faces the whole pool
         if grown.add(a):
             taken.add(a)
-    if len(taken) < m.full_rank:
+    if len(taken) < full:
         kept.update(filterfalse(grown.spans, low.difference(taken)))
     for e in low.intersection(taken):
         if not m.blocks(pool - {e}, e):

@@ -2,10 +2,13 @@ import base64
 import csv
 import dataclasses
 import gc
+import io
 import json
+import multiprocessing
 import os
 import pickle
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -13,6 +16,7 @@ import tracemalloc
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +54,9 @@ from matroid_bandits.pac import DESK, PAPER, ConstantsProfile
 from matroid_bandits.sampling import (
     BERNOULLI, DENSE_MIN_ARMS, POINT, SCALED, ArmTable, bernoulli, point, sample_size, scaled,
 )
-from reference import geometric_ladder_instance, point_mass
+from reference import (
+    geometric_ladder_instance, is_eps_optimal_modified_cost, iter_bases, point_mass,
+)
 
 
 def test_builtin_prop1_values():
@@ -629,6 +635,24 @@ def test_success_flags_reject_non_basis():
     assert flags == {"exact": False, "eps_optimal": False, "elementwise": False, "avg": False}
 
 
+def test_the_judge_counts_a_basis_tied_at_eps_as_the_lifted_cost_definition_does():
+    # {0, 2, 5} and {1, 2, 5} of laminar6 lift to 2.8, the optimum's weight, at
+    # eps 0.1; yet 0.8 - 0.1 rounds to 0.7000000000000001 > 0.7
+    inst = builtin("laminar6")
+    for basis in ({0, 2, 5}, {1, 2, 5}):
+        assert is_eps_optimal_modified_cost(inst.matroid, basis, inst.true_weights, 0.1)
+        assert success_flags(inst.matroid, inst.true_weights, frozenset(basis), 0.1,
+                             inst.optimum)["eps_optimal"]
+    for name in sorted(instances.BUILTINS):
+        inst = builtin(name)
+        m, means = inst.matroid, inst.true_weights
+        for basis in iter_bases(m):
+            for eps in (0.0, 0.01, 0.02, 0.05, 0.1, 0.5):
+                judged = success_flags(m, means, frozenset(basis), eps, inst.optimum)
+                assert judged["eps_optimal"] == is_eps_optimal_modified_cost(
+                    m, basis, means, eps), (name, sorted(basis), eps)
+
+
 def test_each_distinct_basis_is_judged_once_per_share_and_each_report_owns_its_flags(
         monkeypatch):
     calls = []
@@ -778,13 +802,22 @@ def test_a_dense_ledger_past_int64_stays_exact(jobs, tmp_path):
     write_report(result, out)
     pulls = load_pulls(out.with_suffix(".pulls.npy"))
     assert pulls.dtype == np.int64 and pulls.tolist() == [[count] * 256] * 2
+    assert _is_the_stacked_matrix(out, result)
 
 
 def _sidecar(out: Path):
     return load_pulls(out.with_suffix(".pulls.npy"))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+def _is_the_stacked_matrix(out: Path, result: dict) -> bool:
+    """Whether the sidecar holds what ``np.save`` writes of the batch's stacked ledgers."""
+    stacked = io.BytesIO()
+    np.save(stacked, harness._pull_matrix(result["reports"], result["summary"]["arms"]),
+            allow_pickle=False)
+    return out.with_suffix(".pulls.npy").read_bytes() == stacked.getvalue()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("inst", [builtin("prop1"), big_uniform_instance(300, 5, seed=2)],
                          ids=["small", "dense"])
 def test_the_pulls_sidecar_holds_one_ledger_per_trial_in_order(inst, jobs, tmp_path):
@@ -796,15 +829,19 @@ def test_the_pulls_sidecar_holds_one_ledger_per_trial_in_order(inst, jobs, tmp_p
     assert pulls.shape == (5, inst.size) and pulls.flags.c_contiguous
     assert [tuple(row) for row in pulls.tolist()] == [rep.per_arm for rep in result["reports"]]
     assert "per_arm_samples" not in out.read_text()
+    # a dense batch's ledgers are written a row at a time, as np.save writes their matrix
+    assert _is_the_stacked_matrix(out, result)
 
 
 @pytest.mark.parametrize("inst", [builtin("prop1"), big_uniform_instance(300, 5, seed=2)],
                          ids=["small", "dense"])
 def test_a_zero_trial_batch_writes_an_empty_row_per_arm_matrix(inst, tmp_path):
     out = tmp_path / "report.json"
-    write_report(run_trials(RunConfig(inst, "naive1", 0.1, 0.1, 0, 0, PAPER)), out)
+    result = run_trials(RunConfig(inst, "naive1", 0.1, 0.1, 0, 0, PAPER))
+    write_report(result, out)
     pulls = _sidecar(out)
     assert pulls.dtype == np.int64 and pulls.shape == (0, inst.size)
+    assert _is_the_stacked_matrix(out, result)
     assert json.loads(out.read_text())["summary"]["arms"] == inst.size
 
 
@@ -820,6 +857,7 @@ def test_counts_past_int64_come_back_exact_from_the_sidecar(jobs, tmp_path):
     write_report(result, out)
     assert np.load(out.with_suffix(".pulls.npy"), allow_pickle=False).dtype.kind == "U"
     assert _sidecar(out) == ((count,) * 256,) * 2 == tuple(r.per_arm for r in result["reports"])
+    assert _is_the_stacked_matrix(out, result)
 
 
 def test_hand_built_ledgers_round_trip_through_the_sidecar(tmp_path):
@@ -835,7 +873,9 @@ def test_hand_built_ledgers_round_trip_through_the_sidecar(tmp_path):
     out = tmp_path / "report.json"
     for batch, fits in ((reports[:1], True), (reports[-1:], True), (reports[-2:], False),
                         (reports, False)):
-        write_report(harness.summarize(config, batch), out)
+        result = harness.summarize(config, batch)
+        write_report(result, out)
+        assert _is_the_stacked_matrix(out, result)
         pulls = _sidecar(out)
         expected = tuple(r.per_arm for r in batch)
         if fits:
@@ -908,6 +948,55 @@ def test_held_reports_of_a_dense_batch_cost_about_eight_bytes_per_arm(jobs):
         tracemalloc.stop()
     assert len(reports) == trials and all(len(rep.per_arm) == n for rep in reports)
     assert held / (n * trials) < 12, held
+
+
+def test_writing_a_dense_batch_builds_no_matrix_of_its_ledgers(tmp_path):
+    # 4000 arms, so that the matrix outweighs the 128 KiB record buffer that
+    # the csv module's writer allocates for the summary row
+    n, trials = 4000, 8
+    result = run_trials(RunConfig(big_uniform_instance(n, 5, seed=3), "naive1", 0.1, 0.1,
+                                  trials, 0, DESK))
+    write_report(result, tmp_path / "first.json")  # any first-use cost is paid here
+    tracemalloc.start()
+    try:
+        write_report(result, tmp_path / "report.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * trials, peak  # the stacked int64 matrix of the batch
+
+
+def test_a_worker_reply_is_received_without_a_second_copy_of_its_ledgers(monkeypatch):
+    # at jobs 2 the worker's share is 4 ledgers; received as one pickle, they
+    # were held twice at once: in the received bytes and in the arrays
+    n, trials = 2000, 8
+    config = RunConfig(big_uniform_instance(n, 5, seed=3), "naive1", 0.1, 0.1, trials, 0, DESK,
+                       jobs=2)
+    run_trials(config)  # a first batch starts the pool and fills every cache
+    caller, run_chunk, summarize, receive = os.getpid(), harness._run_chunk, harness.summarize, []
+
+    def caller_share_then_reset(config, indices):
+        reports = run_chunk(config, indices)
+        if os.getpid() == caller:  # the caller's own share is done: its receive starts
+            receive.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return reports
+
+    def peak_then_summarize(config, reports):
+        receive.append(tracemalloc.get_traced_memory()[1])
+        return summarize(config, reports)
+
+    monkeypatch.setattr(harness, "_run_chunk", caller_share_then_reset)
+    monkeypatch.setattr(harness, "summarize", peak_then_summarize)
+    tracemalloc.start()
+    try:
+        reports = run_trials(config)["reports"]
+    finally:
+        tracemalloc.stop()
+    assert [rep.index for rep in reports] == list(range(trials))
+    before, peak = receive
+    share = 8 * n * (trials // 2)
+    assert peak - before < 2 * share, (peak - before, share)
 
 
 @pytest.mark.parametrize("inst", [
@@ -1298,16 +1387,45 @@ def _wait_until_dead(pid: int, timeout: float = 10.0) -> None:
     raise AssertionError(f"worker {pid} still alive after {timeout} s")
 
 
+def _die_mid_reply(partial: bool):
+    """``Connection.send_bytes`` for a forked worker that exits as it starts
+    sending the raw bytes of its first ledger: after sending the length and
+    half the bytes of that message if ``partial``, else before any of it."""
+    caller, send_bytes = os.getpid(), Connection.send_bytes
+
+    def send_then_die(self, buf, offset=0, size=None):
+        if os.getpid() == caller:
+            return send_bytes(self, buf, offset, size)
+        if partial:  # CPython's framing: a 4-byte big-endian length, then the bytes
+            view = memoryview(buf).cast("B")
+            os.write(self.fileno(),
+                     struct.pack("!i", view.nbytes) + view[: view.nbytes // 2].tobytes())
+        os._exit(1)
+
+    return send_then_die
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
-def test_killed_worker_breaks_one_batch_and_the_next_starts_a_fresh_pool():
-    config = RunConfig(builtin("ladder10"), "pac", 0.1, 0.1, 6, 1, DESK)
+@pytest.mark.parametrize("dies", ["idle", "before its ledgers", "inside a ledger"])
+def test_killed_worker_breaks_one_batch_and_the_next_starts_a_fresh_pool(dies, monkeypatch):
+    # a dense batch, so that each reply carries its ledgers' raw bytes
+    config = RunConfig(big_uniform_instance(300, 5, seed=6), "pac", 0.1, 0.1, 6, 1, DESK)
     serial, parallel = _serial_and_parallel(config, 2)
     assert parallel == serial
-    [pid] = _worker_pids()
-    os.kill(pid, signal.SIGKILL)
-    _wait_until_dead(pid)
-    with pytest.raises(BrokenProcessPool):
-        run_trials(dataclasses.replace(config, jobs=2))
+    if dies == "idle":
+        [pid] = _worker_pids()
+        os.kill(pid, signal.SIGKILL)
+        _wait_until_dead(pid)
+    else:  # only workers forked after the patch send through it
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("a worker inherits the patch only when forked")
+        harness._stop_workers(harness._pool[1], harness._STOP_TIMEOUT_S)
+        harness._pool = None
+    with monkeypatch.context() as patch:
+        if dies != "idle":
+            patch.setattr(Connection, "send_bytes", _die_mid_reply(dies == "inside a ledger"))
+        with pytest.raises(BrokenProcessPool):
+            run_trials(dataclasses.replace(config, jobs=2))
     assert harness._pool is None
     serial, parallel = _serial_and_parallel(config, 2)
     assert parallel == serial

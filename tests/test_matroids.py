@@ -862,6 +862,40 @@ def test_pruning_asks_no_spans_at_or_below_the_floor_of_a_full_rank_pool(monkeyp
         assert low_seen, family
 
 
+def test_the_high_sweep_asks_no_spans_once_its_set_has_full_rank(monkeypatch):
+    rng = np.random.default_rng(79)
+    asked = []
+    for cls in (matroids.IndependentSet, _UniformSet, matroids._CappedSet, matroids._Forest):
+        def counted_spans(self, e, real=vars(cls)["spans"]):
+            asked.append(e)
+            return real(self, e)
+
+        monkeypatch.setattr(cls, "spans", counted_spans)
+    for family in FAMILY_NAMES:
+        m = random_matroid(rng, family, 40)
+        late_seen = 0
+        for view, _, _ in _kernel_views(rng, m):
+            w = rng.random(40).tolist()
+            pool = greedy_max_basis(view, w) | {e for e in view.ground if rng.random() < 0.3}
+            # the sweep's set has full rank once it holds the pool down to weight `full`
+            heaviest = sorted(pool, key=w.__getitem__, reverse=True)
+            full = next((w[a] for i, a in enumerate(heaviest, 1)
+                         if view.rank(heaviest[:i]) == view.full_rank), math.inf)
+            floor = min((w[a] for a in pool), default=math.inf)
+            thresholds = {e: w[e] - 0.1 for e in view.ground}  # pool members included
+            # swept after that point; `add` asks `spans` of the pool's own members
+            late = {e for e, t in thresholds.items() if floor < t <= full} - pool
+            late_seen += len(late)
+            direct = _blocked_one_by_one(view, pool, w, thresholds)
+            dense_thresholds = np.full(40, np.nan)
+            dense_thresholds[list(thresholds)] = list(thresholds.values())
+            for weights, candidates in ((w, thresholds), (np.array(w), dense_thresholds)):
+                asked.clear()
+                assert unblocked(view, pool, weights, candidates) == direct
+                assert not late.intersection(asked)
+        assert late_seen, family
+
+
 def _array_forms(w, size):
     """``w`` (a list over ids 0..len(w)-1) as a read-only array, as a dense session returns
     its means, and as a writable one, both ``size`` long."""
